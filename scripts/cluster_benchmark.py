@@ -2,33 +2,44 @@
 retrieval quality against the data-agnostic baselines at an equal packed
 bit budget.
 
+Writes a config for `rankhash benchmark` into --out, runs it, and prints the
+mean AP per method from the resulting summary.json.
+
 Usage:
-    python3 scripts/cluster_benchmark.py [--seeds 5] [--L 8] [--K 4]
+    python3 scripts/cluster_benchmark.py [--seeds 5] [--L 8] [--K 4] [--out DIR]
 """
 
 import argparse
+import json
 import time
+from pathlib import Path
 
-import numpy as np
+from rankhash.cli import main as rankhash_main
+from rankhash.hashers import symbol_bits
 
-from rankhash.core import Hyperparams, child_seed, seeded_rng
-from rankhash.data import (
-    apply_center_and_normalize,
-    center_and_normalize,
-    groundtruth_from_labels,
-    make_pairs_from_labels,
-    synth_clusters,
-)
-from rankhash.evaluation import average_precision, build_table, pr_curve_by_radius
-from rankhash.hashers import (
-    encode_dataset,
-    lsh_as_rsh,
-    make_lsh_spec,
-    make_wta_spec,
-    symbol_bits,
-    wta_as_rsh,
-)
-from rankhash.learning import train_rsh, train_srsh
+CONFIG = """\
+synthetic = true
+clusters = 4
+per_cluster = 100
+query_per_cluster = 50
+dim = 16
+separation = 10.0
+noise_sigma = 1.0
+
+methods = rsh, srsh, wta, lsh
+K = {K}
+L = {L}
+epochs = 30
+tol = 1e-3
+eps_min = 0.1
+max_pairs = 2000
+pos_fraction = 0.3
+
+seeds = {seeds}
+radius_list = 1
+k_list =
+seed = {seed}
+"""
 
 
 def main():
@@ -37,48 +48,29 @@ def main():
     ap.add_argument("--L", type=int, default=8)
     ap.add_argument("--K", type=int, default=4)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--out", default="runs/cluster_benchmark")
     args = ap.parse_args()
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    cfg = out / "benchmark.cfg"
+    cfg.write_text(CONFIG.format(K=args.K, L=args.L, seeds=args.seeds, seed=args.seed))
 
-    full, labels = synth_clusters(4, 150, 16, 10.0, 1.0, seeded_rng(args.seed))
-    block = np.arange(4)[:, None] * 150
-    db_rows = (block + np.arange(100)).ravel()
-    q_rows = (block + 100 + np.arange(50)).ravel()
-    db, queries = full.subset(db_rows), full.subset(q_rows)
-    db, mean = center_and_normalize(db)
-    queries = apply_center_and_normalize(queries, mean)
-    pairs = make_pairs_from_labels(labels[db_rows], 2000, 0.3, seeded_rng(child_seed(args.seed, 1)))
-    gt = groundtruth_from_labels(db.ids, labels[db_rows], labels[q_rows])
-
-    def evaluate(model):
-        codes = encode_dataset(db, model)
-        q_codes = encode_dataset(queries, model)
-        table = build_table(codes, db.ids, model.K)
-        return average_precision(pr_curve_by_radius(table, q_codes, gt))
-
-    bits = args.L * symbol_bits(args.K)
-    per_method = {name: [] for name in ("rsh", "srsh", "wta", "lsh")}
     t0 = time.monotonic()
-    for run in range(args.seeds):
-        seed = child_seed(args.seed, 100 + run)
-        hyper = Hyperparams(
-            K=args.K, L=args.L, epochs=30, tol=1e-3, seed=seed, eps_min=0.1
-        )
-        per_method["rsh"].append(evaluate(train_rsh(db, pairs, hyper)))
-        per_method["srsh"].append(evaluate(train_srsh(db, pairs, hyper)))
-        wta = wta_as_rsh(make_wta_spec(args.L, args.K, db.dim, seeded_rng(seed)))
-        per_method["wta"].append(evaluate(wta))
-        # the sign-projection baseline spends the same bits as L K-ary symbols
-        lsh = lsh_as_rsh(make_lsh_spec(bits, db.dim, seeded_rng(seed)))
-        per_method["lsh"].append(evaluate(lsh))
+    code = rankhash_main(["benchmark", "--config", str(cfg), "--out", str(out)])
+    if code != 0:
+        raise SystemExit(code)
     elapsed = time.monotonic() - t0
 
-    print(f"4 clusters in d=16, {db.n} database points, {queries.n} queries")
+    results = json.loads((out / "summary.json").read_text())["results"]
+    bits = args.L * symbol_bits(args.K)
+    print("4 clusters in d=16, 400 database points, 200 queries")
     print(f"L={args.L}, K={args.K} ({bits} packed bits), {args.seeds} seeds, {elapsed:.1f}s")
     print()
     print(f"{'method':<8} {'mean AP':>8} {'std':>8}")
-    for name, values in per_method.items():
-        std = np.std(values, ddof=1) if len(values) > 1 else 0.0
-        print(f"{name:<8} {np.mean(values):>8.4f} {std:>8.4f}")
+    for method in ("rsh", "srsh", "wta", "lsh"):
+        ap_stats = results[f"{method}_L{args.L}"]["metrics"]["ap"]
+        print(f"{method:<8} {ap_stats['mean']:>8.4f} {ap_stats['std']:>8.4f}")
+    print(f"\nartifacts in {out}/ (metrics.csv, summary.json)")
 
 
 if __name__ == "__main__":

@@ -42,7 +42,6 @@ from .data import (
 )
 from .evaluation import (
     HashTable,
-    RetrievalResult,
     aggregate_runs,
     average_precision,
     build_table,

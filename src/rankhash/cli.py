@@ -17,6 +17,7 @@ import json
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -68,6 +69,7 @@ from .learning import TrainLog, train_rsh, train_srsh
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config", "main"]
 
 KNOWN_METHODS = ("rsh", "srsh", "wta", "lsh")
+_TRAINED = ("rsh", "srsh")
 
 # Fixed child-seed indices for the pipeline's independent random streams;
 # per-run seeds start at _SEED_RUN0 so they never collide with these.
@@ -82,6 +84,9 @@ class ConfigError(RankHashError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment. Config keys are the field names, except `lambda`
+    for `lam`; each value is parsed by its field's annotation."""
+
     # data source: either a file to split or a synthetic cluster spec
     input: str = ""
     synthetic: bool = False
@@ -97,7 +102,7 @@ class ExperimentConfig:
     center: bool = True
     pca: int = 0
     # methods and hyperparameters
-    methods: tuple = ("rsh",)
+    methods: tuple[str, ...] = ("rsh",)
     K: int = 4
     L: int = 8
     rho: float = 1.0
@@ -113,14 +118,14 @@ class ExperimentConfig:
     neighbor_avg: float = 50.0
     # (rho, lam) sweep
     sweep: bool = False
-    rho_grid: tuple = ()
-    lambda_grid: tuple = ()
+    rho_grid: tuple[float, ...] = ()
+    lambda_grid: tuple[float, ...] = ()
     # evaluation
-    radius_list: tuple = (2, 3)
-    k_list: tuple = (50, 100)
+    radius_list: tuple[int, ...] = (2, 3)
+    k_list: tuple[int, ...] = (50, 100)
     seeds: int = 10
     # benchmark code-length sweep
-    L_list: tuple = ()
+    L_list: tuple[int, ...] = ()
     # stage wiring (default: the --out directory itself)
     data_dir: str = ""
     models_dir: str = ""
@@ -135,71 +140,24 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_int(raw: str) -> int:
-    return int(raw.strip())
+def _field_parser(hint):
+    """Parser for one annotated field; tuple fields take comma-separated
+    lists, and str lists (method names) are case-insensitive."""
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        parse_item = str.lower if item is str else item
+        return lambda raw: tuple(parse_item(p.strip()) for p in raw.split(",") if p.strip())
+    if hint is bool:
+        return _parse_bool
+    return lambda raw: hint(raw.strip())
 
 
-def _parse_float(raw: str) -> float:
-    return float(raw.strip())
-
-
-def _parse_str(raw: str) -> str:
-    return raw.strip()
-
-
-def _split_list(raw: str):
-    return [part.strip() for part in raw.split(",") if part.strip()]
-
-
-def _parse_ints(raw: str) -> tuple:
-    return tuple(int(p) for p in _split_list(raw))
-
-
-def _parse_floats(raw: str) -> tuple:
-    return tuple(float(p) for p in _split_list(raw))
-
-
-def _parse_strs(raw: str) -> tuple:
-    return tuple(p.lower() for p in _split_list(raw))
-
-
-# config key -> (dataclass field, parser); "lambda" and "pca" keep their
-# natural config spellings.
-_CONFIG_KEYS = {
-    "input": ("input", _parse_str),
-    "synthetic": ("synthetic", _parse_bool),
-    "clusters": ("clusters", _parse_int),
-    "per_cluster": ("per_cluster", _parse_int),
-    "dim": ("dim", _parse_int),
-    "separation": ("separation", _parse_float),
-    "noise_sigma": ("noise_sigma", _parse_float),
-    "query_per_cluster": ("query_per_cluster", _parse_int),
-    "train_count": ("train_count", _parse_int),
-    "query_count": ("query_count", _parse_int),
-    "center": ("center", _parse_bool),
-    "pca": ("pca", _parse_int),
-    "methods": ("methods", _parse_strs),
-    "K": ("K", _parse_int),
-    "L": ("L", _parse_int),
-    "rho": ("rho", _parse_float),
-    "lambda": ("lam", _parse_float),
-    "eta": ("eta", _parse_float),
-    "epochs": ("epochs", _parse_int),
-    "tol": ("tol", _parse_float),
-    "eps_min": ("eps_min", _parse_float),
-    "seed": ("seed", _parse_int),
-    "max_pairs": ("max_pairs", _parse_int),
-    "pos_fraction": ("pos_fraction", _parse_float),
-    "neighbor_avg": ("neighbor_avg", _parse_float),
-    "sweep": ("sweep", _parse_bool),
-    "rho_grid": ("rho_grid", _parse_floats),
-    "lambda_grid": ("lambda_grid", _parse_floats),
-    "radius_list": ("radius_list", _parse_ints),
-    "k_list": ("k_list", _parse_ints),
-    "seeds": ("seeds", _parse_int),
-    "L_list": ("L_list", _parse_ints),
-    "data_dir": ("data_dir", _parse_str),
-    "models_dir": ("models_dir", _parse_str),
+# field names whose config key differs ("lambda" is a Python keyword)
+_KEY_OF_FIELD = {"lam": "lambda"}
+# config key -> (dataclass field, parser)
+_KEY_TABLE = {
+    _KEY_OF_FIELD.get(name, name): (name, _field_parser(hint))
+    for name, hint in get_type_hints(ExperimentConfig).items()
 }
 
 _DEFAULT_GRID = (0.5, 1.0, 2.0)
@@ -216,9 +174,9 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, raw_value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _KEY_TABLE:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        field_name, parser = _CONFIG_KEYS[key]
+        field_name, parser = _KEY_TABLE[key]
         try:
             values[field_name] = parser(raw_value)
         except ValueError as exc:
@@ -230,92 +188,78 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
+def _hyperparams(cfg: ExperimentConfig, **overrides) -> Hyperparams:
+    """The training parameters a config implies (every Hyperparams field is
+    also an ExperimentConfig field), with per-run overrides."""
+    values = {f.name: getattr(cfg, f.name) for f in fields(Hyperparams)}
+    return Hyperparams(**{**values, **overrides})
+
+
+def _check_hyper(cfg: ExperimentConfig, keys: dict, **overrides) -> None:
+    """Raise ConfigError naming the config key if Hyperparams rejects the
+    config; `keys` maps fields whose value came from another key."""
+    try:
+        _hyperparams(cfg, **overrides)
+    except ValidationError as exc:
+        # Hyperparams messages open with the offending field's name
+        name, _, why = str(exc).partition(" ")
+        key = keys.get(name, _KEY_OF_FIELD.get(name, name))
+        raise ConfigError(f"{key}: {why}") from exc
+
+
 def validate_config(cfg: ExperimentConfig, command: str) -> None:
     def bad(field_name: str, why: str):
         raise ConfigError(f"{field_name}: {why}")
+
+    def at_least(bound, *names):
+        for name in names:
+            if not getattr(cfg, name) >= bound:  # NaN fails too
+                bad(name, f"must be >= {bound}")
 
     if not cfg.methods:
         bad("methods", "must list at least one method")
     for method in cfg.methods:
         if method not in KNOWN_METHODS:
             bad("methods", f"unknown method {method!r}; choose from {', '.join(KNOWN_METHODS)}")
-    if cfg.K < 2:
-        bad("K", "must be >= 2")
-    if cfg.L < 1:
-        bad("L", "must be >= 1")
-    if cfg.rho < 0:
-        bad("rho", "must be >= 0")
-    if cfg.lam < 0:
-        bad("lambda", "must be >= 0")
-    if cfg.eta <= 0:
-        bad("eta", "must be > 0")
-    if cfg.epochs < 1:
-        bad("epochs", "must be >= 1")
-    if cfg.tol < 0:
-        bad("tol", "must be >= 0")
-    if not 0 < cfg.eps_min < 0.5:
-        bad("eps_min", "must lie strictly between 0 and 0.5")
-    if cfg.seed < 0:
-        bad("seed", "must be >= 0")
-    if cfg.max_pairs < 1:
-        bad("max_pairs", "must be >= 1")
+        if cfg.methods.count(method) > 1:
+            bad("methods", f"{method!r} is listed more than once")
+    # the training-parameter invariants live in Hyperparams
+    _check_hyper(cfg, {})
+    if _sweeping(cfg):
+        for rho, lam in _grid_cells(cfg):
+            _check_hyper(cfg, {"rho": "rho_grid", "lam": "lambda_grid"}, rho=rho, lam=lam)
+    for L in cfg.L_list:
+        _check_hyper(cfg, {"L": "L_list"}, L=L)
+    at_least(1, "max_pairs", "neighbor_avg", "seeds")
     if not 0 < cfg.pos_fraction < 1:
         bad("pos_fraction", "must lie strictly between 0 and 1")
-    if cfg.neighbor_avg < 1:
-        bad("neighbor_avg", "must be >= 1")
-    if cfg.seeds < 1:
-        bad("seeds", "must be >= 1")
     if not cfg.radius_list:
         bad("radius_list", "must list at least one radius")
-    for R in cfg.radius_list:
-        if R < 0:
-            bad("radius_list", "radii must be >= 0")
-    for k in cfg.k_list:
-        if k < 1:
-            bad("k_list", "cutoffs must be >= 1")
+    if min(cfg.radius_list) < 0:
+        bad("radius_list", "radii must be >= 0")
+    if cfg.k_list and min(cfg.k_list) < 1:
+        bad("k_list", "cutoffs must be >= 1")
     if cfg.synthetic:
-        if cfg.clusters < 1:
-            bad("clusters", "must be >= 1")
-        if cfg.per_cluster < 1:
-            bad("per_cluster", "must be >= 1")
-        if cfg.query_per_cluster < 1:
-            bad("query_per_cluster", "must be >= 1")
-        if cfg.dim < 1:
-            bad("dim", "must be >= 1")
-        if cfg.separation < 0:
-            bad("separation", "must be >= 0")
-        if cfg.noise_sigma < 0:
-            bad("noise_sigma", "must be >= 0")
+        at_least(1, "clusters", "per_cluster", "query_per_cluster", "dim")
+        at_least(0, "separation", "noise_sigma")
     elif command in ("preprocess", "benchmark"):
         if not cfg.input:
             bad("input", "required unless synthetic = true")
-        if cfg.train_count < 1:
-            bad("train_count", "must be >= 1")
-        if cfg.query_count < 1:
-            bad("query_count", "must be >= 1")
+        at_least(1, "train_count", "query_count")
     if cfg.pca < 0:
         bad("pca", "must be >= 0 (0 disables)")
-    if cfg.sweep or cfg.rho_grid or cfg.lambda_grid:
-        for name, grid in (("rho_grid", cfg.rho_grid or _DEFAULT_GRID),
-                           ("lambda_grid", cfg.lambda_grid or _DEFAULT_GRID)):
-            for value in grid:
-                if value < 0:
-                    bad(name, "entries must be >= 0")
-    for L in cfg.L_list:
-        if L < 1:
-            bad("L_list", "entries must be >= 1")
+
+
+def _sweeping(cfg: ExperimentConfig) -> bool:
+    return bool(cfg.sweep or cfg.rho_grid or cfg.lambda_grid)
 
 
 def _grid_cells(cfg: ExperimentConfig):
-    if cfg.sweep or cfg.rho_grid or cfg.lambda_grid:
+    if _sweeping(cfg):
         rhos = cfg.rho_grid or _DEFAULT_GRID
         lams = cfg.lambda_grid or _DEFAULT_GRID
         return [(float(r), float(l)) for r in rhos for l in lams]
     return [(float(cfg.rho), float(cfg.lam))]
-
-
-def _run_seed(cfg: ExperimentConfig, run: int) -> int:
-    return child_seed(cfg.seed, _SEED_RUN0 + run)
 
 
 def _load_input(cfg: ExperimentConfig) -> Dataset:
@@ -427,8 +371,13 @@ def _build_pairs(cfg: ExperimentConfig, train: Dataset, train_labels):
     return make_pairs(train, threshold, cfg.max_pairs, cfg.pos_fraction, rng)
 
 
+def _method_cells(cfg: ExperimentConfig, method: str) -> list:
+    """The (rho, lam) cells a method trains on; None for the untrained ones."""
+    return _grid_cells(cfg) if method in _TRAINED else [None]
+
+
 def _model_name(method: str, cell, run: int) -> str:
-    if method in ("rsh", "srsh"):
+    if method in _TRAINED:
         rho, lam = cell
         return f"model_{method}_rho{rho:g}_lam{lam:g}_seed{run}.rshm"
     return f"model_{method}_seed{run}.rshm"
@@ -436,13 +385,10 @@ def _model_name(method: str, cell, run: int) -> str:
 
 def _fit_model(cfg: ExperimentConfig, method: str, cell, run: int, train: Dataset,
                pairs, L: int, log: TrainLog | None = None) -> HashModel:
-    run_seed = _run_seed(cfg, run)
-    if method in ("rsh", "srsh"):
+    run_seed = child_seed(cfg.seed, _SEED_RUN0 + run)
+    if method in _TRAINED:
         rho, lam = cell
-        hyper = Hyperparams(
-            K=cfg.K, L=L, rho=rho, lam=lam, eta=cfg.eta, epochs=cfg.epochs,
-            tol=cfg.tol, seed=run_seed, eps_min=cfg.eps_min,
-        )
+        hyper = _hyperparams(cfg, L=L, rho=rho, lam=lam, seed=run_seed)
         trainer = train_rsh if method == "rsh" else train_srsh
         return trainer(train, pairs, hyper, log=log)
     if method == "wta":
@@ -458,12 +404,10 @@ def _fit_model(cfg: ExperimentConfig, method: str, cell, run: int, train: Datase
 def cmd_train(cfg: ExperimentConfig, out: Path) -> None:
     train, _, train_labels, _ = _load_stage_data(cfg, out)
     pairs = _build_pairs(cfg, train, train_labels)
-    cells = _grid_cells(cfg)
     epoch_rows = []
     boost_rows = []
     for method in cfg.methods:
-        method_cells = cells if method in ("rsh", "srsh") else [None]
-        for cell in method_cells:
+        for cell in _method_cells(cfg, method):
             for run in range(cfg.seeds):
                 log = TrainLog()
                 model = _fit_model(cfg, method, cell, run, train, pairs, cfg.L, log=log)
@@ -538,65 +482,78 @@ def _metric_names(cfg: ExperimentConfig):
     )
 
 
-def _csv_rows(method: str, L_bits: int, K: int, metric_names, per_seed: dict, n_seeds: int):
-    """Per-seed rows followed by mean/std summary rows."""
-    rows = []
-    for run in range(n_seeds):
-        for name in metric_names:
-            # repr of a builtin float round-trips; numpy scalars would not
-            rows.append(f"{method},{L_bits},{K},{run},{name},{float(per_seed[name][run])!r}")
-    summary = aggregate_runs(per_seed, n_seeds)
-    for name in metric_names:
+_CSV_HEADER = "method,L_bits,K,seed,metric,value"
+
+
+@dataclass(frozen=True)
+class _SeedRuns:
+    """One method's metrics over cfg.seeds runs, aggregated and formatted."""
+
+    L_bits: int
+    per_seed: dict  # metric name -> one value per seed
+    summary: dict  # metric name -> (mean, std)
+    rows: list  # metrics.csv lines: per-seed rows, then mean/std rows
+
+
+def _evaluate_seeds(cfg: ExperimentConfig, method: str, models, db: Dataset,
+                    query: Dataset, gt) -> _SeedRuns:
+    """Evaluate one model per seed (`models` yields them in seed order).
+    L_bits and K come from the models themselves: lsh spends the bit budget
+    on binary functions."""
+    names = _metric_names(cfg)
+    per_seed = {name: [] for name in names}
+    for model in models:
+        metrics = _evaluate_model(cfg, model, db, query, gt)
+        for name in names:
+            per_seed[name].append(metrics[name])
+    L_bits = model.L * symbol_bits(model.K)
+    prefix = f"{method},{L_bits},{model.K}"
+    summary = aggregate_runs(per_seed, cfg.seeds)
+    # repr of a builtin float round-trips; numpy scalars would not
+    rows = [f"{prefix},{run},{name},{float(per_seed[name][run])!r}"
+            for run in range(cfg.seeds) for name in names]
+    for name in names:
         mean, std = summary[name]
-        rows.append(f"{method},{L_bits},{K},mean,{name},{float(mean)!r}")
-        rows.append(f"{method},{L_bits},{K},std,{name},{float(std)!r}")
-    return rows
+        rows.append(f"{prefix},mean,{name},{float(mean)!r}")
+        rows.append(f"{prefix},std,{name},{float(std)!r}")
+    return _SeedRuns(L_bits, per_seed, summary, rows)
+
+
+def _write_results(cfg: ExperimentConfig, out: Path, runs, key: str, summary: dict) -> None:
+    rows = [_CSV_HEADER] + [row for r in runs for row in r.rows]
+    (out / "metrics.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _write_json(out / "summary.json", {"config": _config_dict(cfg), key: summary})
 
 
 def cmd_eval(cfg: ExperimentConfig, out: Path) -> None:
     train, query, train_labels, query_labels = _load_stage_data(cfg, out)
     models_dir = Path(cfg.models_dir) if cfg.models_dir else out
     gt = _make_groundtruth(cfg, train, query, train_labels, query_labels)
-    cells = _grid_cells(cfg)
-    metric_names = _metric_names(cfg)
-    rows = [_CSV_HEADER]
+    winners = []
     summary: dict = {}
     for method in cfg.methods:
-        method_cells = cells if method in ("rsh", "srsh") else [None]
-        by_cell = {}
-        for cell in method_cells:
-            per_seed = {name: [] for name in metric_names}
-            for run in range(cfg.seeds):
-                path = models_dir / _model_name(method, cell, run)
-                model = load_model(path)
-                metrics = _evaluate_model(cfg, model, train, query, gt)
-                for name in metric_names:
-                    per_seed[name].append(metrics[name])
-            by_cell[cell] = per_seed
+        cells = _method_cells(cfg, method)
+        by_cell = {
+            cell: _evaluate_seeds(
+                cfg, method,
+                (load_model(models_dir / _model_name(method, cell, run)) for run in range(cfg.seeds)),
+                train, query, gt,
+            )
+            for cell in cells
+        }
         # winner: best mean AP, grid order breaking ties
-        best_cell = max(
-            by_cell,
-            key=lambda c: (np.mean(by_cell[c]["ap"]), -method_cells.index(c)),
-        )
-        per_seed = by_cell[best_cell]
-        model_K = cfg.K if method != "lsh" else 2
-        model_L = cfg.L if method != "lsh" else cfg.L * symbol_bits(cfg.K)
-        L_bits = model_L * symbol_bits(model_K)
-        rows.extend(_csv_rows(method, L_bits, model_K, metric_names, per_seed, cfg.seeds))
-        agg = aggregate_runs(per_seed, cfg.seeds)
+        best_cell = max(by_cell, key=lambda c: (by_cell[c].summary["ap"][0], -cells.index(c)))
+        best = by_cell[best_cell]
+        winners.append(best)
         summary[method] = {
             "selected_cell": {"rho": best_cell[0], "lambda": best_cell[1]} if best_cell else None,
-            "cells_swept": len(method_cells),
+            "cells_swept": len(cells),
             "metrics": {
-                name: {"mean": agg[name][0], "std": agg[name][1], "per_seed": per_seed[name]}
-                for name in metric_names
+                name: {"mean": mean, "std": std, "per_seed": best.per_seed[name]}
+                for name, (mean, std) in best.summary.items()
             },
         }
-    (out / "metrics.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    _write_json(out / "summary.json", {"config": _config_dict(cfg), "methods": summary})
-
-
-_CSV_HEADER = "method,L_bits,K,seed,metric,value"
+    _write_results(cfg, out, winners, "methods", summary)
 
 
 def cmd_benchmark(cfg: ExperimentConfig, out: Path) -> None:
@@ -605,35 +562,25 @@ def cmd_benchmark(cfg: ExperimentConfig, out: Path) -> None:
     train, query, _ = _transform(cfg, train, query)
     pairs = _build_pairs(cfg, train, train_labels)
     gt = _make_groundtruth(cfg, train, query, train_labels, query_labels)
-    L_values = cfg.L_list if cfg.L_list else (cfg.L,)
     cell = (float(cfg.rho), float(cfg.lam))
-    metric_names = _metric_names(cfg)
-    rows = [_CSV_HEADER]
+    all_runs = []
     summary: dict = {}
-    for L in L_values:
+    for L in cfg.L_list or (cfg.L,):
         for method in cfg.methods:
-            per_seed = {name: [] for name in metric_names}
-            for run in range(cfg.seeds):
-                model = _fit_model(
-                    cfg, method, cell if method in ("rsh", "srsh") else None,
-                    run, train, pairs, L,
-                )
-                metrics = _evaluate_model(cfg, model, train, query, gt)
-                for name in metric_names:
-                    per_seed[name].append(metrics[name])
-            model_K = cfg.K if method != "lsh" else 2
-            model_L = L if method != "lsh" else L * symbol_bits(cfg.K)
-            L_bits = model_L * symbol_bits(model_K)
-            rows.extend(_csv_rows(method, L_bits, model_K, metric_names, per_seed, cfg.seeds))
-            agg = aggregate_runs(per_seed, cfg.seeds)
+            method_cell = cell if method in _TRAINED else None
+            runs = _evaluate_seeds(
+                cfg, method,
+                (_fit_model(cfg, method, method_cell, run, train, pairs, L) for run in range(cfg.seeds)),
+                train, query, gt,
+            )
+            all_runs.append(runs)
             summary[f"{method}_L{L}"] = {
                 "method": method,
                 "L": L,
-                "L_bits": L_bits,
-                "metrics": {name: {"mean": agg[name][0], "std": agg[name][1]} for name in metric_names},
+                "L_bits": runs.L_bits,
+                "metrics": {name: {"mean": mean, "std": std} for name, (mean, std) in runs.summary.items()},
             }
-    (out / "metrics.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    _write_json(out / "summary.json", {"config": _config_dict(cfg), "results": summary})
+    _write_results(cfg, out, all_runs, "results", summary)
 
 
 _COMMANDS = {

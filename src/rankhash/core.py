@@ -190,7 +190,8 @@ class Hyperparams:
     dissimilar pairs that collide. eta is the base learning rate (decayed per
     epoch), epochs the per-bit cap, tol the relative-objective stopping
     threshold, and eps_min the clamp applied to per-bit weighted error rates
-    in the sequential trainer.
+    in the sequential trainer. Every ValidationError raised here opens with
+    the offending field's name, which the CLI maps to its config key.
     """
 
     K: int

@@ -20,7 +20,6 @@ from .data import GroundTruth
 
 __all__ = [
     "HashTable",
-    "RetrievalResult",
     "symbol_hamming",
     "weighted_similarity",
     "build_table",
@@ -188,17 +187,6 @@ def recall(retrieved, relevant):
     if not relevant:
         return None
     return len(set(retrieved) & relevant) / len(relevant)
-
-
-@dataclass(frozen=True)
-class RetrievalResult:
-    """One query's retrieval outcome at a fixed radius."""
-
-    query_index: int
-    retrieved: frozenset
-    relevant_count: int
-    precision: float | None
-    recall: float
 
 
 def pr_curve_by_radius(table: HashTable, query_codes, gt: GroundTruth):

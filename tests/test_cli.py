@@ -1,10 +1,11 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from rankhash import load_fvec, load_model
-from rankhash.cli import ConfigError, main, parse_config, validate_config
+from rankhash.cli import ConfigError, ExperimentConfig, main, parse_config, validate_config
 
 BASE = """
 synthetic = true
@@ -41,6 +42,63 @@ def test_parse_config_basics():
     assert cfg.methods == ("rsh", "lsh")
 
 
+def test_parse_config_round_trips_every_key():
+    text = """
+input = data/points.csv
+synthetic = yes
+clusters = 5
+per_cluster = 7
+dim = 9
+separation = 2.5
+noise_sigma = 0.25
+query_per_cluster = 3
+train_count = 11
+query_count = 13
+center = false
+pca = 6
+methods = RSH, Lsh
+K = 3
+L = 5
+rho = 0.75
+lambda = 1.5
+eta = 0.05
+epochs = 9
+tol = 0.001
+eps_min = 0.2
+seed = 18446744073709551615
+max_pairs = 123
+pos_fraction = 0.4
+neighbor_avg = 12.5
+sweep = true
+rho_grid = 0.5, 2
+lambda_grid = 4
+radius_list = 0, 1, 4
+k_list = 7
+seeds = 3
+L_list = 2, 6
+data_dir = stage/data
+models_dir = stage/models
+"""
+    expected = ExperimentConfig(
+        input="data/points.csv", synthetic=True, clusters=5, per_cluster=7, dim=9,
+        separation=2.5, noise_sigma=0.25, query_per_cluster=3, train_count=11,
+        query_count=13, center=False, pca=6, methods=("rsh", "lsh"), K=3, L=5,
+        rho=0.75, lam=1.5, eta=0.05, epochs=9, tol=0.001, eps_min=0.2,
+        seed=2**64 - 1, max_pairs=123, pos_fraction=0.4, neighbor_avg=12.5,
+        sweep=True, rho_grid=(0.5, 2.0), lambda_grid=(4.0,), radius_list=(0, 1, 4),
+        k_list=(7,), seeds=3, L_list=(2, 6), data_dir="stage/data",
+        models_dir="stage/models",
+    )
+    cfg = parse_config(text)
+    assert cfg == expected
+    # every key above moves its field off the default, so each parser ran
+    for f in fields(ExperimentConfig):
+        assert getattr(cfg, f.name) != f.default, f.name
+    assert isinstance(cfg.seed, int) and isinstance(cfg.rho, float)
+    assert all(isinstance(v, float) for v in cfg.rho_grid)
+    assert all(isinstance(v, int) for v in cfg.L_list)
+
+
 def test_parse_config_unknown_key_names_line():
     with pytest.raises(ConfigError, match=r"line 2.*wat"):
         parse_config("K = 4\nwat = 7\n")
@@ -63,6 +121,31 @@ def test_validate_config_names_field():
     cfg = parse_config("synthetic = true\nmethods = rsh, magic\n")
     with pytest.raises(ConfigError, match="methods"):
         validate_config(cfg, "train")
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("seed = 18446744073709551616", "seed"),
+        ("rho = nan", "rho"),
+        ("lambda = nan", "lambda"),
+        ("eta = inf", "eta"),
+        ("rho_grid = nan, 1", "rho_grid"),
+        ("lambda_grid = nan", "lambda_grid"),
+        ("methods = rsh, rsh", "methods"),
+        ("L_list = 2, 0", "L_list"),
+        ("neighbor_avg = nan", "neighbor_avg"),
+        ("separation = nan", "separation"),
+        ("noise_sigma = nan", "noise_sigma"),
+    ],
+)
+def test_invalid_config_exits_2_before_writing(tmp_path, capsys, line, key):
+    cfg = write_config(tmp_path, extra=line + "\n")
+    out = tmp_path / "out"
+    code = main(["preprocess", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error:config: {key}: ")
+    assert not out.exists()
 
 
 # ------------------------------------------------------------ preprocess
@@ -277,14 +360,22 @@ def test_invalid_split_exits_5(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import rankhash
+
+    # the child finds the package where this process did, installed or not
+    src = str(Path(rankhash.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "rankhash", "preprocess", "--config", str(cfg), "--out", str(out)],
         capture_output=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert (out / "manifest.json").exists()
