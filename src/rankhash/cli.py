@@ -414,18 +414,20 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> None:
                 save_model(model, out / _model_name(method, cell, run))
                 rho, lam = cell if cell else ("", "")
                 for trace in log.bits:
-                    for epoch, (surr, emp) in enumerate(
-                        zip(trace.objective_trace, trace.empirical_trace)
+                    # update_fraction is blank on epoch 0, the objective before training
+                    updates = [""] + [repr(f) for f in trace.update_fraction]
+                    for epoch, (surr, emp, frac) in enumerate(
+                        zip(trace.objective_trace, trace.empirical_trace, updates)
                     ):
                         epoch_rows.append(
-                            f"{method},{rho},{lam},{run},{trace.bit},{epoch},{surr!r},{emp!r}"
+                            f"{method},{rho},{lam},{run},{trace.bit},{epoch},{surr!r},{emp!r},{frac}"
                         )
                     if trace.eps is not None:
                         boost_rows.append(
                             f"{method},{rho},{lam},{run},{trace.bit},"
                             f"{trace.eps!r},{trace.theta!r},{trace.alpha_sum!r},{trace.alpha_min!r}"
                         )
-    header = "method,rho,lambda,seed,bit,epoch,surrogate,empirical"
+    header = "method,rho,lambda,seed,bit,epoch,surrogate,empirical,update_fraction"
     (out / "train_log.csv").write_text(
         "\n".join([header] + epoch_rows) + "\n", encoding="utf-8"
     )

@@ -87,13 +87,22 @@ class AdjustedArgmax(NamedTuple):
     value: float
 
 
+def _pair_offsets(K: int, rho: float, lam: float) -> np.ndarray:
+    # offsets[s][k, l] = e(k, l, s): rho off the diagonal for s=1, lam on it
+    # for s=0, and 0.0 elsewhere, so every loss-adjusted cell is the one sum
+    # (yi[k] + yj[l]) + e(k, l, s). Adding 0.0 changes no value but the sign
+    # of a zero, which no comparison sees.
+    offsets = np.zeros((2, K, K))
+    offsets[1] += rho
+    kk = np.arange(K)
+    offsets[1, kk, kk] = 0.0
+    offsets[0, kk, kk] = lam
+    return offsets
+
+
 def _adjusted_matrix(yi: np.ndarray, yj: np.ndarray, s: int, rho: float, lam: float) -> np.ndarray:
-    # m[k, l] = yi[k] + yj[l] + (lam*(1-s) if k == l else rho*s)
     m = np.add.outer(yi, yj)
-    kk = np.arange(yi.shape[0])
-    diag = m[kk, kk].copy()
-    m += rho * s
-    m[kk, kk] = diag + lam * (1 - s)
+    m += _pair_offsets(yi.shape[0], rho, lam)[s]
     return m
 
 
@@ -176,17 +185,18 @@ class ObjectiveValues(NamedTuple):
 def _objective_arrays(X, pi, pj, ps, W, rho, lam) -> tuple[float, float]:
     # Vectorized sum of surrogate_pair and pair_error over all pairs, with
     # the same per-entry float operations as the scalar paths.
+    # Off the diagonal the pair error is rho * s; the diagonal is written
+    # afresh as (yi + yj) + lam * (1 - s), the same two sums per cell.
+    K = W.shape[0]
     Y = X @ W.T
     yi = Y[pi]
     yj = Y[pj]
-    K = W.shape[0]
-    kk = np.arange(K)
-    m = yi[:, :, None] + yj[:, None, :]
-    diag = m[:, kk, kk].copy()
     sf = ps.astype(np.float64)
+    m = yi[:, :, None] + yj[:, None, :]
     m += (rho * sf)[:, None, None]
-    m[:, kk, kk] = diag + (lam * (1.0 - sf))[:, None]
-    value = m.reshape(m.shape[0], -1).max(axis=1)
+    flat = m.reshape(-1, K * K)
+    np.add(yi + yj, (lam * (1.0 - sf))[:, None], out=flat[:, :: K + 1])
+    value = flat.max(axis=1)
     surrogate = value - (yi.max(axis=1) + yj.max(axis=1))
     hi = yi.argmax(axis=1)
     hj = yj.argmax(axis=1)
@@ -206,8 +216,10 @@ def objective(data: Dataset, pairs: PairSet, W, hyper: Hyperparams) -> Objective
 
 @dataclass
 class BitTrace:
-    """Per-bit training record: objective traces plus, for the sequential
-    trainer, the weighted error rate, fusion weight, and pair-weight state."""
+    """Per-bit training record: objective traces (one entry before training,
+    then one per epoch), per epoch the fraction of pair visits that took an
+    update step, and, for the sequential trainer, the weighted error rate,
+    fusion weight, and pair-weight state."""
 
     bit: int
     objective_trace: list[float]
@@ -216,6 +228,7 @@ class BitTrace:
     theta: float | None = None
     alpha_sum: float | None = None
     alpha_min: float | None = None
+    update_fraction: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -231,12 +244,77 @@ def _prepare(data: Dataset, pairs: PairSet, hyper: Hyperparams, require_pairs: b
     return data.features, pairs.i, pairs.j, pairs.s
 
 
+# Block screening in `_train_bit`. W only changes on an update, so the
+# next block of pairs in the epoch's order can be decided in one vectorised
+# pass; the pairs `_certify_quiet` proves leave W alone are skipped and the
+# rest take the exact step. Outputs do not depend on these constants, only
+# the time spent does. A screen costs about as much as ten exact steps, so
+# it runs only once the current run of visits without an update, or the
+# previous gap between two updates, reaches _SCREEN_AFTER visits, and a
+# block is as long as the longer of the two.
+_SCREEN_AFTER = 32
+_BLOCK_MIN = 64
+_BLOCK_MAX = 1024
+_UNIT = 2.0**-53  # float64 unit roundoff
+
+
+def _certify_quiet(X, W, bi, bj, bs, rho: float, lam: float) -> np.ndarray:
+    """Mask of the pairs (bi, bj, bs) that provably leave W unchanged.
+
+    The block is decided from one gathered matmul, whose projections y may
+    round differently from the exact step's gemv. For any summation order
+    and any FMA use, |fl(w . x) - w . x| <= g * max|W| * |x|_1 with
+    g = d * u / (1 - d * u), so each projection of the two evaluations
+    differs by at most twice that.
+
+    With a1 > a2 the top two of yi at hi, b1 > b2 those of yj at hj, and
+    q = min(a1 - a2, b1 - b2), the emitted cell (hi, hj) beats every other
+    cell of the adjusted matrix by at least
+      s = 1, hi == hj:  q - rho
+      s = 0, hi != hj:  min(q, a1 + b1 - max_k (yi[k] + yj[k]) - lam)
+      otherwise:        q
+    and this margin is also at most both top-2 gaps. When it exceeds
+    (4g + 10u) * max|W| * (|xi|_1 + |xj|_1) + 10u * max(rho, lam), which
+    covers the projection error and the rounding of the cells and of the
+    margin itself, the exact step finds the same emitted symbols and the
+    same unique adjusted argmax: no update. The bound used is at least
+    twice that, plus an underflow term. Margins compare strictly, so a
+    tied decision (a zero row, duplicate top scores) is never certified.
+    """
+    B = bi.size
+    d = W.shape[1]
+    Xb = X[np.concatenate((bi, bj))]
+    norm1 = np.abs(Xb).sum(axis=1)
+    w_max = float(np.abs(W).max())
+    if not w_max * float(norm1.max()) < 2.0**1000:  # keep every partial sum far from overflow
+        return np.zeros(B, dtype=bool)
+    Y = Xb @ W.T
+    top = np.sort(Y, axis=1)
+    a1 = top[:, -1]
+    gap = a1 - top[:, -2]
+    h = Y.argmax(axis=1)
+    same = h[:B] == h[B:]
+    similar = bs == 1
+    margin = np.minimum(gap[:B], gap[B:])
+    margin[similar & same] -= rho
+    cross = ~(similar | same)
+    best_diag = np.sort(Y[:B] + Y[B:], axis=1)[:, -1]
+    margin[cross] = np.minimum(margin[cross], ((a1[:B] + a1[B:]) - best_diag)[cross] - lam)
+    g = d * _UNIT / (1.0 - d * _UNIT)
+    bound = ((8.0 * g + 32.0 * _UNIT) * w_max) * (norm1[:B] + norm1[B:])
+    bound += 32.0 * _UNIT * max(rho, lam) + 8.0 * d * np.finfo(np.float64).tiny
+    return margin > bound
+
+
 def _train_bit(X, pi, pj, ps, hyper: Hyperparams, bit_seed: int, alpha=None):
     """Online training of one projection matrix.
 
     Epochs visit the pairs in a freshly shuffled order with step size
     eta / (1 + epoch); training stops at the epoch cap or when the relative
     change of the surrogate objective between epochs drops below tol.
+    Returns W, the surrogate and empirical traces (one entry before training
+    and one per epoch), and per epoch the fraction of pair visits that took
+    an update step.
     """
     rng = seeded_rng(bit_seed)
     K = hyper.K
@@ -245,47 +323,76 @@ def _train_bit(X, pi, pj, ps, hyper: Hyperparams, bit_seed: int, alpha=None):
     omega, emp = _objective_arrays(X, pi, pj, ps, W, rho, lam)
     surr_trace = [omega]
     emp_trace = [emp]
-    kk = np.arange(K)
+    update_trace = []
+    # The exact step works on lists and row views, and W.dot(x) runs the
+    # same gemv as W @ x: the same float operations as whole-array indexing,
+    # with less interpreter work per pair.
+    x_rows = list(X)
+    w_rows = list(W)
+    off = list(_pair_offsets(K, rho, lam))
+    li, lj, ls = pi.tolist(), pj.tolist(), ps.tolist()
+    weights = None if alpha is None else alpha.tolist()
+    n = pi.size
     m = np.empty((K, K), dtype=np.float64)
+    quiet_run = 0  # visits since the last update
+    last_gap = 0  # visits between the last two updates
     for epoch in range(hyper.epochs):
         base_step = hyper.eta / (1.0 + epoch)
-        order = rng.permutation(pi.size)
-        for t in order:
-            i = pi[t]
-            j = pj[t]
-            s = ps[t]
-            xi = X[i]
-            xj = X[j]
-            yi = W @ xi
-            yj = W @ xj
+        order = rng.permutation(n)
+        visit = order.tolist()
+        updates = 0
+        pos = 0
+        screened = 0  # order[pos:screened] was screened against the current W
+        while pos < n:
+            if pos >= screened and max(quiet_run, last_gap) >= _SCREEN_AFTER:
+                size = min(max(quiet_run, last_gap, _BLOCK_MIN), _BLOCK_MAX)
+                screened = min(pos + size, n)
+                block = order[pos:screened]
+                certified = _certify_quiet(X, W, pi[block], pj[block], ps[block], rho, lam)
+                todo = (np.flatnonzero(~certified) + pos).tolist()
+                todo.append(screened)
+                k = 0
+            if pos < screened:
+                quiet_run += todo[k] - pos
+                pos = todo[k]
+                k += 1
+                if pos == screened:
+                    continue
+            t = visit[pos]
+            pos += 1
+            xi = x_rows[li[t]]
+            xj = x_rows[lj[t]]
+            yi = W.dot(xi)
+            yj = W.dot(xj)
+            np.add.outer(yi, yj, out=m)
+            m += off[ls[t]]
+            gi, gj = divmod(int(m.argmax()), K)
             hi = int(yi.argmax())
             hj = int(yj.argmax())
-            np.add.outer(yi, yj, out=m)
-            if s:
-                diag = m[kk, kk].copy()
-                m += rho
-                m[kk, kk] = diag
-            else:
-                m[kk, kk] += lam
-            flat = int(m.argmax())
-            gi = flat // K
-            gj = flat - gi * K
             if gi == hi and gj == hj:
+                quiet_run += 1
                 continue
-            step = base_step if alpha is None else base_step * alpha[t]
+            updates += 1
+            last_gap = quiet_run + 1
+            quiet_run = 0
+            screened = pos
+            step = base_step if weights is None else base_step * weights[t]
             if gi != hi:
-                W[hi] += step * xi
-                W[gi] -= step * xi
+                dx = step * xi
+                w_rows[hi] += dx
+                w_rows[gi] -= dx
             if gj != hj:
-                W[hj] += step * xj
-                W[gj] -= step * xj
+                dx = step * xj
+                w_rows[hj] += dx
+                w_rows[gj] -= dx
+        update_trace.append(updates / n)
         omega_new, emp_new = _objective_arrays(X, pi, pj, ps, W, rho, lam)
         surr_trace.append(omega_new)
         emp_trace.append(emp_new)
         if abs(omega_new - omega) / max(abs(omega), 1e-12) < hyper.tol:
             break
         omega = omega_new
-    return W, surr_trace, emp_trace
+    return W, surr_trace, emp_trace, update_trace
 
 
 def train_rsh(data: Dataset, pairs: PairSet, hyper: Hyperparams, log: TrainLog | None = None) -> HashModel:
@@ -298,10 +405,12 @@ def train_rsh(data: Dataset, pairs: PairSet, hyper: Hyperparams, log: TrainLog |
     X, pi, pj, ps = _prepare(data, pairs, hyper, require_pairs=True)
     mats = []
     for l in range(hyper.L):
-        W, surr, emp = _train_bit(X, pi, pj, ps, hyper, child_seed(hyper.seed, l))
+        W, surr, emp, upd = _train_bit(X, pi, pj, ps, hyper, child_seed(hyper.seed, l))
         mats.append(W)
         if log is not None:
-            log.bits.append(BitTrace(bit=l, objective_trace=surr, empirical_trace=emp))
+            log.bits.append(
+                BitTrace(bit=l, objective_trace=surr, empirical_trace=emp, update_fraction=upd)
+            )
     return HashModel(np.stack(mats), None, hyper)
 
 
@@ -311,7 +420,7 @@ def train_rsh_bit(data: Dataset, pairs: PairSet, hyper: Hyperparams, bit_seed: i
     `train_rsh` is exactly this, run once per bit with derived child seeds.
     """
     X, pi, pj, ps = _prepare(data, pairs, hyper, require_pairs=True)
-    W, _, _ = _train_bit(X, pi, pj, ps, hyper, bit_seed)
+    W, _, _, _ = _train_bit(X, pi, pj, ps, hyper, bit_seed)
     return W
 
 
@@ -358,7 +467,7 @@ def train_srsh(data: Dataset, pairs: PairSet, hyper: Hyperparams, log: TrainLog 
     mats = []
     thetas = []
     for l in range(hyper.L):
-        W, surr, emp = _train_bit(X, pi, pj, ps, hyper, child_seed(hyper.seed, l), alpha=alpha)
+        W, surr, emp, upd = _train_bit(X, pi, pj, ps, hyper, child_seed(hyper.seed, l), alpha=alpha)
         Y = X @ W.T
         hi = Y[pi].argmax(axis=1)
         hj = Y[pj].argmax(axis=1)
@@ -377,6 +486,7 @@ def train_srsh(data: Dataset, pairs: PairSet, hyper: Hyperparams, log: TrainLog 
                     theta=theta,
                     alpha_sum=float(alpha.sum()),
                     alpha_min=float(alpha.min()),
+                    update_fraction=upd,
                 )
             )
     return HashModel(np.stack(mats), np.asarray(thetas), hyper)

@@ -236,9 +236,15 @@ def test_train_writes_models_and_logs(pipeline):
 def test_train_log_traces(pipeline):
     _, out = pipeline
     lines = (out / "train_log.csv").read_text().splitlines()
-    assert lines[0] == "method,rho,lambda,seed,bit,epoch,surrogate,empirical"
+    assert lines[0] == "method,rho,lambda,seed,bit,epoch,surrogate,empirical,update_fraction"
     surrogates = [float(line.split(",")[6]) for line in lines[1:]]
     assert surrogates and all(np.isfinite(surrogates))
+    for line in lines[1:]:
+        epoch, fraction = line.split(",")[5], line.split(",")[8]
+        if epoch == "0":
+            assert fraction == ""
+        else:
+            assert 0.0 <= float(fraction) <= 1.0
     boost = (out / "boost_log.csv").read_text().splitlines()
     assert boost[0] == "method,rho,lambda,seed,bit,eps,theta,alpha_sum,alpha_min"
     # srsh: 2 seeds x 4 bits

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from rankhash import (
     ValidationError,
     boost_step,
     child_seed,
+    init_projection,
     loss_adjusted_inference,
     objective,
     pair_error,
@@ -23,6 +25,7 @@ from rankhash import (
     train_rsh_bit,
     train_srsh,
 )
+from rankhash import learning
 from rankhash.hashers import encode_dataset, rsh_encode
 
 
@@ -452,3 +455,234 @@ def test_train_srsh_codes_in_range():
     model = train_srsh(data, pairs, Hyperparams(K=2, L=4, epochs=5, seed=43))
     codes = encode_dataset(data, model)
     assert codes.min() >= 0 and codes.max() < 2
+
+
+# ------------------------------------------------------------ training oracle
+
+
+def reference_train_bit(data, pairs, hyper, bit_seed, alpha=None):
+    """Online training of one bit rebuilt from public pieces only.
+
+    Returns W, the surrogate and empirical traces, and the per-epoch
+    fraction of pair visits where `pair_gradient_step` moved W.
+    """
+    rng = seeded_rng(bit_seed)
+    W = init_projection(hyper.K, data.dim, rng)
+    X = data.features
+    start = objective(data, pairs, W, hyper)
+    surr, emp, fractions = [start.surrogate], [start.empirical], []
+    omega = start.surrogate
+    for epoch in range(hyper.epochs):
+        epoch_hyper = replace(hyper, eta=hyper.eta / (1 + epoch))
+        updates = 0
+        for t in rng.permutation(len(pairs)):
+            weight = 1.0 if alpha is None else alpha[t]
+            moved = pair_gradient_step(
+                W, X[pairs.i[t]], X[pairs.j[t]], int(pairs.s[t]), epoch_hyper, weight=weight
+            )
+            updates += moved is not W
+            W = moved
+        fractions.append(updates / len(pairs))
+        now = objective(data, pairs, W, hyper)
+        surr.append(now.surrogate)
+        emp.append(now.empirical)
+        if abs(now.surrogate - omega) / max(abs(omega), 1e-12) < hyper.tol:
+            break
+        omega = now.surrogate
+    return W, surr, emp, fractions
+
+
+def reference_train_srsh(data, pairs, hyper):
+    """train_srsh rebuilt from reference_train_bit and boost_step."""
+    alpha = np.ones(len(pairs))
+    emax = max(hyper.rho, hyper.lam)
+    bits = []
+    for l in range(hyper.L):
+        W, surr, emp, fractions = reference_train_bit(
+            data, pairs, hyper, child_seed(hyper.seed, l), alpha=alpha
+        )
+        codes = np.argmax(data.features @ W.T, axis=1)
+        hi, hj = codes[pairs.i], codes[pairs.j]
+        err = np.where(pairs.s == 1, hyper.rho * (hi != hj), hyper.lam * (hi == hj))
+        norm_err = err / emax if emax > 0 else np.zeros(len(pairs))
+        alpha, eps, theta = boost_step(alpha, norm_err, hyper.eps_min)
+        bits.append((W, surr, emp, fractions, theta))
+    return bits
+
+
+def tie_heavy_problem(seed, n=30, d=5, n_pairs=120):
+    """Small integer features with duplicate rows and all-zero rows, so many
+    projections tie exactly; pairs include duplicate-to-duplicate and
+    zero-to-zero pairs."""
+    rng = seeded_rng(seed)
+    X = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    X[[3, 7, 11]] = 0.0
+    X[[4, 8]] = X[5]
+    X[20] = X[21]
+    iu, ju = np.triu_indices(n, k=1)
+    keep = np.sort(rng.choice(iu.size, n_pairs, replace=False))
+    forced = [(3, 7), (4, 5), (5, 8), (20, 21), (7, 11)]
+    idx = sorted(set(zip(iu[keep].tolist(), ju[keep].tolist())) | set(forced))
+    i = np.array([a for a, _ in idx])
+    j = np.array([b for _, b in idx])
+    s = rng.integers(0, 2, size=i.size)
+    return Dataset(X, np.arange(n)), PairSet(i, j, s)
+
+
+ORACLE_CASES = [
+    # (problem, K, rho, lam, epochs, tol)
+    ("ties", 3, 1.0, 1.0, 4, 0.0),
+    ("ties", 2, 1.0, 1.0, 4, 0.0),
+    ("ties", 4, 0.0, 1.5, 3, 0.0),
+    ("ties", 3, 2.0, 0.0, 3, 0.0),
+    ("ties", 2, 0.0, 0.0, 2, 0.0),
+    ("ties", 3, 1.0, 0.5, 30, 1e-3),
+    ("clusters", 2, 1.0, 1.0, 6, 0.0),
+    ("clusters", 4, 0.5, 2.0, 5, 1e-4),
+]
+
+
+def oracle_problem(name, seed):
+    return tie_heavy_problem(seed) if name == "ties" else two_cluster_problem(seed=seed)
+
+
+def assert_matches_oracle(problem, K, rho, lam, epochs, tol, seed):
+    data, pairs = oracle_problem(problem, seed)
+    hyper = Hyperparams(K=K, L=3, rho=rho, lam=lam, eta=0.1, epochs=epochs, tol=tol, seed=seed)
+    log = TrainLog()
+    model = train_rsh(data, pairs, hyper, log=log)
+    for l, trace in enumerate(log.bits):
+        bit_seed = child_seed(seed, l)
+        W, surr, emp, fractions = reference_train_bit(data, pairs, hyper, bit_seed)
+        assert np.array_equal(model.projections[l], W)
+        assert np.array_equal(train_rsh_bit(data, pairs, hyper, bit_seed), W)
+        assert trace.objective_trace == surr
+        assert trace.empirical_trace == emp
+        assert trace.update_fraction == fractions
+    log = TrainLog()
+    model = train_srsh(data, pairs, hyper, log=log)
+    for l, (W, surr, emp, fractions, theta) in enumerate(reference_train_srsh(data, pairs, hyper)):
+        assert np.array_equal(model.projections[l], W)
+        assert log.bits[l].objective_trace == surr
+        assert log.bits[l].empirical_trace == emp
+        assert log.bits[l].update_fraction == fractions
+        assert model.weights[l] == theta
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_training_matches_reference_loop(case, seed):
+    # the fast loop (lean exact step plus block screening) against the
+    # public per-pair step: models and traces equal bit for bit
+    assert_matches_oracle(*case, seed=seed)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_training_matches_reference_loop_screening_every_block(case, monkeypatch):
+    # force a screen before every exact step: soundness must not rest on
+    # the gate keeping screens rare
+    monkeypatch.setattr(learning, "_SCREEN_AFTER", 0)
+    monkeypatch.setattr(learning, "_BLOCK_MIN", 7)
+    assert_matches_oracle(*case, seed=2)
+
+
+def recording_certifier(monkeypatch):
+    """Wrap the block screen; return the list of (bi, bj, certified) it saw."""
+    seen = []
+    certify = learning._certify_quiet
+
+    def wrapper(X, W, bi, bj, bs, rho, lam):
+        out = certify(X, W, bi, bj, bs, rho, lam)
+        seen.append((bi.copy(), bj.copy(), out.copy()))
+        return out
+
+    monkeypatch.setattr(learning, "_certify_quiet", wrapper)
+    return seen
+
+
+def test_screening_never_certifies_ties(monkeypatch):
+    monkeypatch.setattr(learning, "_SCREEN_AFTER", 0)
+    seen = recording_certifier(monkeypatch)
+    data, pairs = tie_heavy_problem(3)
+    hyper = Hyperparams(K=3, L=1, epochs=3, tol=0.0, seed=5)
+    train_rsh(data, pairs, hyper)
+    zero = set(np.flatnonzero(~data.features.any(axis=1)).tolist())
+    assert seen
+    certified = 0
+    for bi, bj, out in seen:
+        for a, b, ok in zip(bi.tolist(), bj.tolist(), out.tolist()):
+            certified += ok
+            # a zero row projects to all-equal scores: a tie in every cell
+            assert not (ok and (a in zero or b in zero))
+    assert certified > 0
+
+    # every row zero: every pair ties, so every visit takes the exact step
+    seen.clear()
+    blank = Dataset(np.zeros_like(data.features), data.ids)
+    log = TrainLog()
+    train_rsh(blank, pairs, hyper, log=log)
+    assert seen and not any(out.any() for _, _, out in seen)
+    W, _, _, fractions = reference_train_bit(blank, pairs, hyper, child_seed(5, 0))
+    assert log.bits[0].update_fraction == fractions
+
+
+def test_certify_quiet_is_sound_on_rounding_ties():
+    # rows that are permutations of each other give projections equal in
+    # exact arithmetic but possibly a few ulps apart after rounding; on the
+    # constant rows below they are the top two, so no pair among those rows
+    # is certified, while certified pairs elsewhere are truly quiet
+    rng = seeded_rng(7)
+    d = 6
+    base = rng.standard_normal(d)
+    W = np.stack([base, base[::-1], base - 1.0])
+    X = np.concatenate([np.ones((4, d)) * rng.uniform(0.5, 2.0, size=(4, 1)),
+                        rng.standard_normal((4, d))])
+    bi = np.array([0, 1, 2, 4, 5])
+    bj = np.array([1, 2, 3, 6, 7])
+    for s in (0, 1):
+        bs = np.full(bi.size, s)
+        out = learning._certify_quiet(X, W, bi, bj, bs, 1.0, 1.0)
+        assert not out[:3].any() and out[3:].any()
+        for a, b, ok in zip(bi, bj, out):
+            if ok:
+                yi, yj = W @ X[a], W @ X[b]
+                adj = loss_adjusted_inference(yi, yj, s, 1.0, 1.0)
+                assert (adj.gi_star, adj.gj_star) == (int(yi.argmax()), int(yj.argmax()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    rho=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    lam=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_certified_pairs_are_quiet_under_the_exact_step(seed, rho, lam, scale):
+    rng = seeded_rng(seed)
+    K, d, n = int(rng.integers(2, 9)), int(rng.integers(1, 12)), 12
+    X = rng.standard_normal((n, d)) * scale
+    W = rng.standard_normal((K, d))
+    idx = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    bi = np.array([a for a, _ in idx])
+    bj = np.array([b for _, b in idx])
+    bs = rng.integers(0, 2, size=bi.size)
+    out = learning._certify_quiet(X, W, bi, bj, bs, rho, lam)
+    hyper = Hyperparams(K=K, L=1, rho=rho, lam=lam)
+    for a, b, s, ok in zip(bi, bj, bs, out):
+        if ok:
+            assert pair_gradient_step(W, X[a], X[b], int(s), hyper) is W
+
+
+def test_default_gate_screens_quiet_stretches(monkeypatch):
+    # with the production constants, a problem whose pairs rarely update W
+    # does get screened, and still matches the reference
+    seen = recording_certifier(monkeypatch)
+    data, pairs = two_cluster_problem(seed=3, n_per=40)
+    hyper = Hyperparams(K=2, L=1, epochs=6, tol=0.0, seed=9)
+    log = TrainLog()
+    model = train_rsh(data, pairs, hyper, log=log)
+    assert seen and sum(int(out.sum()) for _, _, out in seen) > 0
+    W, surr, _, fractions = reference_train_bit(data, pairs, hyper, child_seed(9, 0))
+    assert np.array_equal(model.projections[0], W)
+    assert log.bits[0].objective_trace == surr
+    assert log.bits[0].update_fraction == fractions
