@@ -51,8 +51,6 @@ from .evaluation import (
     pr_curve_by_radius,
     precision,
     recall,
-    symbol_hamming,
-    weighted_similarity,
 )
 from .hashers import (
     LshSpec,

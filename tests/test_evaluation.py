@@ -18,9 +18,76 @@ from rankhash import (
     precision,
     recall,
     seeded_rng,
-    symbol_hamming,
-    weighted_similarity,
 )
+from rankhash import evaluation
+from rankhash.evaluation import _as_code
+
+# ------------------------------------------------------ reference oracles
+#
+# Scalar and per-query implementations that the vectorised evaluation code
+# must match exactly.
+
+
+def symbol_hamming(a, b) -> int:
+    """Number of positions where two equal-length codes disagree."""
+    a = _as_code(a)
+    b = _as_code(b)
+    if a.shape != b.shape:
+        raise ValidationError("codes must have equal length")
+    return int(np.count_nonzero(a != b))
+
+
+def weighted_similarity(a, b, theta) -> float:
+    """Sum of per-position weights over agreeing positions."""
+    a = _as_code(a)
+    b = _as_code(b)
+    theta = np.asarray(theta, dtype=np.float64)
+    if a.shape != b.shape or theta.shape != a.shape:
+        raise ValidationError("codes and weights must have equal length")
+    return float(theta[a == b].sum())
+
+
+def reference_knn_hamming(codes, ids, query, k):
+    """Full lexsort ranking by (Hamming distance, id)."""
+    dists = np.count_nonzero(codes != query, axis=1)
+    return ids[np.lexsort((ids, dists))[:k]]
+
+
+def reference_knn_weighted(codes, ids, query, theta, k):
+    """Full lexsort ranking by (-weighted similarity, id)."""
+    sims = np.where(codes == query, theta, 0.0).sum(axis=1)
+    return ids[np.lexsort((ids, -sims))[:k]]
+
+
+def reference_pr_curve(codes, ids, query_codes, gt):
+    """The radius-sweep PR curve, one query at a time over (N, L) codes."""
+    L = codes.shape[1]
+    prec_sum = np.zeros(L + 1)
+    prec_count = np.zeros(L + 1, dtype=np.int64)
+    recall_sum = np.zeros(L + 1)
+    evaluated = 0
+    for q in range(query_codes.shape[0]):
+        relevant = gt.neighbor_lists[q]
+        if relevant.size == 0:
+            continue
+        evaluated += 1
+        dists = np.count_nonzero(codes != query_codes[q], axis=1)
+        total = np.bincount(dists, minlength=L + 1).cumsum()
+        rel_mask = np.isin(ids, relevant)
+        rel = np.bincount(dists[rel_mask], minlength=L + 1).cumsum()
+        answered = total > 0
+        prec_sum[answered] += rel[answered] / total[answered]
+        prec_count += answered
+        recall_sum += rel / relevant.size
+    curve = []
+    for R in range(L + 1):
+        p = prec_sum[R] / prec_count[R] if prec_count[R] else float("nan")
+        curve.append((R, p, recall_sum[R] / evaluated))
+    return curve
+
+
+def linear_scan(codes, ids, query, radius) -> set:
+    return {int(i) for c, i in zip(codes, ids) if symbol_hamming(c, query) <= radius}
 
 
 def test_symbol_hamming_examples():
@@ -95,15 +162,51 @@ def test_lookup_matches_linear_scan_and_strategies_agree():
     for _ in range(20):
         query = rng.integers(0, 3, size=6)
         for radius in range(4):
-            brute = {
-                int(i)
-                for c, i in zip(codes, ids)
-                if symbol_hamming(c, query) <= radius
-            }
+            brute = linear_scan(codes, ids, query, radius)
             assert lookup(table, query, radius, strategy="expand") == brute
             assert lookup(table, query, radius, strategy="scan") == brute
             assert lookup(table, query, radius) == brute
 
+
+@pytest.mark.parametrize("K", [2, 3, 300])
+def test_lookup_strategies_match_linear_scan_with_foreign_symbols(K):
+    rng = seeded_rng(40 + K)
+    n, L = 60, 5
+    codes = rng.integers(0, K, size=(n, L))
+    codes[20:30] = codes[0]  # a crowded bucket
+    ids = rng.permutation(10 * n)[:n] * 7 - 100
+    table = build_table(codes, ids, K)
+    assert table.columns.shape == (L, n)
+    assert table.columns.dtype == (np.uint8 if K <= 256 else np.uint16)
+    foreign = [-1, K, K + 1, 255, 256, 257, 65536 + 1, -(2**40)]
+    for trial in range(30):
+        query = codes[trial].copy() if trial % 3 else rng.integers(0, K, size=L)
+        # positions holding a symbol outside [0, K) must never match
+        for p in rng.choice(L, size=trial % 3, replace=False):
+            query[p] = foreign[(trial + p) % len(foreign)]
+        for radius in range(L + 1):
+            brute = linear_scan(codes, ids, query, radius)
+            assert lookup(table, query, radius, strategy="scan") == brute
+            assert lookup(table, query, radius) == brute
+            if K < 300 or radius <= 1:
+                assert lookup(table, query, radius, strategy="expand") == brute
+
+
+def test_lookup_auto_expands_small_balls_only(monkeypatch):
+    rng = seeded_rng(13)
+    n, L, K = 4000, 8, 4
+    codes = rng.integers(0, K, size=(n, L))
+    table = build_table(codes, np.arange(n), K)
+    scans = []
+    real = evaluation._mismatches
+    monkeypatch.setattr(evaluation, "_mismatches",
+                        lambda columns, queries: scans.append(1) or real(columns, queries))
+    # radius 0 is one probe and radius 3 is 1789: one expands, one scans
+    assert 1 * evaluation.PROBE_ROWS < n < 1789 * evaluation.PROBE_ROWS
+    assert lookup(table, codes[0], 0) == linear_scan(codes, np.arange(n), codes[0], 0)
+    assert scans == []
+    assert lookup(table, codes[0], 3) == linear_scan(codes, np.arange(n), codes[0], 3)
+    assert scans == [1]
 
 def test_lookup_monotone_in_radius():
     table, codes, _ = random_table(5)
@@ -119,6 +222,21 @@ def test_lookup_rejects_bad_radius():
     table, _, _ = random_table(6)
     with pytest.raises(ValidationError):
         lookup(table, np.zeros(6, dtype=int), table.L + 1)
+
+
+def test_lookup_rejects_non_integer_radius():
+    table, _, _ = random_table(6)
+    for radius in (True, False, 1.0, 2.5, "1"):
+        with pytest.raises(ValidationError):
+            lookup(table, np.zeros(6, dtype=int), radius)
+    assert lookup(table, np.zeros(6, dtype=int), np.int64(6)) == set(table.ids.tolist())
+
+
+def test_build_table_rejects_non_integer_K():
+    codes = np.zeros((3, 2), dtype=int)
+    for K in (True, 2.0, "2"):
+        with pytest.raises(ValidationError):
+            build_table(codes, np.arange(3), K)
 
 
 # ----------------------------------------------------------------- ranking
@@ -166,6 +284,80 @@ def test_knn_rejects_bad_k():
         knn_hamming(codes, ids, codes[0], 0)
     with pytest.raises(ValidationError):
         knn_hamming(codes, ids, codes[0], 11)
+
+
+def test_knn_rejects_non_integer_k():
+    _, codes, ids = random_table(11, n=10)
+    theta = np.ones(codes.shape[1])
+    for k in (2.5, True, False, "3", None):
+        with pytest.raises(ValidationError):
+            knn_hamming(codes, ids, codes[0], k)
+        with pytest.raises(ValidationError):
+            knn_weighted(codes, ids, codes[0], theta, k)
+    assert knn_hamming(codes, ids, codes[0], np.int64(10)).size == 10
+
+
+def test_knn_rejects_misaligned_ids_and_bad_theta():
+    _, codes, ids = random_table(14, n=10)
+    with pytest.raises(ValidationError):
+        knn_hamming(codes, ids[:-1], codes[0], 3)
+    for theta in (np.ones(5), np.array([1.0, np.nan, 0, 0, 0, 0]), np.full(6, np.inf)):
+        with pytest.raises(ValidationError):
+            knn_weighted(codes, ids, codes[0], theta, 3)
+
+
+# theta values whose sums round differently with the order of addition, so
+# any change in summation order shows up as a reordered ranking
+TIE_THETA = (0.0, 0.1, 0.2, 0.3, 0.7, 0.7, 1.0 / 3.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    n=st.integers(min_value=1, max_value=80),
+    L=st.integers(min_value=1, max_value=9),
+    K=st.integers(min_value=2, max_value=4),
+    distinct=st.integers(min_value=1, max_value=12),
+    data=st.data(),
+)
+def test_knn_matches_lexsort_reference(seed, n, L, K, distinct, data):
+    rng = seeded_rng(seed)
+    # few distinct rows, so most rows are duplicates and ties are everywhere
+    codes = rng.integers(0, K, size=(distinct, L))[rng.integers(0, distinct, size=n)]
+    ids = rng.permutation(20 * n)[:n] * 3 - 5 * n  # unsorted, gapped, some negative
+    query = codes[0] if rng.random() < 0.5 else rng.integers(0, K, size=L)
+    theta = rng.choice(TIE_THETA, size=L) if rng.random() < 0.7 else rng.random(L)
+    k = data.draw(st.sampled_from([1, n, data.draw(st.integers(1, n))]))
+    assert np.array_equal(knn_hamming(codes, ids, query, k),
+                          reference_knn_hamming(codes, ids, query, k))
+    assert np.array_equal(knn_weighted(codes, ids, query, theta, k),
+                          reference_knn_weighted(codes, ids, query, theta, k))
+
+
+@pytest.mark.parametrize("L", [5, 8, 9, 10])
+@pytest.mark.parametrize("extra", [0, 37])
+def test_knn_weighted_pattern_table_is_bit_exact(L, extra):
+    # 2**L <= N selects the score table; 8 or more positions make numpy
+    # sum each row pairwise, so the table must reproduce that rounding
+    rng = seeded_rng(L)
+    n = (1 << L) + extra
+    codes = rng.integers(0, 2, size=(n, L))
+    ids = rng.permutation(n) + 1000
+    for theta in (rng.choice(TIE_THETA, size=L), rng.random(L) * 1e-3 + 0.1, np.ones(L)):
+        for query in (codes[0], 1 - codes[1]):
+            got = knn_weighted(codes, ids, query, theta, n)
+            assert np.array_equal(got, reference_knn_weighted(codes, ids, query, theta, n))
+            # a column-major copy ranks the same
+            assert np.array_equal(knn_weighted(np.asfortranarray(codes), ids, query, theta, n), got)
+            assert np.array_equal(knn_weighted(codes, ids, query, theta, 17),
+                                  reference_knn_weighted(codes, ids, query, theta, 17))
+    # below the switch the direct sum is used, and must agree as well
+    small = codes[: (1 << L) - 1]
+    theta = rng.choice(TIE_THETA, size=L)
+    k = min(40, small.shape[0])
+    want = reference_knn_weighted(small, ids[: small.shape[0]], codes[0], theta, k)
+    for layout in (small, np.asfortranarray(small)):
+        assert np.array_equal(knn_weighted(layout, ids[: small.shape[0]], codes[0], theta, k), want)
 
 
 # ----------------------------------------------------------------- metrics
@@ -247,6 +439,87 @@ def test_pr_curve_and_ap_match_brute_force():
         prev = r
     assert average_precision(curve) == pytest.approx(ap)
     assert 0.0 <= average_precision(curve) <= 1.0
+
+
+def assert_same_curve(got, want):
+    assert len(got) == len(want)
+    for (r1, p1, c1), (r2, p2, c2) in zip(got, want):
+        assert r1 == r2
+        assert p1 == p2 or (math.isnan(p1) and math.isnan(p2))
+        assert c1 == c2
+
+
+def block_rows(n, L):
+    return max(1, evaluation.BLOCK_CELLS // (n * L))
+
+
+@pytest.mark.parametrize("which", ["one", "block-1", "block+1", "many"])
+def test_pr_curve_matches_per_query_reference(which):
+    rng = seeded_rng(21)
+    n, L, K = 2000, 8, 3
+    codes = rng.integers(0, K, size=(n, L))
+    codes[100:400] = codes[:300]  # duplicate rows
+    ids = rng.permutation(5 * n)[:n] + 17
+    table = build_table(codes, ids, K)
+    block = block_rows(n, L)
+    Q = {"one": 1, "block-1": block - 1, "block+1": block + 1, "many": 2 * block + 5}[which]
+    queries = rng.integers(0, K, size=(Q, L))
+    queries[::3] = codes[rng.integers(0, n, size=len(queries[::3]))]
+    absent = np.arange(-50, 0)  # ids the table does not hold
+    lists = []
+    for q in range(Q):
+        if q % 7 == 3:
+            lists.append([])
+            continue
+        size = int(rng.integers(1, 60))
+        members = rng.choice(ids, size=size, replace=False)
+        if q % 4 == 1:
+            members = np.concatenate([members, rng.choice(absent, size=3, replace=False)])
+        lists.append(rng.permutation(members))
+    if Q == 1:
+        lists = [lists[0] if len(lists[0]) else [ids[5], -7]]
+    gt = make_gt(lists)
+    assert_same_curve(pr_curve_by_radius(table, queries, gt),
+                      reference_pr_curve(codes, ids, queries, gt))
+
+
+def test_pr_curve_nothing_retrieved_at_small_radii():
+    codes = np.array([[0, 1, 0], [1, 1, 0], [0, 0, 0]])
+    ids = np.array([9, 4, 6])
+    table = build_table(codes, ids, 3)
+    queries = np.array([[2, 2, 2], [2, 2, 1], [2, 2, 2]])
+    gt = make_gt([[4], [9, 6, 12], []])
+    curve = pr_curve_by_radius(table, queries, gt)
+    assert math.isnan(curve[0][1]) and math.isnan(curve[1][1])
+    assert curve[0][2] == 0.0
+    assert_same_curve(curve, reference_pr_curve(codes, ids, queries, gt))
+
+
+def test_pr_curve_counts_duplicate_table_ids_like_the_reference():
+    rng = seeded_rng(23)
+    codes = rng.integers(0, 2, size=(50, 4))
+    ids = rng.integers(0, 20, size=50)  # every id on several rows
+    table = build_table(codes, ids, 2)
+    queries = rng.integers(0, 2, size=(9, 4))
+    gt = make_gt([rng.choice(25, size=4, replace=False) for _ in range(9)])
+    assert_same_curve(pr_curve_by_radius(table, queries, gt),
+                      reference_pr_curve(codes, ids, queries, gt))
+
+
+def test_pr_curve_wide_alphabet_and_foreign_query_symbols():
+    rng = seeded_rng(24)
+    n, L, K = 300, 4, 300
+    codes = rng.integers(0, 5, size=(n, L)) * 60  # symbols 0..240 of 300
+    ids = np.arange(n)
+    table = build_table(codes, ids, K)
+    queries = codes[:12].copy()
+    queries[1, 0] = -1
+    queries[2, 1] = K
+    queries[3, 2] = 65536 + 60  # wraps to 60 in a uint16 store
+    queries[4] = [256 + 60, 60, 60, 60]
+    gt = make_gt([rng.choice(n, size=10, replace=False) for _ in range(12)])
+    assert_same_curve(pr_curve_by_radius(table, queries, gt),
+                      reference_pr_curve(codes, ids, queries, gt))
 
 
 def test_aggregate_runs():
