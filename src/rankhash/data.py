@@ -214,10 +214,22 @@ class GroundTruth:
         return float(np.mean([len(lst) for lst in self.neighbor_lists]))
 
 
-def _sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # Squared Euclidean distances between rows of A and rows of B.
-    sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
-    return np.maximum(sq, 0.0)
+# Pair calibration and sampling visit the strict upper triangle of the N x N
+# pair matrix in row blocks of about this many cells, so their transient
+# arrays stay at a few MB whatever N is.
+PAIR_BLOCK_CELLS = 1 << 20
+
+
+def _sq_distances(A: np.ndarray, B: np.ndarray, sq_a=None, sq_b=None) -> np.ndarray:
+    # Squared Euclidean distances between rows of A and rows of B; sq_a and
+    # sq_b are the rows' squared norms, computed here unless given.
+    sq_a = (A * A).sum(axis=1) if sq_a is None else sq_a
+    sq_b = (B * B).sum(axis=1) if sq_b is None else sq_b
+    sq = sq_a[:, None] + sq_b[None, :]
+    gram = A @ B.T
+    gram *= 2.0
+    sq -= gram
+    return np.maximum(sq, 0.0, out=sq)
 
 
 def calibrate_groundtruth(db: Dataset, queries: Dataset, target_avg: float) -> GroundTruth:
@@ -238,28 +250,79 @@ def calibrate_groundtruth(db: Dataset, queries: Dataset, target_avg: float) -> G
         raise ValidationError(
             f"target_avg {target_avg} needs {rank} pooled distances, only {dists.size} exist"
         )
-    pooled = np.sort(dists.ravel())
-    threshold = float(pooled[rank - 1])
+    threshold = float(np.partition(dists.ravel(), rank - 1)[rank - 1])
     lists = tuple(db.ids[dists[q] <= threshold] for q in range(queries.n))
     return GroundTruth(lists, threshold)
 
 
+def _row_blocks(n: int):
+    """Row ranges [r0, r1) that cover the pairs (i, j), i < j < n, in order.
+
+    Block [r0, r1) spans columns r0..n-1 and holds about PAIR_BLOCK_CELLS
+    cells, so N <= 1024 is one block, the very N x N product. Larger N is cut
+    into blocks, and the BLAS may round a block's dot product differently in
+    the last bit than the single N x N call does. Once blocks hold 8 rows or
+    more they start on multiples of 8, which lines them up with OpenBLAS's
+    tiles: on an AVX-512 host no distance then differed at N = 2000, 5000 or
+    8000 (d = 16, 32), where 209-row blocks differed in 0.1% of pairs. When N
+    is not a multiple of 8, pairs in the last N mod 8 columns still can
+    (about 1 in 20000 pairs at N = 4999).
+    """
+    r0 = 0
+    while r0 < n - 1:
+        rows = max(1, PAIR_BLOCK_CELLS // (n - r0))
+        if rows > 8:
+            rows -= rows % 8
+        r1 = min(n, r0 + rows)
+        yield r0, r1
+        r0 = r1
+
+
+def _pair_distances(features: np.ndarray, sq_norms: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """Block [r0:r1, r0:] of the N x N distance matrix, by the same expression."""
+    sq = _sq_distances(features[r0:r1], features[r0:], sq_norms[r0:r1], sq_norms[r0:])
+    return np.sqrt(sq, out=sq)
+
+
+def _strict_upper(block: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """Clear the cells (i, j), j <= i, of block [r0:r1, r0:] in place."""
+    h = r1 - r0
+    block[:, :h] &= np.arange(h)[:, None] < np.arange(h)[None, :]
+    return block
+
+
 def calibrate_pair_threshold(data: Dataset, target_avg: float) -> float:
     """Within-set distance threshold giving each point about target_avg
-    neighbors, self-pairs excluded."""
+    neighbors, self-pairs excluded.
+
+    The threshold is the rank-th smallest pair distance, rank = round(
+    target_avg * N / 2). Blocks add their distances to a candidate pool; once
+    the pool holds 2 * rank values it is cut back to its rank smallest, whose
+    largest then bounds the values later blocks add.
+    """
     target_avg = float(target_avg)
     if not np.isfinite(target_avg) or target_avg < 1:
         raise ValidationError("target_avg must be >= 1")
-    if data.n < 2:
+    n = data.n
+    if n < 2:
         raise ValidationError("need at least two points")
-    iu, ju = np.triu_indices(data.n, k=1)
-    dists = np.sqrt(_sq_distances(data.features, data.features))[iu, ju]
-    rank = int(round(target_avg * data.n / 2.0))
-    if rank < 1 or rank > dists.size:
+    rank = int(round(target_avg * n / 2.0))
+    total = n * (n - 1) // 2
+    if rank < 1 or rank > total:
         raise ValidationError(
-            f"target_avg {target_avg} needs {rank} pair distances, only {dists.size} exist"
+            f"target_avg {target_avg} needs {rank} pair distances, only {total} exist"
         )
-    return float(np.sort(dists)[rank - 1])
+    features = data.features
+    sq_norms = (features * features).sum(axis=1)
+    pool = np.empty(0)
+    bound = np.inf
+    for r0, r1 in _row_blocks(n):
+        dists = _pair_distances(features, sq_norms, r0, r1)
+        pool = np.concatenate([pool, dists[_strict_upper(dists <= bound, r0, r1)]])
+        if pool.size >= 2 * rank:
+            pool = np.partition(pool, rank - 1)[:rank]
+            bound = pool[rank - 1]
+    return float(np.partition(pool, rank - 1)[rank - 1])
 
 
 def groundtruth_from_labels(db_ids, db_labels, query_labels) -> GroundTruth:
@@ -274,38 +337,78 @@ def groundtruth_from_labels(db_ids, db_labels, query_labels) -> GroundTruth:
     return GroundTruth(lists, None)
 
 
-def _sample_pairs(iu, ju, pos_mask, max_pairs, pos_fraction, rng) -> PairSet:
-    if not isinstance(max_pairs, (int, np.integer)) or max_pairs < 1:
+def _check_sampling(max_pairs, pos_fraction) -> None:
+    if isinstance(max_pairs, bool) or not isinstance(max_pairs, (int, np.integer)) \
+            or max_pairs < 1:
         raise ValidationError("max_pairs must be an integer >= 1")
     if not 0 < pos_fraction < 1:
         raise ValidationError("pos_fraction must lie strictly between 0 and 1")
-    pos_idx = np.flatnonzero(pos_mask)
-    neg_idx = np.flatnonzero(~pos_mask)
-    budget = min(int(max_pairs), iu.size)
-    n_pos = min(int(round(budget * pos_fraction)), pos_idx.size)
-    n_neg = min(budget - n_pos, neg_idx.size)
-    n_pos = min(budget - n_neg, pos_idx.size)
-    take_pos = rng.choice(pos_idx, size=n_pos, replace=False) if n_pos else np.empty(0, np.int64)
-    take_neg = rng.choice(neg_idx, size=n_neg, replace=False) if n_neg else np.empty(0, np.int64)
-    chosen = np.concatenate([take_pos, take_neg]).astype(np.int64)
-    order = np.lexsort((ju[chosen], iu[chosen]))
-    chosen = chosen[order]
-    return PairSet(iu[chosen], ju[chosen], pos_mask[chosen].astype(np.int64))
+
+
+def _row_starts(n: int, rows) -> np.ndarray:
+    # rank of pair (i, i + 1) among the pairs (i, j), i < j < n, in row-major order
+    return rows * (2 * n - rows - 1) // 2
+
+
+def _similar_pairs(n: int, similar_block) -> np.ndarray:
+    """Row-major ranks of the similar pairs; similar_block(r0, r1) gives the
+    similarity of block [r0:r1, r0:] as a fresh boolean array."""
+    found = []
+    for r0, r1 in _row_blocks(n):
+        similar = _strict_upper(similar_block(r0, r1), r0, r1)
+        t, c = np.divmod(np.flatnonzero(similar), n - r0)
+        found.append(_row_starts(n, r0 + t) + (c - t - 1))
+    return np.concatenate(found)
+
+
+def _sample_pairs(n: int, similar: np.ndarray, max_pairs, pos_fraction, rng) -> PairSet:
+    """Draw similar and dissimilar pairs without replacement, given the
+    row-major ranks of the similar pairs among all n(n-1)/2.
+
+    The draws are rng.choice over the similar ranks and over the dissimilar
+    ones, by their position in row-major order: the random stream is that of
+    choosing from the two index lists themselves.
+    """
+    total = n * (n - 1) // 2
+    n_similar = similar.size
+    budget = min(int(max_pairs), total)
+    n_pos = min(int(round(budget * pos_fraction)), n_similar)
+    n_neg = min(budget - n_pos, total - n_similar)
+    n_pos = min(budget - n_neg, n_similar)
+    none = np.empty(0, np.int64)
+    take_pos = similar[rng.choice(n_similar, size=n_pos, replace=False)] if n_pos else none
+    take_neg = rng.choice(total - n_similar, size=n_neg, replace=False) if n_neg else none
+    # the q-th dissimilar pair comes after every similar pair with at most q
+    # dissimilar pairs before it
+    take_neg = take_neg + np.searchsorted(similar - np.arange(n_similar), take_neg, side="right")
+    chosen = np.concatenate([take_pos, take_neg])
+    s = np.repeat(np.array([1, 0], np.int64), [n_pos, n_neg])
+    order = np.argsort(chosen)
+    chosen, s = chosen[order], s[order]
+    i = np.searchsorted(_row_starts(n, np.arange(n - 1)), chosen, side="right") - 1
+    return PairSet(i, chosen - _row_starts(n, i) + i + 1, s)
 
 
 def make_pairs(db: Dataset, gt_threshold: float, max_pairs: int, pos_fraction: float,
                rng: np.random.Generator) -> PairSet:
     """Sample supervised pairs without replacement from all row pairs.
 
-    A pair is similar (s=1) when its Euclidean distance is <= gt_threshold.
-    Sampling targets pos_fraction similar pairs, falling back to whatever is
-    available; pairs come out in canonical sorted order.
+    A pair is similar (s=1) when its Euclidean distance is <= gt_threshold
+    (NaN is rejected; inf makes every pair similar). Sampling targets
+    pos_fraction similar pairs, falling back to whatever is available; pairs
+    come out in canonical sorted order.
     """
     if db.n < 2:
         raise ValidationError("need at least two points to form pairs")
-    iu, ju = np.triu_indices(db.n, k=1)
-    dists = np.sqrt(_sq_distances(db.features, db.features))[iu, ju]
-    return _sample_pairs(iu, ju, dists <= float(gt_threshold), max_pairs, pos_fraction, rng)
+    threshold = float(gt_threshold)
+    if np.isnan(threshold):
+        raise ValidationError("gt_threshold must not be NaN")
+    _check_sampling(max_pairs, pos_fraction)
+    features = db.features
+    sq_norms = (features * features).sum(axis=1)
+    similar = _similar_pairs(
+        db.n, lambda r0, r1: _pair_distances(features, sq_norms, r0, r1) <= threshold)
+    return _sample_pairs(db.n, similar, max_pairs, pos_fraction, rng)
 
 
 def make_pairs_from_labels(labels, max_pairs: int, pos_fraction: float,
@@ -314,8 +417,9 @@ def make_pairs_from_labels(labels, max_pairs: int, pos_fraction: float,
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size < 2:
         raise ValidationError("labels must be a 1-D array with at least two entries")
-    iu, ju = np.triu_indices(labels.size, k=1)
-    return _sample_pairs(iu, ju, labels[iu] == labels[ju], max_pairs, pos_fraction, rng)
+    _check_sampling(max_pairs, pos_fraction)
+    similar = _similar_pairs(labels.size, lambda r0, r1: labels[r0:r1, None] == labels[None, r0:])
+    return _sample_pairs(labels.size, similar, max_pairs, pos_fraction, rng)
 
 
 def synth_clusters(n_clusters: int, per_cluster: int, d: int, separation: float,

@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rankhash import data as data_module
 from rankhash import (
     Dataset,
     FormatError,
@@ -257,6 +262,242 @@ def test_calibrate_pair_threshold_fraction():
     frac = (dist[iu] <= threshold).mean()
     # target_avg neighbors per point ~ target_avg * N / 2 pairs
     assert frac == pytest.approx(10.0 * 40 / 2 / iu[0].size, abs=0.01)
+
+
+def test_make_pairs_rejects_nan_threshold():
+    data = Dataset(np.array([[0.0], [1.0], [3.0]]), np.arange(3))
+    with pytest.raises(ValidationError, match="NaN"):
+        make_pairs(data, float("nan"), 10, 0.5, seeded_rng(22))
+
+
+def test_samplers_reject_bool_max_pairs():
+    data = Dataset(np.array([[0.0], [1.0], [3.0]]), np.arange(3))
+    with pytest.raises(ValidationError, match="max_pairs"):
+        make_pairs(data, 1.0, True, 0.5, seeded_rng(23))
+    with pytest.raises(ValidationError, match="max_pairs"):
+        make_pairs_from_labels(np.array([0, 0, 1]), True, 0.5, seeded_rng(23))
+
+
+def test_calibrate_groundtruth_threshold_is_the_sorted_order_statistic():
+    # integer points give many tied distances; the threshold must be the very
+    # value a full sort puts at rank - 1
+    rng = seeded_rng(24)
+    db = Dataset(rng.integers(-2, 3, (60, 2)).astype(float), np.arange(60))
+    queries = Dataset(rng.integers(-2, 3, (15, 2)).astype(float), np.arange(15))
+    for target in (1.0, 7.0, 30.0):
+        gt = calibrate_groundtruth(db, queries, target)
+        dists = _reference_distances(queries.features, db.features)
+        rank = int(round(target * queries.n))
+        assert _bits(gt.threshold) == _bits(np.sort(dists.ravel())[rank - 1])
+
+
+# ------------------------------------------ full-matrix pair references
+#
+# The N x N implementations that the blockwise pair calibration and sampling
+# replace, kept as oracles. Validation is left to the functions under test.
+
+
+def _reference_distances(A, B=None):
+    A = np.asarray(A, dtype=np.float64)
+    B = A if B is None else B
+    sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+def reference_pair_threshold(data, target_avg):
+    iu, ju = np.triu_indices(data.n, k=1)
+    dists = _reference_distances(data.features)[iu, ju]
+    rank = int(round(float(target_avg) * data.n / 2.0))
+    return float(np.sort(dists)[rank - 1])
+
+
+def _reference_sample(iu, ju, pos_mask, max_pairs, pos_fraction, rng):
+    pos_idx = np.flatnonzero(pos_mask)
+    neg_idx = np.flatnonzero(~pos_mask)
+    budget = min(int(max_pairs), iu.size)
+    n_pos = min(int(round(budget * pos_fraction)), pos_idx.size)
+    n_neg = min(budget - n_pos, neg_idx.size)
+    n_pos = min(budget - n_neg, pos_idx.size)
+    take_pos = rng.choice(pos_idx, size=n_pos, replace=False) if n_pos else np.empty(0, np.int64)
+    take_neg = rng.choice(neg_idx, size=n_neg, replace=False) if n_neg else np.empty(0, np.int64)
+    chosen = np.concatenate([take_pos, take_neg]).astype(np.int64)
+    order = np.lexsort((ju[chosen], iu[chosen]))
+    chosen = chosen[order]
+    return iu[chosen], ju[chosen], pos_mask[chosen].astype(np.int64)
+
+
+def reference_make_pairs(db, gt_threshold, max_pairs, pos_fraction, rng):
+    iu, ju = np.triu_indices(db.n, k=1)
+    dists = _reference_distances(db.features)[iu, ju]
+    return _reference_sample(iu, ju, dists <= float(gt_threshold), max_pairs, pos_fraction, rng)
+
+
+def reference_make_pairs_from_labels(labels, max_pairs, pos_fraction, rng):
+    labels = np.asarray(labels)
+    iu, ju = np.triu_indices(labels.size, k=1)
+    return _reference_sample(iu, ju, labels[iu] == labels[ju], max_pairs, pos_fraction, rng)
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _assert_same_pairs(pairs, reference):
+    i, j, s = reference
+    assert np.array_equal(pairs.i, i)
+    assert np.array_equal(pairs.j, j)
+    assert np.array_equal(pairs.s, s)
+
+
+def _check_distance_pairs(features, target_avg, max_pairs, pos_fraction, seed):
+    data = Dataset.from_features(features)
+    threshold = calibrate_pair_threshold(data, target_avg)
+    assert _bits(threshold) == _bits(reference_pair_threshold(data, target_avg))
+    pairs = make_pairs(data, threshold, max_pairs, pos_fraction, seeded_rng(seed))
+    _assert_same_pairs(
+        pairs, reference_make_pairs(data, threshold, max_pairs, pos_fraction, seeded_rng(seed)))
+    return threshold, pairs
+
+
+def _check_label_pairs(labels, max_pairs, pos_fraction, seed):
+    pairs = make_pairs_from_labels(labels, max_pairs, pos_fraction, seeded_rng(seed))
+    _assert_same_pairs(
+        pairs, reference_make_pairs_from_labels(labels, max_pairs, pos_fraction, seeded_rng(seed)))
+    return pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    d=st.integers(1, 4),
+    cells_per_row=st.floats(0.0, 1.5),
+    avg_fraction=st.floats(0.0, 1.0),
+    budget_fraction=st.floats(0.0, 1.2),
+    pos_fraction=st.floats(0.01, 0.99),
+    n_labels=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_functions_match_full_matrix_references(
+        n, d, cells_per_row, avg_fraction, budget_fraction, pos_fraction, n_labels, seed):
+    # Integer coordinates make every dot product exact, so the blocks'
+    # distances equal the N x N ones whatever order the BLAS sums in, and they
+    # produce duplicate rows and ties at the threshold. Blocks run from one
+    # row (PAIR_BLOCK_CELLS below N) to the whole matrix (1.5 N^2 cells).
+    rng = seeded_rng(seed)
+    features = rng.integers(-3, 4, (n, d)).astype(np.float64)
+    labels = rng.integers(0, n_labels, n)
+    total = n * (n - 1) // 2
+    target_avg = 1.0 + avg_fraction * (n - 2)
+    max_pairs = max(1, int(budget_fraction * total))
+    cells = max(1, int(cells_per_row * n * n))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_module, "PAIR_BLOCK_CELLS", cells)
+        _check_distance_pairs(features, target_avg, max_pairs, pos_fraction, seed)
+        _check_label_pairs(labels, max_pairs, pos_fraction, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 80),
+    d=st.integers(1, 8),
+    avg_fraction=st.floats(0.0, 1.0),
+    pos_fraction=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_functions_match_references_on_real_features(n, d, avg_fraction, pos_fraction, seed):
+    # Up to 1024 rows are one block, so the distances come from the same BLAS
+    # call as the N x N matrix's and match it bit for bit.
+    features = seeded_rng(seed).standard_normal((n, d)) * 3.0
+    _check_distance_pairs(features, 1.0 + avg_fraction * (n - 2), 4 * n, pos_fraction, seed)
+
+
+@pytest.fixture(params=[1, 50, 1 << 20], ids=["rows1", "cells50", "default"])
+def block_cells(request, monkeypatch):
+    """One-row blocks; blocks of 50 cells, whose row counts grow down the
+    triangle and do not divide N; the default."""
+    monkeypatch.setattr(data_module, "PAIR_BLOCK_CELLS", request.param)
+    return request.param
+
+
+def test_pairs_with_duplicate_rows(block_cells):
+    features = np.repeat(np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]]), [4, 3, 2], axis=0)
+    # rank 9 of the 10 zero distances between copies
+    threshold, pairs = _check_distance_pairs(features, 2.0, 30, 0.5, 25)
+    assert threshold == 0.0
+    copies = np.all(features[pairs.i] == features[pairs.j], axis=1)
+    assert np.array_equal(pairs.s, copies.astype(np.int64))
+
+
+def test_pairs_with_ties_at_the_threshold(block_cells):
+    # points 0..9 on a line: the pair distances are the integers 1..9, each
+    # shared by 10 - k pairs, so the calibrated threshold sits on a tie
+    features = np.arange(10.0)[:, None]
+    threshold, pairs = _check_distance_pairs(features, 3.0, 45, 0.5, 26)
+    assert threshold == 2.0
+    dist = np.abs(pairs.i - pairs.j)
+    assert np.array_equal(pairs.s, (dist <= 2).astype(np.int64))
+    assert int(pairs.s.sum()) == 9 + 8
+
+
+def test_pairs_of_identical_points(block_cells):
+    features = np.full((12, 3), 2.5)
+    threshold, pairs = _check_distance_pairs(features, 4.0, 20, 0.3, 27)
+    assert threshold == 0.0
+    # no dissimilar pair exists, so the whole budget goes to similar pairs
+    assert len(pairs) == 20 and np.all(pairs.s == 1)
+
+
+def test_pairs_of_two_points(block_cells):
+    threshold, pairs = _check_distance_pairs(np.array([[0.0, 1.0], [3.0, 5.0]]), 1.0, 5, 0.5, 28)
+    assert threshold == 5.0
+    assert (pairs.i.tolist(), pairs.j.tolist(), pairs.s.tolist()) == ([0], [1], [1])
+
+
+def test_pairs_budget_above_all_pairs(block_cells):
+    features = seeded_rng(29).integers(-2, 3, (15, 2)).astype(float)
+    _, pairs = _check_distance_pairs(features, 4.0, 10_000, 0.3, 30)
+    iu, ju = np.triu_indices(15, k=1)
+    assert np.array_equal(pairs.i, iu) and np.array_equal(pairs.j, ju)
+
+
+def test_pairs_unattainable_positive_fraction(block_cells):
+    features = np.arange(20.0)[:, None]
+    threshold, pairs = _check_distance_pairs(features, 1.0, 100, 0.9, 31)
+    assert threshold == 1.0
+    # only the 19 neighbours on the line are similar; dissimilar pairs fill the rest
+    assert len(pairs) == 100 and int(pairs.s.sum()) == 19
+
+
+def test_label_pairs_single_class_and_distinct_labels(block_cells):
+    pairs = _check_label_pairs(np.zeros(13, dtype=np.int64), 40, 0.3, 32)
+    assert len(pairs) == 40 and np.all(pairs.s == 1)
+    pairs = _check_label_pairs(np.arange(13), 40, 0.3, 33)
+    assert len(pairs) == 40 and np.all(pairs.s == 0)
+
+
+@pytest.mark.parametrize("max_pairs", [100, 30_000])
+def test_pair_draws_match_references_on_large_populations(max_pairs):
+    # over 10000 similar and dissimilar pairs: numpy's choice switches from a
+    # partial shuffle to Floyd's algorithm for small samples of large
+    # populations, and both must give the reference's draws
+    labels = np.arange(300) % 2
+    _check_label_pairs(labels, max_pairs, 0.3, 34)
+    features = np.arange(300.0)[:, None]
+    _check_distance_pairs(features, 150.0, max_pairs, 0.3, 35)
+
+
+def test_pair_calibration_and_sampling_memory():
+    # the N x N distance matrix alone would take 512 MB at N = 8000
+    data = Dataset.from_features(seeded_rng(36).standard_normal((8000, 16)))
+    tracemalloc.start()
+    try:
+        threshold = calibrate_pair_threshold(data, 50.0)
+        pairs = make_pairs(data, threshold, 20_000, 0.3, seeded_rng(37))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 20_000
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------- synthetic
