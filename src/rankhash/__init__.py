@@ -49,8 +49,7 @@ from .evaluation import (
     knn_weighted,
     lookup,
     pr_curve_by_radius,
-    precision,
-    recall,
+    relevant_hits,
 )
 from .hashers import (
     LshSpec,

@@ -55,6 +55,7 @@ from .evaluation import (
     knn_hamming,
     knn_weighted,
     pr_curve_by_radius,
+    relevant_hits,
 )
 from .hashers import (
     encode_dataset,
@@ -453,25 +454,24 @@ def _evaluate_model(cfg: ExperimentConfig, model: HashModel, db: Dataset,
     for k in cfg.k_list:
         if k > db.n:
             raise ConfigError(f"k_list: cutoff {k} exceeds the database size {db.n}")
-    db_codes = encode_dataset(db, model)
+    table = build_table(encode_dataset(db, model), db.ids, model.K)
     q_codes = encode_dataset(query, model)
-    table = build_table(db_codes, db.ids, model.K)
     curve = pr_curve_by_radius(table, q_codes, gt)
     metrics = {}
     for R in cfg.radius_list:
         metrics[f"precision_r{R}"] = curve[R][1]
-    for k in cfg.k_list:
-        per_query = []
-        for q in range(query.n):
-            relevant = gt.neighbor_lists[q]
-            if relevant.size == 0:
-                continue
-            if model.weights is not None:
-                hits = knn_weighted(db_codes, db.ids, q_codes[q], model.weights, k)
-            else:
-                hits = knn_hamming(db_codes, db.ids, q_codes[q], k)
-            per_query.append(np.isin(hits, relevant).sum() / k)
-        metrics[f"precision_k{k}"] = float(np.mean(per_query))
+    if cfg.k_list:
+        asked = [q for q, relevant in enumerate(gt.neighbor_lists) if relevant.size]
+        # ties break by id, so each shorter top-k list is a prefix of the longest
+        k_top = max(cfg.k_list)
+        if model.weights is not None:
+            hits = knn_weighted(table.columns.T, db.ids, q_codes[asked], model.weights, k_top)
+        else:
+            hits = knn_hamming(table.columns.T, db.ids, q_codes[asked], k_top)
+        relevant = relevant_hits(hits, db.ids, [gt.neighbor_lists[q] for q in asked])
+        for k in cfg.k_list:
+            # one value per query, averaged in query order
+            metrics[f"precision_k{k}"] = float(np.mean(relevant[:, :k].sum(axis=1) / k))
     metrics["ap"] = average_precision(curve)
     return metrics
 

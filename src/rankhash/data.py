@@ -218,6 +218,10 @@ class GroundTruth:
 # pair matrix in row blocks of about this many cells, so their transient
 # arrays stay at a few MB whatever N is.
 PAIR_BLOCK_CELLS = 1 << 20
+# Distance groundtruth keeps its Q x N matrix and finishes it in row blocks
+# of about this many cells, so each block's temporaries (about 1 MB) stay
+# small next to the matrix even when Q x N is near PAIR_BLOCK_CELLS.
+GT_BLOCK_CELLS = 1 << 17
 
 
 def _sq_distances(A: np.ndarray, B: np.ndarray, sq_a=None, sq_b=None) -> np.ndarray:
@@ -225,11 +229,29 @@ def _sq_distances(A: np.ndarray, B: np.ndarray, sq_a=None, sq_b=None) -> np.ndar
     # sq_b are the rows' squared norms, computed here unless given.
     sq_a = (A * A).sum(axis=1) if sq_a is None else sq_a
     sq_b = (B * B).sum(axis=1) if sq_b is None else sq_b
+    return _sq_from_gram(A @ B.T, sq_a, sq_b)
+
+
+def _sq_from_gram(gram: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray) -> np.ndarray:
+    # sq_a[i] + sq_b[j] - 2 gram[i, j], clipped at 0, as a new array; the
+    # one expression behind every distance here. Doubles gram in place.
     sq = sq_a[:, None] + sq_b[None, :]
-    gram = A @ B.T
     gram *= 2.0
     sq -= gram
     return np.maximum(sq, 0.0, out=sq)
+
+
+def _add_to_pool(pool: np.ndarray, bound: float, values: np.ndarray, rank: int):
+    """Add `values` (each <= bound) to a candidate pool for the rank-th
+    smallest value. Once the pool holds 2 * rank values it is cut back to
+    its rank smallest, whose largest becomes the bound later values must
+    not exceed to matter. Returns the pool and the bound."""
+    pool = np.concatenate([pool, values])
+    del values  # the block's copy, before the partition copies the pool
+    if pool.size >= 2 * rank:
+        pool = np.partition(pool, rank - 1)[:rank]
+        bound = pool[rank - 1]
+    return pool, bound
 
 
 def calibrate_groundtruth(db: Dataset, queries: Dataset, target_avg: float) -> GroundTruth:
@@ -238,19 +260,35 @@ def calibrate_groundtruth(db: Dataset, queries: Dataset, target_avg: float) -> G
     The threshold is the (target_avg * Q)-th smallest of all query-to-database
     distances, so the mean neighbor list length comes out within one of
     target_avg. Neighbor lists hold database ids at distance <= threshold.
+
+    Holds one Q x N matrix: the single `queries @ db.T` product, which row
+    blocks of about GT_BLOCK_CELLS cells turn into distances in place by the
+    same expression as `_sq_distances`. Each block adds its distances to a
+    candidate pool for the threshold, as in `calibrate_pair_threshold`.
     """
     if db.dim != queries.dim:
         raise ValidationError("database and query dimensions differ")
     target_avg = float(target_avg)
     if not np.isfinite(target_avg) or target_avg < 1:
         raise ValidationError("target_avg must be >= 1")
-    dists = np.sqrt(_sq_distances(queries.features, db.features))
     rank = int(round(target_avg * queries.n))
-    if rank > dists.size:
+    if rank > queries.n * db.n:
         raise ValidationError(
-            f"target_avg {target_avg} needs {rank} pooled distances, only {dists.size} exist"
+            f"target_avg {target_avg} needs {rank} pooled distances, only {queries.n * db.n} exist"
         )
-    threshold = float(np.partition(dists.ravel(), rank - 1)[rank - 1])
+    q_feats, db_feats = queries.features, db.features
+    sq_q = (q_feats * q_feats).sum(axis=1)
+    sq_db = (db_feats * db_feats).sum(axis=1)
+    # one product: split by rows, the BLAS may round it differently
+    dists = q_feats @ db_feats.T
+    rows = max(1, GT_BLOCK_CELLS // db.n)
+    pool = np.empty(0)
+    bound = np.inf
+    for r0 in range(0, queries.n, rows):
+        block = dists[r0:r0 + rows]
+        np.sqrt(_sq_from_gram(block, sq_q[r0:r0 + rows], sq_db), out=block)
+        pool, bound = _add_to_pool(pool, bound, block[block <= bound], rank)
+    threshold = float(np.partition(pool, rank - 1)[rank - 1])
     lists = tuple(db.ids[dists[q] <= threshold] for q in range(queries.n))
     return GroundTruth(lists, threshold)
 
@@ -318,10 +356,8 @@ def calibrate_pair_threshold(data: Dataset, target_avg: float) -> float:
     bound = np.inf
     for r0, r1 in _row_blocks(n):
         dists = _pair_distances(features, sq_norms, r0, r1)
-        pool = np.concatenate([pool, dists[_strict_upper(dists <= bound, r0, r1)]])
-        if pool.size >= 2 * rank:
-            pool = np.partition(pool, rank - 1)[:rank]
-            bound = pool[rank - 1]
+        pool, bound = _add_to_pool(
+            pool, bound, dists[_strict_upper(dists <= bound, r0, r1)], rank)
     return float(np.partition(pool, rank - 1)[rank - 1])
 
 

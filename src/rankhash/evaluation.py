@@ -2,9 +2,8 @@
 
 All distances here are symbol-level Hamming distances (count of positions
 where two codes disagree), never distances between packed bit strings. A
-query that retrieves nothing has no defined precision; it is reported as
-None (a distinguished no-result outcome) and excluded from precision means,
-while its recall counts as 0.
+query that retrieves nothing has no defined precision; it is excluded from
+precision means, while its recall counts as 0.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ __all__ = [
     "lookup",
     "knn_hamming",
     "knn_weighted",
-    "precision",
-    "recall",
+    "relevant_hits",
     "pr_curve_by_radius",
     "average_precision",
     "aggregate_runs",
@@ -36,9 +34,10 @@ __all__ = [
 # dict get) costs 1-2 us, and a scan about 20 us plus 1.5-3 ns per row, so
 # the two break even near N / 600 probes at N = 20000 and N / 300 at 5000.
 PROBE_ROWS = 512
-# The PR curve compares blocks of queries whose (L, B, N) comparison mask
-# holds at most about this many cells, so its transient arrays stay at a
-# few MB whatever the table size.
+# The PR curve and kNN compare blocks of queries whose (L, B, N) comparison
+# mask holds at most about this many cells, and `relevant_hits` marks blocks
+# of (B, N) cells, so their transient arrays stay at a few MB (16 MB for the
+# float terms of kNN's direct weighted sum) whatever the table size.
 BLOCK_CELLS = 1 << 21
 
 
@@ -46,7 +45,7 @@ def _as_code(code) -> np.ndarray:
     code = np.asarray(code)
     if code.ndim != 1 or code.size < 1:
         raise ValidationError("a code must be a non-empty 1-D symbol array")
-    if not np.issubdtype(code.dtype, np.integer):
+    if code.dtype.kind not in "iu":
         raise ValidationError("code symbols must be integers")
     return code.astype(np.int64, copy=False)
 
@@ -64,8 +63,10 @@ def _as_count(name: str, value, low: int, high: int) -> int:
 class HashTable:
     """Codes bucketed by exact value, plus a column store for linear scans.
 
-    `columns` is the (L, N) code store in the smallest unsigned dtype that
-    holds K - 1; row n of the database is column n, with id `ids[n]`.
+    `buckets` maps each code (a tuple of symbols) to the list of ids stored
+    under it, in database order. `columns` is the (L, N) code store in the
+    smallest unsigned dtype that holds K - 1; row n of the database is
+    column n, with id `ids[n]`.
     """
 
     buckets: dict
@@ -88,27 +89,36 @@ def build_table(codes, ids, K: int) -> HashTable:
     if codes.size and (codes.min() < 0 or codes.max() >= K):
         raise ValidationError(f"symbols must lie in [0, {K})")
     buckets: dict = {}
-    for row, ident in zip(codes, ids.tolist()):
-        buckets.setdefault(tuple(row.tolist()), []).append(ident)
-    buckets = {key: np.asarray(vals, dtype=np.int64) for key, vals in buckets.items()}
+    for key, ident in zip(map(tuple, codes.tolist()), ids.tolist()):
+        buckets.setdefault(key, []).append(ident)
     columns = np.ascontiguousarray(codes.astype(np.min_scalar_type(int(K) - 1)).T)
     return HashTable(buckets=buckets, columns=columns, ids=ids, L=codes.shape[1], K=int(K))
+
+
+def _differ(columns: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """(L, B, N) mask of the positions where each of B query codes differs
+    from each of the N stored codes in the (L, N) `columns`.
+
+    A query symbol that the store's dtype cannot hold (negative, say)
+    matches nothing.
+    """
+    symbols = queries.astype(columns.dtype, copy=False)
+    differ = np.not_equal(columns[:, None, :], symbols.T[:, :, None], order="C")
+    if symbols is not queries:
+        beyond = symbols != queries  # the cast wrapped these
+        if beyond.any():
+            differ |= beyond.T[:, :, None]
+    return differ
 
 
 def _mismatches(columns: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """(B, N) count of positions where each of B query codes differs from
     each of the N stored codes in the (L, N) `columns`.
 
-    Compares every position at once into an (L, B, N) mask and sums it over
-    positions, one whole-row vector add per position. A query symbol that
-    the store's dtype cannot hold (negative, say) matches nothing.
+    Compares every position at once and sums the mask over positions, one
+    whole-row vector add per position.
     """
-    symbols = queries.astype(columns.dtype)
-    beyond = symbols != queries  # the cast wrapped these
-    differ = np.not_equal(columns[:, None, :], symbols.T[:, :, None], order="C")
-    if beyond.any():
-        differ |= beyond.T[:, :, None]
-    return differ.sum(axis=0, dtype=np.min_scalar_type(columns.shape[0]))
+    return _differ(columns, queries).sum(axis=0, dtype=np.min_scalar_type(columns.shape[0]))
 
 
 def _expansion_size(L: int, K: int, radius: int) -> int:
@@ -148,95 +158,165 @@ def lookup(table: HashTable, code, radius: int, strategy: str = "auto") -> set:
                     probe[p] = sym
                 hit = table.buckets.get(tuple(probe))
                 if hit is not None:
-                    found.update(hit.tolist())
+                    found.update(hit)
     return found
 
 
+def _as_queries(query) -> np.ndarray:
+    """A (B, L) int64 block of query codes; one code is a block of one."""
+    query = np.asarray(query)
+    if query.ndim == 1:
+        return _as_code(query)[None, :]
+    if query.ndim != 2 or query.size < 1:
+        raise ValidationError("queries must be one code or a non-empty (B, L) block")
+    if query.dtype.kind not in "iu":
+        raise ValidationError("code symbols must be integers")
+    return query.astype(np.int64, copy=False)
+
+
 def _ranking_inputs(codes, ids, query, k):
-    # row-major, so a row's weighted sum rounds the same for any input layout
-    codes = np.ascontiguousarray(codes, dtype=np.int64)
+    codes = np.asarray(codes)
+    if codes.dtype.kind not in "iu":
+        codes = codes.astype(np.int64)
     ids = np.asarray(ids, dtype=np.int64)
-    query = _as_code(query)
-    if codes.ndim != 2 or codes.shape[1] != query.size:
+    queries = _as_queries(query)
+    if codes.ndim != 2 or codes.shape[1] != queries.shape[1]:
         raise ValidationError("codes must be (N, L) matching the query length")
     if ids.shape != (codes.shape[0],):
         raise ValidationError("ids must align with code rows")
     k = _as_count("k", k, 1, codes.shape[0])
-    return codes, ids, query, k
+    return codes.T, ids, queries, k
 
 
-def _first_k(key: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
-    """Rows of the k smallest (key, id) pairs, in that order.
+def _first_k(keys: np.ndarray, k: int, ids=None) -> np.ndarray:
+    """(B, k) columns of each row's k smallest (key, id) pairs, in that order.
 
-    Selects in O(N) and sorts only the k selected rows: the k-th smallest
-    key by partition, then every row below it and the smallest ids among
-    the rows tied at it.
+    `ids` gives each column's id; None means the columns are already in
+    ascending id order. Selects in O(N) per row and sorts only the
+    candidates: a row's k-th smallest key by partition, then the cells at or
+    below it (k of them plus the surplus tied at the k-th key), sorted by
+    (row, key, id), of which each row keeps its first k.
     """
-    if k < key.size:
-        kth = np.partition(key, k - 1)[k - 1]
-        below = np.flatnonzero(key < kth)
-        tied = np.flatnonzero(key == kth)
-        need = k - below.size
-        if need < tied.size:
-            tied = tied[np.argpartition(ids[tied], need - 1)[:need]]
-        rows = np.concatenate([below, tied])
-    else:
-        rows = np.arange(key.size)
-    return rows[np.lexsort((ids[rows], key[rows]))]
+    B, n = keys.shape
+    kth = np.partition(keys, k - 1, axis=1)[:, k - 1:k]
+    cand = np.flatnonzero(keys <= kth)  # row-major, so grouped by row
+    rows = cand // n
+    cols = cand - rows * n
+    by = (keys.ravel()[cand], rows)
+    # lexsort is stable: candidates come in column order within each row
+    order = np.lexsort(by if ids is None else (ids[cols],) + by)
+    first = np.searchsorted(rows, np.arange(B))
+    return cols[order[first[:, None] + np.arange(k)]]
+
+
+def _ranked(keys_of, ids: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
+    """(B, k) ids of the k smallest (key, id) pairs for each query, where
+    keys_of(block) gives a (B, N) key block. Queries go in blocks whose
+    (L, B, N) comparisons hold about BLOCK_CELLS cells."""
+    block = max(1, BLOCK_CELLS // (queries.shape[1] * ids.size))
+    # ascending ids (the common case) need no id key in the sort; for a
+    # single query the check costs more than the key does
+    batch = queries.shape[0] > 1
+    ties = None if batch and (ids[1:] >= ids[:-1]).all() else ids
+    return np.concatenate([ids[_first_k(keys_of(queries[start:start + block]), k, ties)]
+                           for start in range(0, queries.shape[0], block)])
 
 
 def knn_hamming(codes, ids, query, k: int) -> np.ndarray:
     """The k database ids closest in symbol Hamming distance.
 
-    Ties break by ascending id, so the ordering is total and deterministic.
+    `codes` is (N, L), read by column: an (N, L) view of a column store,
+    such as `table.columns.T`, is compared without a copy. `query` is one
+    code, giving a (k,) array, or a (B, L) block of codes, giving (B, k)
+    with row b the answer for query b. Ties break by ascending id, so the
+    ordering is total and deterministic.
     """
-    codes, ids, query, k = _ranking_inputs(codes, ids, query, k)
-    # partition is several times slower on uint8 than on intp keys
-    dists = _mismatches(codes.T, query[None, :])[0].astype(np.intp)
-    return ids[_first_k(dists, ids, k)]
+    columns, ids, queries, k = _ranking_inputs(codes, ids, query, k)
+    # partition is several times slower on uint8 keys than on int16 (or
+    # wider) ones, and int16 is 2-3x faster than intp
+    key_type = np.promote_types(np.min_scalar_type(columns.shape[0]), np.int16)
+    hits = _ranked(lambda block: _mismatches(columns, block).astype(key_type), ids, queries, k)
+    return hits[0] if np.ndim(query) == 1 else hits
+
+
+def _weighted_keys(columns: np.ndarray, theta: np.ndarray):
+    """A function from a (B, L) query block to (B, N) ranking keys for the
+    codes in the (L, N) `columns`: minus each row's weighted similarity,
+    the sum of `theta` over the positions where it agrees with the query.
+
+    Each row's sum is the same float whatever the block: an (N, L) sum
+    over a row-major array. When 2^L <= N the 2^L agreement patterns are
+    scored once by that expression, and each row gathers its pattern's
+    key, indexed by the positions where it differs.
+    """
+    L, n = columns.shape
+    if (1 << L) <= n:
+        bit = (1 << np.arange(L)).astype(np.min_scalar_type((1 << L) - 1))
+        agree = (np.arange(1 << L)[:, None] & bit) == 0
+        table = -np.where(agree, theta, 0.0).sum(axis=1)
+
+        def keys(queries):
+            differ = _differ(columns, queries) * bit[:, None, None]
+            # take: indexing with a small unsigned index array is ~3x slower
+            return table.take(differ.sum(axis=0, dtype=bit.dtype))
+    else:
+        def keys(queries):
+            # row-major (B, N, L): the sum's order follows the memory layout
+            differ = np.ascontiguousarray(_differ(columns, queries).transpose(1, 2, 0))
+            sums = np.where(differ, 0.0, theta).sum(axis=2)
+            return np.negative(sums, out=sums)
+    return keys
 
 
 def knn_weighted(codes, ids, query, theta, k: int) -> np.ndarray:
     """The k database ids with the largest weighted code similarity.
 
     The similarity of a row is the sum of `theta` over the positions where
-    it agrees with the query. Ties break by ascending id. With uniform
-    weights the ranking coincides with `knn_hamming`.
+    it agrees with the query. `codes` and `query` are as for `knn_hamming`.
+    Ties break by ascending id. With uniform weights the ranking coincides
+    with `knn_hamming`.
     """
-    codes, ids, query, k = _ranking_inputs(codes, ids, query, k)
+    columns, ids, queries, k = _ranking_inputs(codes, ids, query, k)
     theta = np.asarray(theta, dtype=np.float64)
-    n, L = codes.shape
-    if theta.shape != (L,):
+    if theta.shape != (columns.shape[0],):
         raise ValidationError("theta must match the query length")
     if not np.isfinite(theta).all():
         raise ValidationError("theta must be finite")
-    if (1 << L) <= n:
-        # score each of the 2^L agreement patterns once, by the same
-        # expression (and so the same rounding) as the direct sum below
-        bit = (1 << np.arange(L)).astype(np.min_scalar_type((1 << L) - 1))
-        agree = np.equal(codes.T, query[:, None], order="C")
-        pattern = (agree * bit[:, None]).sum(axis=0, dtype=bit.dtype)
-        patterns = (np.arange(1 << L)[:, None] & bit) != 0
-        sims = np.where(patterns, theta, 0.0).sum(axis=1)[pattern]
-    else:
-        sims = np.where(codes == query, theta, 0.0).sum(axis=1)
-    return ids[_first_k(-sims, ids, k)]
+    hits = _ranked(_weighted_keys(columns, theta), ids, queries, k)
+    return hits[0] if np.ndim(query) == 1 else hits
 
 
-def precision(retrieved, relevant):
-    """|retrieved & relevant| / |retrieved|; None when nothing was retrieved."""
-    retrieved = set(retrieved)
-    if not retrieved:
-        return None
-    return len(retrieved & set(relevant)) / len(retrieved)
+def relevant_hits(hits, ids, neighbor_lists) -> np.ndarray:
+    """(B, k) mask of the ids in row b of `hits` that neighbor_lists[b] holds.
 
-
-def recall(retrieved, relevant):
-    """|retrieved & relevant| / |relevant|; None when nothing is relevant."""
-    relevant = set(relevant)
-    if not relevant:
-        return None
-    return len(set(retrieved) & relevant) / len(relevant)
+    `hits` holds database ids (a kNN result for a block of B queries) and
+    `ids` the database ids. Ids are mapped to their positions among the
+    sorted database ids; each block of queries marks its relevant
+    positions in a dense (queries, N) mask of about BLOCK_CELLS cells and
+    reads its hits from it. An id absent from the database, listed or hit,
+    matches nothing.
+    """
+    hits = np.asarray(hits, dtype=np.int64)
+    sorted_ids = np.sort(np.asarray(ids, dtype=np.int64))
+    if hits.ndim != 2 or hits.shape[0] != len(neighbor_lists):
+        raise ValidationError("hits must be (B, k), one row per neighbor list")
+    n = sorted_ids.size
+    if n == 0:
+        raise ValidationError("the database holds no ids")
+    hit_at = np.minimum(np.searchsorted(sorted_ids, hits), n - 1)
+    found = sorted_ids[hit_at] == hits
+    block = max(1, BLOCK_CELLS // n)
+    for start in range(0, hits.shape[0], block):
+        lists = neighbor_lists[start:start + block]
+        wanted = np.concatenate([np.asarray(lst, dtype=np.int64) for lst in lists])
+        at = np.searchsorted(sorted_ids, wanted)
+        present = sorted_ids[np.minimum(at, n - 1)] == wanted
+        owner = np.repeat(np.arange(len(lists)), [len(lst) for lst in lists])
+        relevant = np.zeros((len(lists), n), dtype=bool)
+        relevant[owner[present], at[present]] = True
+        found[start:start + len(lists)] &= np.take_along_axis(
+            relevant, hit_at[start:start + len(lists)], axis=1)
+    return found
 
 
 def pr_curve_by_radius(table: HashTable, query_codes, gt: GroundTruth):

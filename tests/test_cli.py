@@ -4,7 +4,15 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from rankhash import load_fvec, load_model
+from rankhash import (
+    Dataset,
+    calibrate_groundtruth,
+    encode_dataset,
+    groundtruth_from_labels,
+    load_fvec,
+    load_model,
+    save_fvec,
+)
 from rankhash.cli import ConfigError, ExperimentConfig, main, parse_config, validate_config
 
 BASE = """
@@ -296,6 +304,65 @@ def test_eval_rerun_identical(pipeline):
     first = (out / "metrics.csv").read_bytes()
     assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "metrics.csv").read_bytes() == first
+
+
+def per_query_precision_at_k(model, db, query, gt, k):
+    """The per-query precision@k loop that eval's batched kNN replaced:
+    a full lexsort ranking per query, averaged over queries in order."""
+    db_codes = encode_dataset(db, model)
+    q_codes = encode_dataset(query, model)
+    per_query = []
+    for q in range(query.n):
+        relevant = gt.neighbor_lists[q]
+        if relevant.size == 0:
+            continue
+        if model.weights is not None:
+            key = -np.where(db_codes == q_codes[q], model.weights, 0.0).sum(axis=1)
+        else:
+            key = np.count_nonzero(db_codes != q_codes[q], axis=1)
+        hits = db.ids[np.lexsort((db.ids, key))[:k]]
+        per_query.append(np.isin(hits, relevant).sum() / k)
+    return float(np.mean(per_query))
+
+
+def assert_precision_at_k_matches_loop(out, gt, k_list):
+    db, query = load_fvec(out / "train.rshv"), load_fvec(out / "query.rshv")
+    rows = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()[1:]]
+    checked = 0
+    for method, _, _, seed, metric, value in rows:
+        if not metric.startswith("precision_k") or seed in ("mean", "std"):
+            continue
+        k = int(metric[len("precision_k"):])
+        assert k in k_list
+        model = load_model(next(out.glob(f"model_{method}_*seed{seed}.rshm")))
+        assert value == repr(per_query_precision_at_k(model, db, query, gt, k))
+        checked += 1
+    return checked
+
+
+def test_eval_precision_at_k_matches_per_query_loop(pipeline):
+    _, out = pipeline
+    gt = groundtruth_from_labels(load_fvec(out / "train.rshv").ids,
+                                 np.load(out / "train_labels.npy"), np.load(out / "query_labels.npy"))
+    # 4 methods x 2 seeds x 2 cutoffs
+    assert assert_precision_at_k_matches_loop(out, gt, (5, 10)) == 16
+
+
+def test_eval_precision_at_k_matches_loop_on_distance_groundtruth(tmp_path):
+    # 70 database rows: srsh's weighted keys take the direct sum (2^8 > 70),
+    # lsh codes are 16 binary symbols, and k = 70 ranks the whole database
+    rng = np.random.default_rng(5)
+    save_fvec(Dataset.from_features(rng.standard_normal((100, 6))), tmp_path / "data.rshv")
+    base = BASE.replace("synthetic = true\n", "")
+    cfg = write_config(tmp_path, base=base, extra=(
+        f"input = {tmp_path / 'data.rshv'}\ntrain_count = 70\nquery_count = 30\n"
+        "neighbor_avg = 6\nmethods = rsh, srsh, wta, lsh\nL = 8\nk_list = 1, 7, 70\n"))
+    out = tmp_path / "out"
+    for stage in ("preprocess", "train", "eval"):
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
+    db, query = load_fvec(out / "train.rshv"), load_fvec(out / "query.rshv")
+    gt = calibrate_groundtruth(db, query, 6.0)
+    assert assert_precision_at_k_matches_loop(out, gt, (1, 7, 70)) == 4 * 2 * 3
 
 
 # -------------------------------------------------------------- benchmark

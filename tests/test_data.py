@@ -278,6 +278,70 @@ def test_samplers_reject_bool_max_pairs():
         make_pairs_from_labels(np.array([0, 0, 1]), True, 0.5, seeded_rng(23))
 
 
+def reference_calibrate_groundtruth(db, queries, target_avg):
+    """The whole-matrix groundtruth that the row-block version replaces."""
+    dists = _reference_distances(queries.features, db.features)
+    rank = int(round(float(target_avg) * queries.n))
+    threshold = float(np.partition(dists.ravel(), rank - 1)[rank - 1])
+    return tuple(db.ids[dists[q] <= threshold] for q in range(queries.n)), threshold
+
+
+def _assert_same_groundtruth(gt, reference):
+    lists, threshold = reference
+    assert _bits(gt.threshold) == _bits(threshold)
+    assert len(gt.neighbor_lists) == len(lists)
+    for got, want in zip(gt.neighbor_lists, lists):
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_db=st.integers(1, 60),
+    n_q=st.integers(1, 25),
+    d=st.integers(1, 5),
+    integer=st.booleans(),
+    avg_fraction=st.floats(0.0, 1.0),
+    cells_per_row=st.floats(0.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_calibrate_groundtruth_matches_full_matrix_reference(
+        n_db, n_q, d, integer, avg_fraction, cells_per_row, seed):
+    # Both take the same single queries @ db.T product, so real features
+    # match bit for bit too; integer ones add ties at the threshold. Blocks
+    # run from one query row to the whole matrix.
+    rng = seeded_rng(seed)
+    if integer:
+        feats = rng.integers(-2, 3, (n_db + n_q, d)).astype(np.float64)
+    else:
+        feats = rng.standard_normal((n_db + n_q, d)) * 3.0
+    db = Dataset(feats[:n_db], rng.permutation(5 * n_db)[:n_db])
+    queries = Dataset(feats[n_db:], np.arange(n_q))
+    target = 1.0 + avg_fraction * (n_db - 1)
+    cells = max(1, int(cells_per_row * n_db))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_module, "GT_BLOCK_CELLS", cells)
+        gt = calibrate_groundtruth(db, queries, target)
+    _assert_same_groundtruth(gt, reference_calibrate_groundtruth(db, queries, target))
+
+
+@pytest.mark.parametrize("n_q, n_db", [(1000, 6000), (600, 2000)])
+def test_calibrate_groundtruth_memory(n_q, n_db):
+    # one Q x N matrix plus block-sized temporaries; the whole-matrix version
+    # held two Q x N arrays at once (92 MB and 18 MB here)
+    rng = seeded_rng(41)
+    db = Dataset.from_features(rng.standard_normal((n_db, 16)))
+    queries = Dataset.from_features(rng.standard_normal((n_q, 16)))
+    tracemalloc.start()
+    try:
+        gt = calibrate_groundtruth(db, queries, 50.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(gt.mean_count - 50.0) <= 1.0
+    matrix = n_q * n_db * 8
+    assert peak < 1.25 * matrix, peak / matrix
+
+
 def test_calibrate_groundtruth_threshold_is_the_sorted_order_statistic():
     # integer points give many tied distances; the threshold must be the very
     # value a full sort puts at rank - 1

@@ -15,8 +15,7 @@ from rankhash import (
     knn_weighted,
     lookup,
     pr_curve_by_radius,
-    precision,
-    recall,
+    relevant_hits,
     seeded_rng,
 )
 from rankhash import evaluation
@@ -45,6 +44,22 @@ def weighted_similarity(a, b, theta) -> float:
     if a.shape != b.shape or theta.shape != a.shape:
         raise ValidationError("codes and weights must have equal length")
     return float(theta[a == b].sum())
+
+
+def precision(retrieved, relevant):
+    """|retrieved & relevant| / |retrieved|; None when nothing was retrieved."""
+    retrieved = set(retrieved)
+    if not retrieved:
+        return None
+    return len(retrieved & set(relevant)) / len(retrieved)
+
+
+def recall(retrieved, relevant):
+    """|retrieved & relevant| / |relevant|; None when nothing is relevant."""
+    relevant = set(relevant)
+    if not relevant:
+        return None
+    return len(set(retrieved) & relevant) / len(relevant)
 
 
 def reference_knn_hamming(codes, ids, query, k):
@@ -358,6 +373,120 @@ def test_knn_weighted_pattern_table_is_bit_exact(L, extra):
     want = reference_knn_weighted(small, ids[: small.shape[0]], codes[0], theta, k)
     for layout in (small, np.asfortranarray(small)):
         assert np.array_equal(knn_weighted(layout, ids[: small.shape[0]], codes[0], theta, k), want)
+
+
+def test_knn_reads_a_column_store_like_int64_codes():
+    rng = seeded_rng(30)
+    codes = rng.integers(0, 3, size=(70, 6))
+    ids = rng.permutation(300)[:70]
+    table = build_table(codes, ids, 3)
+    theta = rng.choice(TIE_THETA, size=6)
+    # in-range queries, and symbols the uint8 store cannot hold (300 would
+    # wrap onto 44, -1 onto 255): those must match nothing
+    queries = np.vstack([codes[:4], rng.integers(0, 3, size=(3, 6)),
+                         [[0, 1, 300, 2, -1, 1], [256, 257, -255, 0, 1, 2]]])
+    for k in (1, 9, 70):
+        for q in queries:
+            want = reference_knn_hamming(codes, ids, q, k)
+            assert np.array_equal(knn_hamming(table.columns.T, ids, q, k), want)
+            want = reference_knn_weighted(codes, ids, q, theta, k)
+            assert np.array_equal(knn_weighted(table.columns.T, ids, q, theta, k), want)
+        assert np.array_equal(knn_hamming(table.columns.T, ids, queries, k),
+                              knn_hamming(codes, ids, queries, k))
+
+
+def test_knn_query_shapes():
+    _, codes, ids = random_table(31, n=12, L=4)
+    theta = np.ones(4)
+    assert knn_hamming(codes, ids, codes[0], 3).shape == (3,)
+    assert knn_hamming(codes, ids, codes[:1], 3).shape == (1, 3)
+    assert knn_weighted(codes, ids, codes[:5].tolist(), theta, 3).shape == (5, 3)
+    for bad in (np.empty((0, 4), dtype=np.int64), codes[:2, :3], codes[None, :2], codes[:2] * 0.5):
+        with pytest.raises(ValidationError):
+            knn_hamming(codes, ids, bad, 3)
+        with pytest.raises(ValidationError):
+            knn_weighted(codes, ids, bad, theta, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    n=st.integers(min_value=1, max_value=70),
+    L=st.integers(min_value=1, max_value=8),
+    K=st.integers(min_value=2, max_value=4),
+    distinct=st.integers(min_value=1, max_value=10),
+    B=st.integers(min_value=1, max_value=9),
+    data=st.data(),
+)
+def test_knn_block_rows_equal_single_queries(seed, n, L, K, distinct, B, data):
+    # Few distinct rows, so ties are everywhere; ids unsorted, gapped and
+    # partly negative, or ascending (with repeats: the sort then needs no id
+    # key); L on both sides of the weighted pattern table's switch
+    # (2^L <= N); theta with equal entries, so different agreement patterns
+    # score the same.
+    rng = seeded_rng(seed)
+    codes = rng.integers(0, K, size=(distinct, L))[rng.integers(0, distinct, size=n)]
+    ids = data.draw(st.sampled_from([
+        rng.permutation(20 * n)[:n] * 3 - 5 * n, np.sort(rng.integers(-n, n, size=n))]))
+    queries = rng.integers(0, K, size=(B, L))
+    from_db = rng.random(B) < 0.5
+    queries[from_db] = codes[rng.integers(0, n, size=from_db.sum())]
+    theta = data.draw(st.sampled_from([
+        rng.choice(TIE_THETA, size=L), rng.choice([0.25, 0.5], size=L), rng.random(L)]))
+    k = data.draw(st.sampled_from([1, n, data.draw(st.integers(1, n))]))
+    store = data.draw(st.sampled_from([codes, build_table(codes, ids, K).columns.T]))
+    hamming = knn_hamming(store, ids, queries, k)
+    weighted = knn_weighted(store, ids, queries, theta, k)
+    assert hamming.shape == weighted.shape == (B, k)
+    for b in range(B):
+        assert np.array_equal(hamming[b], knn_hamming(codes, ids, queries[b], k))
+        assert np.array_equal(hamming[b], reference_knn_hamming(codes, ids, queries[b], k))
+        assert np.array_equal(weighted[b], knn_weighted(codes, ids, queries[b], theta, k))
+        assert np.array_equal(weighted[b], reference_knn_weighted(codes, ids, queries[b], theta, k))
+
+
+@pytest.mark.parametrize("L", [6, 9])  # 2^L <= N and 2^L > N for the weighted keys
+@pytest.mark.parametrize("rows", [1, 4])  # one query per block; 4, which does not divide 23
+def test_knn_query_blocks_cover_every_query(monkeypatch, L, rows):
+    rng = seeded_rng(32)
+    n, Q, k = 300, 23, 40
+    codes = rng.integers(0, 3, size=(n, L))
+    ids = rng.permutation(n) * 2 + 1
+    queries = rng.integers(0, 3, size=(Q, L))
+    queries[::2] = codes[:Q:2]
+    theta = rng.choice(TIE_THETA, size=L)
+    want_h = np.array([reference_knn_hamming(codes, ids, q, k) for q in queries])
+    want_w = np.array([reference_knn_weighted(codes, ids, q, theta, k) for q in queries])
+    blocks = []
+    first_k = evaluation._first_k
+
+    def counting_first_k(keys, k, ids=None):
+        blocks.append(keys.shape[0])
+        return first_k(keys, k, ids)
+
+    monkeypatch.setattr(evaluation, "BLOCK_CELLS", rows * L * n + L * n - 1)
+    monkeypatch.setattr(evaluation, "_first_k", counting_first_k)
+    assert np.array_equal(knn_hamming(codes, ids, queries, k), want_h)
+    assert blocks == [rows] * (Q // rows) + ([Q % rows] if Q % rows else [])
+    blocks.clear()
+    assert np.array_equal(knn_weighted(codes, ids, queries, theta, k), want_w)
+    assert sum(blocks) == Q and max(blocks) == rows
+
+
+@pytest.mark.parametrize("rows", [1, 2, None])  # queries per relevance block
+def test_relevant_hits_marks_listed_ids(monkeypatch, rows):
+    db_ids = np.array([40, 7, 12, 3, 25])
+    if rows is not None:
+        monkeypatch.setattr(evaluation, "BLOCK_CELLS", rows * db_ids.size)
+    hits = np.array([[7, 3, 40], [3, 12, 40], [3, 3, 99], [25, 7, 12]])
+    lists = [np.array([3, 40, 1000]), np.array([-5, 8, 1000]), np.array([3, -5, 40, 99]),
+             np.array([], dtype=np.int64)]
+    # -5, 8, 99 and 1000 are in no database row (they sort next to 3, 12 and
+    # 40); 99 is no valid hit either, though it sorts next to the listed 40
+    assert relevant_hits(hits, db_ids, lists).tolist() == [
+        [False, True, True], [False, False, False], [True, True, False], [False, False, False]]
+    with pytest.raises(ValidationError):
+        relevant_hits(hits, db_ids, lists[:2])
 
 
 # ----------------------------------------------------------------- metrics
