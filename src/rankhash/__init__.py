@@ -2,9 +2,9 @@
 
 The package trains hash functions that encode a vector by the index of its
 largest learned projection, one symbol per projection matrix. Codes support
-hash-table lookup and Hamming/weighted kNN retrieval, evaluated against
-data-agnostic winner-take-all and random-hyperplane baselines at equal
-packed-bit budgets.
+Hamming-ball range lookup and Hamming/weighted kNN retrieval, evaluated
+against data-agnostic winner-take-all and random-hyperplane baselines at
+equal packed-bit budgets.
 """
 
 from .core import (

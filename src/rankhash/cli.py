@@ -58,6 +58,7 @@ from .evaluation import (
     relevant_hits,
 )
 from .hashers import (
+    check_wta_window,
     encode_dataset,
     lsh_as_rsh,
     make_lsh_spec,
@@ -372,6 +373,13 @@ def _build_pairs(cfg: ExperimentConfig, train: Dataset, train_labels):
     return make_pairs(train, threshold, cfg.max_pairs, cfg.pos_fraction, rng)
 
 
+def _check_wta_fits(cfg: ExperimentConfig, train: Dataset) -> None:
+    """Reject a wta window wider than the training dimension before any
+    model is fitted, so a run that cannot finish writes no model."""
+    if "wta" in cfg.methods:
+        check_wta_window(cfg.K, train.dim)
+
+
 def _method_cells(cfg: ExperimentConfig, method: str) -> list:
     """The (rho, lam) cells a method trains on; None for the untrained ones."""
     return _grid_cells(cfg) if method in _TRAINED else [None]
@@ -404,6 +412,7 @@ def _fit_model(cfg: ExperimentConfig, method: str, cell, run: int, train: Datase
 
 def cmd_train(cfg: ExperimentConfig, out: Path) -> None:
     train, _, train_labels, _ = _load_stage_data(cfg, out)
+    _check_wta_fits(cfg, train)
     pairs = _build_pairs(cfg, train, train_labels)
     epoch_rows = []
     boost_rows = []
@@ -562,6 +571,7 @@ def cmd_benchmark(cfg: ExperimentConfig, out: Path) -> None:
     """Code-length sweep at an equal packed-bit budget for every method."""
     train, query, train_labels, query_labels = _source_data(cfg)
     train, query, _ = _transform(cfg, train, query)
+    _check_wta_fits(cfg, train)
     pairs = _build_pairs(cfg, train, train_labels)
     gt = _make_groundtruth(cfg, train, query, train_labels, query_labels)
     cell = (float(cfg.rho), float(cfg.lam))

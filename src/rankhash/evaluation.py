@@ -1,5 +1,7 @@
-"""Retrieval evaluation: hash-table lookup, kNN ranking, and PR summaries.
+"""Retrieval evaluation: range lookup, kNN ranking, and PR summaries.
 
+The database codes are kept once, as an (L, N) column store, and one
+mismatch count over that store serves range lookup, kNN and the PR curve.
 All distances here are symbol-level Hamming distances (count of positions
 where two codes disagree), never distances between packed bit strings. A
 query that retrieves nothing has no defined precision; it is excluded from
@@ -8,9 +10,8 @@ precision means, while its recall counts as 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import cached_property
 
 import numpy as np
 
@@ -29,11 +30,6 @@ __all__ = [
     "aggregate_runs",
 ]
 
-# `auto` lookup expands the Hamming ball only while its probe count times
-# PROBE_ROWS stays below the row count N. At L = 8 a probe (tuple build and
-# dict get) costs 1-2 us, and a scan about 20 us plus 1.5-3 ns per row, so
-# the two break even near N / 600 probes at N = 20000 and N / 300 at 5000.
-PROBE_ROWS = 512
 # The PR curve and kNN compare blocks of queries whose (L, B, N) comparison
 # mask holds at most about this many cells, and `relevant_hits` marks blocks
 # of (B, N) cells, so their transient arrays stay at a few MB (16 MB for the
@@ -61,23 +57,33 @@ def _as_count(name: str, value, low: int, high: int) -> int:
 
 @dataclass(frozen=True)
 class HashTable:
-    """Codes bucketed by exact value, plus a column store for linear scans.
+    """Database codes stored by column, for mismatch-counting scans.
 
-    `buckets` maps each code (a tuple of symbols) to the list of ids stored
-    under it, in database order. `columns` is the (L, N) code store in the
-    smallest unsigned dtype that holds K - 1; row n of the database is
-    column n, with id `ids[n]`.
+    `columns` is the (L, N) code store in the smallest unsigned dtype that
+    holds K - 1; row n of the database is column n, with id `ids[n]`.
     """
 
-    buckets: dict
     columns: np.ndarray
     ids: np.ndarray
     L: int
     K: int
 
+    @cached_property
+    def buckets(self) -> dict:
+        """Each stored code (a tuple of symbols) mapped to the list of ids
+        stored under it, in database order.
+
+        A diagnostic view of bucket occupancy, derived from the store on
+        first access; no lookup reads it.
+        """
+        buckets: dict = {}
+        for key, ident in zip(map(tuple, self.columns.T.tolist()), self.ids.tolist()):
+            buckets.setdefault(key, []).append(ident)
+        return buckets
+
 
 def build_table(codes, ids, K: int) -> HashTable:
-    """Bucket database codes by exact code value and store them by column."""
+    """Store database codes by column in the smallest dtype that holds K - 1."""
     codes = np.asarray(codes, dtype=np.int64)
     ids = np.asarray(ids, dtype=np.int64)
     if codes.ndim != 2 or codes.shape[0] < 1:
@@ -88,11 +94,8 @@ def build_table(codes, ids, K: int) -> HashTable:
         raise ValidationError("K must be an integer")
     if codes.size and (codes.min() < 0 or codes.max() >= K):
         raise ValidationError(f"symbols must lie in [0, {K})")
-    buckets: dict = {}
-    for key, ident in zip(map(tuple, codes.tolist()), ids.tolist()):
-        buckets.setdefault(key, []).append(ident)
     columns = np.ascontiguousarray(codes.astype(np.min_scalar_type(int(K) - 1)).T)
-    return HashTable(buckets=buckets, columns=columns, ids=ids, L=codes.shape[1], K=int(K))
+    return HashTable(columns=columns, ids=ids, L=codes.shape[1], K=int(K))
 
 
 def _differ(columns: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -121,18 +124,13 @@ def _mismatches(columns: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return _differ(columns, queries).sum(axis=0, dtype=np.min_scalar_type(columns.shape[0]))
 
 
-def _expansion_size(L: int, K: int, radius: int) -> int:
-    return sum(math.comb(L, r) * (K - 1) ** r for r in range(radius + 1))
-
-
 def lookup(table: HashTable, code, radius: int, strategy: str = "auto") -> set:
     """All database ids whose codes lie within `radius` symbol flips.
 
-    `strategy` picks how candidates are found: "expand" probes the buckets
-    for every code in the Hamming ball, "scan" counts mismatches over the
-    whole column store, and "auto" expands only while the ball holds fewer
-    than N / PROBE_ROWS codes. The result set is independent of the strategy.
-    Query symbols outside [0, K) match no stored symbol.
+    One count of mismatches over the whole column store answers every
+    radius. `strategy` ("auto", "expand" or "scan") is accepted for
+    compatibility and selects nothing: all three run the same scan. Query
+    symbols outside [0, K) match no stored symbol.
     """
     code = _as_code(code)
     if code.shape != (table.L,):
@@ -140,26 +138,8 @@ def lookup(table: HashTable, code, radius: int, strategy: str = "auto") -> set:
     radius = _as_count("radius", radius, 0, table.L)
     if strategy not in ("auto", "expand", "scan"):
         raise ValidationError("strategy must be auto, expand, or scan")
-    if strategy == "auto":
-        probes = _expansion_size(table.L, table.K, radius)
-        strategy = "expand" if probes * PROBE_ROWS < table.ids.size else "scan"
-    if strategy == "scan":
-        near = _mismatches(table.columns, code[None, :])[0] <= radius
-        return set(table.ids[near].tolist())
-    found: set = set()
-    base = tuple(code.tolist())
-    alphabet = range(table.K)
-    for r in range(radius + 1):
-        for positions in combinations(range(table.L), r):
-            choices = [[sym for sym in alphabet if sym != base[p]] for p in positions]
-            for repl in product(*choices):
-                probe = list(base)
-                for p, sym in zip(positions, repl):
-                    probe[p] = sym
-                hit = table.buckets.get(tuple(probe))
-                if hit is not None:
-                    found.update(hit)
-    return found
+    near = _mismatches(table.columns, code[None, :])[0] <= radius
+    return set(table.ids[near].tolist())
 
 
 def _as_queries(query) -> np.ndarray:

@@ -30,6 +30,7 @@ from .core import (
 
 __all__ = [
     "WtaSpec",
+    "check_wta_window",
     "LshSpec",
     "make_wta_spec",
     "make_lsh_spec",
@@ -90,6 +91,13 @@ def encode_dataset(data: Dataset, model: HashModel) -> np.ndarray:
     return codes
 
 
+def check_wta_window(window, d: int) -> None:
+    """Reject a WTA window that is not an integer in [2, d]: each symbol
+    is the argmax over `window` of the d input coordinates."""
+    if not isinstance(window, (int, np.integer)) or not 2 <= window <= d:
+        raise ValidationError("window must satisfy 2 <= window <= d")
+
+
 @dataclass(frozen=True)
 class WtaSpec:
     """Winner-take-all spec: L permutations of [0, d) and a window size."""
@@ -106,8 +114,7 @@ class WtaSpec:
         for row in range(perms.shape[0]):
             if not np.array_equal(np.sort(perms[row]), expected):
                 raise ValidationError(f"permutation row {row} is not a bijection on [0, {d})")
-        if not isinstance(self.window, (int, np.integer)) or not 2 <= self.window <= d:
-            raise ValidationError("window must satisfy 2 <= window <= d")
+        check_wta_window(self.window, d)
         perms.setflags(write=False)
         object.__setattr__(self, "permutations", perms)
         object.__setattr__(self, "window", int(self.window))

@@ -209,7 +209,7 @@ def objective(data: Dataset, pairs: PairSet, W, hyper: Hyperparams) -> Objective
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2 or W.shape != (hyper.K, data.dim):
         raise ValidationError("W must have shape (hyper.K, data.dim)")
-    X, pi, pj, ps = _prepare(data, pairs, hyper, require_pairs=True)
+    X, pi, pj, ps = _prepare(data, pairs)
     surrogate, empirical = _objective_arrays(X, pi, pj, ps, W, hyper.rho, hyper.lam)
     return ObjectiveValues(surrogate, empirical)
 
@@ -236,10 +236,10 @@ class TrainLog:
     bits: list[BitTrace] = field(default_factory=list)
 
 
-def _prepare(data: Dataset, pairs: PairSet, hyper: Hyperparams, require_pairs: bool):
-    if require_pairs and len(pairs) == 0:
+def _prepare(data: Dataset, pairs: PairSet):
+    if len(pairs) == 0:
         raise ValidationError("training requires at least one pair")
-    if len(pairs) and int(pairs.j.max()) >= data.n:
+    if int(pairs.j.max()) >= data.n:
         raise ValidationError("pair indices exceed the dataset size")
     return data.features, pairs.i, pairs.j, pairs.s
 
@@ -402,7 +402,7 @@ def train_rsh(data: Dataset, pairs: PairSet, hyper: Hyperparams, log: TrainLog |
     the order bits are trained in, and identical seeds reproduce identical
     models bit for bit.
     """
-    X, pi, pj, ps = _prepare(data, pairs, hyper, require_pairs=True)
+    X, pi, pj, ps = _prepare(data, pairs)
     mats = []
     for l in range(hyper.L):
         W, surr, emp, upd = _train_bit(X, pi, pj, ps, hyper, child_seed(hyper.seed, l))
@@ -419,7 +419,7 @@ def train_rsh_bit(data: Dataset, pairs: PairSet, hyper: Hyperparams, bit_seed: i
 
     `train_rsh` is exactly this, run once per bit with derived child seeds.
     """
-    X, pi, pj, ps = _prepare(data, pairs, hyper, require_pairs=True)
+    X, pi, pj, ps = _prepare(data, pairs)
     W, _, _, _ = _train_bit(X, pi, pj, ps, hyper, bit_seed)
     return W
 
@@ -461,7 +461,7 @@ def train_srsh(data: Dataset, pairs: PairSet, hyper: Hyperparams, log: TrainLog 
     weight stays equal to the pair count. The returned model carries the
     theta values for weighted ranking.
     """
-    X, pi, pj, ps = _prepare(data, pairs, hyper, require_pairs=True)
+    X, pi, pj, ps = _prepare(data, pairs)
     alpha = np.ones(pi.size, dtype=np.float64)
     emax = max(hyper.rho, hyper.lam)
     mats = []

@@ -1,0 +1,58 @@
+"""The package names the benchmark harness relies on.
+
+`perfbench/workloads.py` imports names from the package, patches every
+`CLI_LAYER_NAMES` entry in the `rankhash.cli` namespace for its traced run,
+reads `HashTable.buckets` for its occupancy counts, and calls `lookup` with
+each `STRATEGIES` entry. It is read here as source, not imported, so a
+renamed or removed name fails this suite rather than only the benchmark.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import numpy as np
+
+import rankhash.cli as cli
+from rankhash.evaluation import build_table, lookup
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def workloads_tree() -> ast.Module:
+    return ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+
+
+def workloads_constant(name: str):
+    for node in workloads_tree().body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == name for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} is not assigned in {WORKLOADS.name}")
+
+
+def test_package_exports_every_name_the_benchmark_imports():
+    imported = [(node.module, alias.name) for node in ast.walk(workloads_tree())
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("rankhash")
+                for alias in node.names]
+    assert imported
+    missing = [(module, name) for module, name in imported
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
+
+
+def test_cli_exposes_every_layer_name_the_benchmark_traces():
+    names = workloads_constant("CLI_LAYER_NAMES")
+    assert names
+    assert [name for name in names if not hasattr(cli, name)] == []
+
+
+def test_table_and_lookup_serve_what_the_benchmark_reads():
+    codes = np.array([[0, 1, 2], [0, 1, 2], [2, 1, 0]])
+    table = build_table(codes, np.arange(3), 3)
+    assert table.buckets == {(0, 1, 2): [0, 1], (2, 1, 0): [2]}
+    strategies = workloads_constant("STRATEGIES")
+    assert strategies
+    for strategy in strategies:
+        assert lookup(table, codes[0], 1, strategy) == {0, 1}

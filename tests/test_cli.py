@@ -432,6 +432,20 @@ def test_invalid_split_exits_5(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:data:")
 
 
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+def test_wta_window_wider_than_dim_exits_5_before_fitting(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, extra="dim = 3\nmethods = rsh, srsh, wta, lsh\nK = 8\n")
+    out = tmp_path / "out"
+    if command == "train":
+        assert main(["preprocess", "--config", str(cfg), "--out", str(out)]) == 0
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    assert code == 5
+    assert capsys.readouterr().err.endswith("window must satisfy 2 <= window <= d\n")
+    assert list(out.glob("model_*.rshm")) == []
+    assert not (out / "train_log.csv").exists()
+    assert not (out / "metrics.csv").exists()
+
+
 def test_module_entry_point(tmp_path):
     import os
     import subprocess

@@ -207,21 +207,22 @@ def test_lookup_strategies_match_linear_scan_with_foreign_symbols(K):
                 assert lookup(table, query, radius, strategy="expand") == brute
 
 
-def test_lookup_auto_expands_small_balls_only(monkeypatch):
-    rng = seeded_rng(13)
-    n, L, K = 4000, 8, 4
+@pytest.mark.parametrize("K", [3, 300])
+def test_lookup_scans_the_store_without_building_buckets(K):
+    rng = seeded_rng(13 + K)
+    n, L = 200, 5
     codes = rng.integers(0, K, size=(n, L))
-    table = build_table(codes, np.arange(n), K)
-    scans = []
-    real = evaluation._mismatches
-    monkeypatch.setattr(evaluation, "_mismatches",
-                        lambda columns, queries: scans.append(1) or real(columns, queries))
-    # radius 0 is one probe and radius 3 is 1789: one expands, one scans
-    assert 1 * evaluation.PROBE_ROWS < n < 1789 * evaluation.PROBE_ROWS
-    assert lookup(table, codes[0], 0) == linear_scan(codes, np.arange(n), codes[0], 0)
-    assert scans == []
-    assert lookup(table, codes[0], 3) == linear_scan(codes, np.arange(n), codes[0], 3)
-    assert scans == [1]
+    ids = rng.permutation(10 * n)[:n]
+    table = build_table(codes, ids, K)
+    for query in (codes[0], rng.integers(0, K, size=L), np.array([-1, K, 0, 1, 2 ** 20])):
+        for radius in range(L + 1):
+            brute = linear_scan(codes, ids, query, radius)
+            for strategy in ("auto", "expand", "scan"):
+                assert lookup(table, query, radius, strategy) == brute
+    assert "buckets" not in vars(table)
+    with pytest.raises(ValidationError):
+        lookup(table, codes[0], 1, "probe")
+
 
 def test_lookup_monotone_in_radius():
     table, codes, _ = random_table(5)
