@@ -8,6 +8,7 @@ equal packed-bit budgets.
 """
 
 from .core import (
+    MAX_SEED,
     Dataset,
     FormatError,
     HashModel,
@@ -28,7 +29,6 @@ from .data import (
     apply_pca,
     calibrate_groundtruth,
     calibrate_pair_threshold,
-    center_and_normalize,
     fit_pca,
     groundtruth_from_labels,
     load_csv,
@@ -54,30 +54,19 @@ from .evaluation import (
 from .hashers import (
     LshSpec,
     WtaSpec,
-    code_bit_length,
     encode_dataset,
     lsh_as_rsh,
-    lsh_encode,
     make_lsh_spec,
     make_wta_spec,
-    pack_code,
-    rsh_encode,
     symbol_bits,
-    unpack_code,
     wta_as_rsh,
-    wta_encode,
 )
 from .learning import (
-    AdjustedArgmax,
     BitTrace,
     ObjectiveValues,
     TrainLog,
     boost_step,
-    loss_adjusted_inference,
     objective,
-    pair_error,
-    pair_gradient_step,
-    surrogate_pair,
     train_rsh,
     train_rsh_bit,
     train_srsh,

@@ -328,8 +328,20 @@ def _config_dict(cfg: ExperimentConfig) -> dict:
     return out
 
 
+def _null_nan(value):
+    # JSON has no NaN; a precision mean over no query is written as null
+    if isinstance(value, dict):
+        return {key: _null_nan(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_null_nan(v) for v in value]
+    if isinstance(value, float) and np.isnan(value):
+        return None
+    return value
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(_null_nan(payload), indent=2, sort_keys=True)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def cmd_preprocess(cfg: ExperimentConfig, out: Path) -> None:

@@ -26,7 +26,6 @@ __all__ = [
     "load_csv",
     "load_fvec",
     "save_fvec",
-    "center_and_normalize",
     "apply_center_and_normalize",
     "row_normalize",
     "fit_pca",
@@ -117,16 +116,6 @@ def row_normalize(data: Dataset) -> Dataset:
     norms = np.linalg.norm(data.features, axis=1)
     safe = np.where(norms == 0, 1.0, norms)
     return Dataset(data.features / safe[:, None], data.ids)
-
-
-def center_and_normalize(data: Dataset) -> tuple[Dataset, np.ndarray]:
-    """Subtract the per-dimension mean, then unit-normalize each row.
-
-    Returns the transformed dataset and the mean vector, which must be reused
-    verbatim to transform query-side data.
-    """
-    mean = data.features.mean(axis=0)
-    return apply_center_and_normalize(data, mean), mean
 
 
 def apply_center_and_normalize(data: Dataset, mean) -> Dataset:

@@ -7,9 +7,14 @@ instead minimizes a convex-in-the-max upper bound per pair:
 
     max_{k,l} [ y_i[k] + y_j[l] + e(k, l, s) ] - y_i[h_i] - y_j[h_j]
 
-with y = W @ x and h the emitted symbols. The maximizing (k, l), found by
-`loss_adjusted_inference`, is the error-adjusted competitor; the online step
-moves the rows of W so the emitted symbols beat it.
+with y = W @ x and h the emitted symbols. The maximizing (k, l) is the
+error-adjusted competitor: the online step finds it with a K x K scan (the
+row-major first maximizer) and moves the rows of W so the emitted symbols
+beat it. Off its diagonal the adjusted matrix adds one constant to every
+sum y_i[k] + y_j[l], so the objective pass and the block screen take its
+maximum from each pair's emitted symbols, top two scores per side and best
+diagonal sum (`_pair_scores`) without building it. The scalar per-pair
+forms these are checked against live in `tests/oracles.py`.
 
 `train_rsh` learns all L projection matrices independently from derived
 child seeds. `train_srsh` learns them sequentially, reweighting pairs after
@@ -36,55 +41,15 @@ from .core import (
 )
 
 __all__ = [
-    "AdjustedArgmax",
     "ObjectiveValues",
     "BitTrace",
     "TrainLog",
-    "pair_error",
-    "loss_adjusted_inference",
-    "surrogate_pair",
-    "pair_gradient_step",
     "objective",
     "boost_step",
     "train_rsh",
     "train_rsh_bit",
     "train_srsh",
 ]
-
-
-def _check_penalties(rho: float, lam: float) -> tuple[float, float]:
-    rho = float(rho)
-    lam = float(lam)
-    if not (np.isfinite(rho) and rho >= 0):
-        raise ValidationError("rho must be finite and >= 0")
-    if not (np.isfinite(lam) and lam >= 0):
-        raise ValidationError("lam must be finite and >= 0")
-    return rho, lam
-
-
-def _check_similarity(s) -> int:
-    if isinstance(s, bool) or (not isinstance(s, (int, np.integer))):
-        raise ValidationError("s must be the integer 0 or 1")
-    s = int(s)
-    if s not in (0, 1):
-        raise ValidationError("s must be the integer 0 or 1")
-    return s
-
-
-def pair_error(hi: int, hj: int, s: int, rho: float, lam: float) -> float:
-    """Misranking cost of one coded pair: rho if a similar pair splits,
-    lam if a dissimilar pair collides, else 0."""
-    s = _check_similarity(s)
-    rho, lam = _check_penalties(rho, lam)
-    if s == 1:
-        return rho if hi != hj else 0.0
-    return lam if hi == hj else 0.0
-
-
-class AdjustedArgmax(NamedTuple):
-    gi_star: int
-    gj_star: int
-    value: float
 
 
 def _pair_offsets(K: int, rho: float, lam: float) -> np.ndarray:
@@ -100,108 +65,53 @@ def _pair_offsets(K: int, rho: float, lam: float) -> np.ndarray:
     return offsets
 
 
-def _adjusted_matrix(yi: np.ndarray, yj: np.ndarray, s: int, rho: float, lam: float) -> np.ndarray:
-    m = np.add.outer(yi, yj)
-    m += _pair_offsets(yi.shape[0], rho, lam)[s]
-    return m
-
-
-def loss_adjusted_inference(yi, yj, s: int, rho: float, lam: float) -> AdjustedArgmax:
-    """Maximize projection score plus pair error over all K x K symbol pairs.
-
-    Returns the lexicographically smallest maximizer (row-major scan) and the
-    attained value. O(K^2).
-    """
-    s = _check_similarity(s)
-    rho, lam = _check_penalties(rho, lam)
-    yi = np.asarray(yi, dtype=np.float64)
-    yj = np.asarray(yj, dtype=np.float64)
-    if yi.ndim != 1 or yi.shape != yj.shape or yi.shape[0] < 2:
-        raise ValidationError("yi and yj must be 1-D vectors of equal length K >= 2")
-    m = _adjusted_matrix(yi, yj, s, rho, lam)
-    K = yi.shape[0]
-    flat = int(np.argmax(m))
-    gi, gj = flat // K, flat % K
-    return AdjustedArgmax(gi, gj, float(m[gi, gj]))
-
-
-def surrogate_pair(W, xi, xj, s: int, rho: float, lam: float) -> float:
-    """Upper bound on `pair_error` for one pair under projections W.
-
-    Equals the adjusted maximum minus the scores of the emitted symbols;
-    always >= the actual pair error and >= 0.
-    """
-    W = np.asarray(W, dtype=np.float64)
-    xi = np.asarray(xi, dtype=np.float64)
-    xj = np.asarray(xj, dtype=np.float64)
-    if W.ndim != 2 or W.shape[0] < 2:
-        raise ValidationError("W must be a (K, d) matrix with K >= 2")
-    if xi.shape != (W.shape[1],) or xj.shape != (W.shape[1],):
-        raise ValidationError("xi and xj must match the projection input dimension")
-    yi = W @ xi
-    yj = W @ xj
-    adj = loss_adjusted_inference(yi, yj, s, rho, lam)
-    # grouped so the bound collapses to exactly 0.0 when both losses are 0:
-    # the matrix cell at the emitted symbols holds this same single-rounded sum
-    return adj.value - (float(yi[np.argmax(yi)]) + float(yj[np.argmax(yj)]))
-
-
-def pair_gradient_step(W, xi, xj, s: int, hyper: Hyperparams, weight: float = 1.0) -> np.ndarray:
-    """One online update from a single pair.
-
-    Adds eta * weight * x to the row of each emitted symbol and subtracts it
-    from the row of the adjusted competitor, per point. Returns W unchanged
-    (same object) when emitted symbols and competitors coincide.
-    """
-    W = np.asarray(W, dtype=np.float64)
-    xi = np.asarray(xi, dtype=np.float64)
-    xj = np.asarray(xj, dtype=np.float64)
-    weight = float(weight)
-    if not (np.isfinite(weight) and weight > 0):
-        raise ValidationError("weight must be finite and > 0")
-    yi = W @ xi
-    yj = W @ xj
-    hi = int(np.argmax(yi))
-    hj = int(np.argmax(yj))
-    adj = loss_adjusted_inference(yi, yj, s, hyper.rho, hyper.lam)
-    if adj.gi_star == hi and adj.gj_star == hj:
-        return W
-    step = hyper.eta * weight
-    out = W.copy()
-    if adj.gi_star != hi:
-        out[hi] += step * xi
-        out[adj.gi_star] -= step * xi
-    if adj.gj_star != hj:
-        out[hj] += step * xj
-        out[adj.gj_star] -= step * xj
-    return out
-
-
 class ObjectiveValues(NamedTuple):
     surrogate: float
     empirical: float
 
 
-def _objective_arrays(X, pi, pj, ps, W, rho, lam) -> tuple[float, float]:
-    # Vectorized sum of surrogate_pair and pair_error over all pairs, with
-    # the same per-entry float operations as the scalar paths.
-    # Off the diagonal the pair error is rho * s; the diagonal is written
-    # afresh as (yi + yj) + lam * (1 - s), the same two sums per cell.
-    K = W.shape[0]
-    Y = X @ W.T
-    yi = Y[pi]
-    yj = Y[pj]
+class _PairScores(NamedTuple):
+    hi: np.ndarray  # emitted symbols of the first and second points
+    hj: np.ndarray
+    a1: np.ndarray  # top two scores of yi, a1 >= a2 (equal on a tie)
+    a2: np.ndarray
+    b1: np.ndarray  # top two scores of yj
+    b2: np.ndarray
+    best_diag: np.ndarray  # max_k (yi[k] + yj[k])
+
+
+def _pair_scores(Y, pi, pj) -> _PairScores:
+    """Per pair, what the loss-adjusted maximum depends on.
+
+    Y holds one row of projections per point; pi and pj index (or slice)
+    its rows. Off its diagonal the adjusted K x K matrix adds one constant
+    to every sum yi[k] + yj[l], so its maximum needs only the argmaxes, the
+    top two scores of each side and the best diagonal sum.
+    """
+    K = Y.shape[1]
+    h = Y.argmax(axis=1)
+    top = np.partition(Y, K - 2, axis=1)
+    t1, t2 = top[:, -1], top[:, -2]
+    best_diag = (Y[pi] + Y[pj]).max(axis=1)
+    return _PairScores(h[pi], h[pj], t1[pi], t2[pi], t1[pj], t2[pj], best_diag)
+
+
+def _objective_arrays(X, pi, pj, ps, W, rho, lam):
+    """Total surrogate, total empirical error, and the per-pair errors.
+
+    The best off-diagonal cell is a1 + b1 when the emitted symbols differ;
+    otherwise one side gives up its top score for its second. Rounding is
+    monotone, so adding rho * s or lam * (1 - s) after the maximum gives the
+    same float as adding it to every cell before.
+    """
+    sc = _pair_scores(X @ W.T, pi, pj)
+    same = sc.hi == sc.hj
     sf = ps.astype(np.float64)
-    m = yi[:, :, None] + yj[:, None, :]
-    m += (rho * sf)[:, None, None]
-    flat = m.reshape(-1, K * K)
-    np.add(yi + yj, (lam * (1.0 - sf))[:, None], out=flat[:, :: K + 1])
-    value = flat.max(axis=1)
-    surrogate = value - (yi.max(axis=1) + yj.max(axis=1))
-    hi = yi.argmax(axis=1)
-    hj = yj.argmax(axis=1)
-    empirical = np.where(ps == 1, rho * (hi != hj), lam * (hi == hj))
-    return float(surrogate.sum()), float(empirical.sum())
+    off = np.where(same, np.maximum(sc.a1 + sc.b2, sc.a2 + sc.b1), sc.a1 + sc.b1)
+    value = np.maximum(off + rho * sf, sc.best_diag + lam * (1.0 - sf))
+    surrogate = value - (sc.a1 + sc.b1)
+    err = np.where(ps == 1, rho * ~same, lam * same)
+    return float(surrogate.sum()), float(err.sum()), err
 
 
 def objective(data: Dataset, pairs: PairSet, W, hyper: Hyperparams) -> ObjectiveValues:
@@ -210,7 +120,7 @@ def objective(data: Dataset, pairs: PairSet, W, hyper: Hyperparams) -> Objective
     if W.ndim != 2 or W.shape != (hyper.K, data.dim):
         raise ValidationError("W must have shape (hyper.K, data.dim)")
     X, pi, pj, ps = _prepare(data, pairs)
-    surrogate, empirical = _objective_arrays(X, pi, pj, ps, W, hyper.rho, hyper.lam)
+    surrogate, empirical, _ = _objective_arrays(X, pi, pj, ps, W, hyper.rho, hyper.lam)
     return ObjectiveValues(surrogate, empirical)
 
 
@@ -261,8 +171,10 @@ _UNIT = 2.0**-53  # float64 unit roundoff
 def _certify_quiet(X, W, bi, bj, bs, rho: float, lam: float) -> np.ndarray:
     """Mask of the pairs (bi, bj, bs) that provably leave W unchanged.
 
-    The block is decided from one gathered matmul, whose projections y may
-    round differently from the exact step's gemv. For any summation order
+    The block is decided from one gathered matmul and the same top-2 pass
+    as the objective (`_pair_scores`: argmaxes, top two scores per side,
+    best diagonal sum). The matmul's projections y may round differently
+    from the exact step's gemv. For any summation order
     and any FMA use, |fl(w . x) - w . x| <= g * max|W| * |x|_1 with
     g = d * u / (1 - d * u), so each projection of the two evaluations
     differs by at most twice that.
@@ -288,18 +200,13 @@ def _certify_quiet(X, W, bi, bj, bs, rho: float, lam: float) -> np.ndarray:
     w_max = float(np.abs(W).max())
     if not w_max * float(norm1.max()) < 2.0**1000:  # keep every partial sum far from overflow
         return np.zeros(B, dtype=bool)
-    Y = Xb @ W.T
-    top = np.sort(Y, axis=1)
-    a1 = top[:, -1]
-    gap = a1 - top[:, -2]
-    h = Y.argmax(axis=1)
-    same = h[:B] == h[B:]
+    sc = _pair_scores(Xb @ W.T, slice(None, B), slice(B, None))
+    same = sc.hi == sc.hj
     similar = bs == 1
-    margin = np.minimum(gap[:B], gap[B:])
+    margin = np.minimum(sc.a1 - sc.a2, sc.b1 - sc.b2)
     margin[similar & same] -= rho
     cross = ~(similar | same)
-    best_diag = np.sort(Y[:B] + Y[B:], axis=1)[:, -1]
-    margin[cross] = np.minimum(margin[cross], ((a1[:B] + a1[B:]) - best_diag)[cross] - lam)
+    margin[cross] = np.minimum(margin[cross], ((sc.a1 + sc.b1) - sc.best_diag)[cross] - lam)
     g = d * _UNIT / (1.0 - d * _UNIT)
     bound = ((8.0 * g + 32.0 * _UNIT) * w_max) * (norm1[:B] + norm1[B:])
     bound += 32.0 * _UNIT * max(rho, lam) + 8.0 * d * np.finfo(np.float64).tiny
@@ -313,14 +220,15 @@ def _train_bit(X, pi, pj, ps, hyper: Hyperparams, bit_seed: int, alpha=None):
     eta / (1 + epoch); training stops at the epoch cap or when the relative
     change of the surrogate objective between epochs drops below tol.
     Returns W, the surrogate and empirical traces (one entry before training
-    and one per epoch), and per epoch the fraction of pair visits that took
-    an update step.
+    and one per epoch), per epoch the fraction of pair visits that took an
+    update step, and the per-pair errors of the final W (its last objective
+    pass).
     """
     rng = seeded_rng(bit_seed)
     K = hyper.K
     W = init_projection(K, X.shape[1], rng)
     rho, lam = hyper.rho, hyper.lam
-    omega, emp = _objective_arrays(X, pi, pj, ps, W, rho, lam)
+    omega, emp, err = _objective_arrays(X, pi, pj, ps, W, rho, lam)
     surr_trace = [omega]
     emp_trace = [emp]
     update_trace = []
@@ -386,13 +294,13 @@ def _train_bit(X, pi, pj, ps, hyper: Hyperparams, bit_seed: int, alpha=None):
                 w_rows[hj] += dx
                 w_rows[gj] -= dx
         update_trace.append(updates / n)
-        omega_new, emp_new = _objective_arrays(X, pi, pj, ps, W, rho, lam)
+        omega_new, emp_new, err = _objective_arrays(X, pi, pj, ps, W, rho, lam)
         surr_trace.append(omega_new)
         emp_trace.append(emp_new)
         if abs(omega_new - omega) / max(abs(omega), 1e-12) < hyper.tol:
             break
         omega = omega_new
-    return W, surr_trace, emp_trace, update_trace
+    return W, surr_trace, emp_trace, update_trace, err
 
 
 def train_rsh(data: Dataset, pairs: PairSet, hyper: Hyperparams, log: TrainLog | None = None) -> HashModel:
@@ -405,7 +313,7 @@ def train_rsh(data: Dataset, pairs: PairSet, hyper: Hyperparams, log: TrainLog |
     X, pi, pj, ps = _prepare(data, pairs)
     mats = []
     for l in range(hyper.L):
-        W, surr, emp, upd = _train_bit(X, pi, pj, ps, hyper, child_seed(hyper.seed, l))
+        W, surr, emp, upd, _ = _train_bit(X, pi, pj, ps, hyper, child_seed(hyper.seed, l))
         mats.append(W)
         if log is not None:
             log.bits.append(
@@ -420,7 +328,7 @@ def train_rsh_bit(data: Dataset, pairs: PairSet, hyper: Hyperparams, bit_seed: i
     `train_rsh` is exactly this, run once per bit with derived child seeds.
     """
     X, pi, pj, ps = _prepare(data, pairs)
-    W, _, _, _ = _train_bit(X, pi, pj, ps, hyper, bit_seed)
+    W = _train_bit(X, pi, pj, ps, hyper, bit_seed)[0]
     return W
 
 
@@ -467,11 +375,9 @@ def train_srsh(data: Dataset, pairs: PairSet, hyper: Hyperparams, log: TrainLog 
     mats = []
     thetas = []
     for l in range(hyper.L):
-        W, surr, emp, upd = _train_bit(X, pi, pj, ps, hyper, child_seed(hyper.seed, l), alpha=alpha)
-        Y = X @ W.T
-        hi = Y[pi].argmax(axis=1)
-        hj = Y[pj].argmax(axis=1)
-        err = np.where(ps == 1, hyper.rho * (hi != hj), hyper.lam * (hi == hj))
+        W, surr, emp, upd, err = _train_bit(
+            X, pi, pj, ps, hyper, child_seed(hyper.seed, l), alpha=alpha
+        )
         norm_err = err / emax if emax > 0 else np.zeros(pi.size)
         alpha, eps, theta = boost_step(alpha, norm_err, hyper.eps_min)
         mats.append(W)

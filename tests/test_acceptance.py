@@ -22,7 +22,6 @@ from rankhash.core import (
 )
 from rankhash.data import (
     apply_center_and_normalize,
-    center_and_normalize,
     groundtruth_from_labels,
     make_pairs_from_labels,
     synth_clusters,
@@ -39,17 +38,21 @@ from rankhash.hashers import (
     lsh_as_rsh,
     make_lsh_spec,
     make_wta_spec,
-    rsh_encode,
     wta_as_rsh,
-    wta_encode,
 )
 from rankhash.learning import (
     TrainLog,
-    loss_adjusted_inference,
-    pair_error,
-    surrogate_pair,
     train_rsh,
     train_srsh,
+)
+
+from oracles import (
+    center_and_normalize,
+    loss_adjusted_inference,
+    pair_error,
+    rsh_encode,
+    surrogate_pair,
+    wta_encode,
 )
 
 

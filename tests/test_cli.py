@@ -306,6 +306,59 @@ def test_eval_rerun_identical(pipeline):
     assert (out / "metrics.csv").read_bytes() == first
 
 
+def run_pipeline(cfg, out):
+    for stage in ("preprocess", "train", "eval"):
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0, stage
+
+
+def reject_constant(name):
+    raise ValueError(f"summary.json holds the non-JSON constant {name}")
+
+
+def test_summary_json_is_strict_when_a_radius_retrieves_nothing(tmp_path):
+    # 16 symbols of 16 values: no query's code recurs exactly in the
+    # database, so the radius-0 precision is a mean over no query
+    cfg = write_config(
+        tmp_path, extra="dim = 32\nseparation = 0\nmethods = wta, lsh\nK = 16\nL = 16\n"
+        "seeds = 1\nradius_list = 0, 1\nk_list = 5\n",
+    )
+    out = tmp_path / "out"
+    run_pipeline(cfg, out)
+    assert "wta,64,16,mean,precision_r0,nan" in (out / "metrics.csv").read_text().splitlines()
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject_constant)
+    metric = summary["methods"]["wta"]["metrics"]["precision_r0"]
+    assert metric["mean"] is None and metric["per_seed"] == [None]
+
+
+def test_identical_rows_center_to_zero_and_collide(tmp_path):
+    # every row centers to the zero vector: all projections tie, every
+    # method emits symbol 0 everywhere, every pair is similar, and each
+    # query retrieves the whole database at radius 0
+    csv = tmp_path / "same.csv"
+    csv.write_text("1.5,-2,3,0.25,7,1\n" * 60)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"input = {csv}\ntrain_count = 40\nquery_count = 20\nmethods = rsh, srsh, wta, lsh\n"
+        "K = 4\nL = 4\nepochs = 2\nmax_pairs = 200\nneighbor_avg = 5\nradius_list = 0, 1\n"
+        "k_list = 5\nseeds = 1\nseed = 0\n"
+    )
+    out = tmp_path / "out"
+    run_pipeline(cfg, out)
+    db, query = load_fvec(out / "train.rshv"), load_fvec(out / "query.rshv")
+    assert not db.features.any() and not query.features.any()
+    models = sorted(out.glob("model_*.rshm"))
+    assert len(models) == 4
+    for path in models:
+        model = load_model(path)
+        assert not encode_dataset(db, model).any() and not encode_dataset(query, model).any()
+    aps = {}
+    for line in (out / "metrics.csv").read_text().splitlines()[1:]:
+        method, _, _, seed, metric, value = line.split(",")
+        if seed == "0" and metric == "ap":
+            aps[method] = float(value)
+    assert aps == {"rsh": 1.0, "srsh": 1.0, "wta": 1.0, "lsh": 1.0}
+
+
 def per_query_precision_at_k(model, db, query, gt, k):
     """The per-query precision@k loop that eval's batched kNN replaced:
     a full lexsort ranking per query, averaged over queries in order."""

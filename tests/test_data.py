@@ -14,7 +14,6 @@ from rankhash import (
     apply_pca,
     calibrate_groundtruth,
     calibrate_pair_threshold,
-    center_and_normalize,
     fit_pca,
     groundtruth_from_labels,
     load_csv,
@@ -27,6 +26,8 @@ from rankhash import (
     split_dataset,
     synth_clusters,
 )
+
+from oracles import center_and_normalize
 
 
 def test_load_csv_plain(tmp_path):

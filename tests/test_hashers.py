@@ -14,17 +14,20 @@ from rankhash import (
 from rankhash.hashers import (
     LshSpec,
     WtaSpec,
-    code_bit_length,
     encode_dataset,
     lsh_as_rsh,
-    lsh_encode,
     make_lsh_spec,
     make_wta_spec,
+    symbol_bits,
+    wta_as_rsh,
+)
+
+from oracles import (
+    code_bit_length,
+    lsh_encode,
     pack_code,
     rsh_encode,
-    symbol_bits,
     unpack_code,
-    wta_as_rsh,
     wta_encode,
 )
 

@@ -15,18 +15,23 @@ from rankhash import (
     boost_step,
     child_seed,
     init_projection,
-    loss_adjusted_inference,
     objective,
-    pair_error,
-    pair_gradient_step,
     seeded_rng,
-    surrogate_pair,
     train_rsh,
     train_rsh_bit,
     train_srsh,
 )
 from rankhash import learning
-from rankhash.hashers import encode_dataset, rsh_encode
+from rankhash.hashers import encode_dataset
+
+from oracles import (
+    loss_adjusted_inference,
+    objective_arrays,
+    pair_error,
+    pair_gradient_step,
+    rsh_encode,
+    surrogate_pair,
+)
 
 
 def test_pair_error_examples():
@@ -208,6 +213,29 @@ def test_objective_matches_scalar_sum():
         assert got.surrogate == pytest.approx(surr, abs=1e-9)
         assert got.empirical == pytest.approx(emp, abs=1e-9)
         assert got.surrogate >= got.empirical - 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    K=st.integers(min_value=2, max_value=16),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    rho=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    lam=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    integer_w=st.booleans(),
+)
+def test_objective_pass_matches_cell_tensor_bit_for_bit(seed, K, scale, rho, lam, integer_w):
+    # the top-2 pass against the (n, K, K) oracle: integer features with
+    # zero and duplicate rows, and integer W, tie top scores and symbols
+    data, pairs = tie_heavy_problem(seed)
+    X = data.features * scale
+    rng = seeded_rng(seed)
+    shape = (K, data.dim)
+    W = rng.integers(-2, 3, size=shape).astype(np.float64) if integer_w else rng.standard_normal(shape)
+    got = learning._objective_arrays(X, pairs.i, pairs.j, pairs.s, W, rho, lam)
+    want = objective_arrays(X, pairs.i, pairs.j, pairs.s, W, rho, lam)
+    assert (repr(got[0]), repr(got[1])) == (repr(want[0]), repr(want[1]))
+    assert np.array_equal(got[2], want[2])
 
 
 def test_objective_zero_losses_zero():
@@ -461,17 +489,21 @@ def test_train_srsh_codes_in_range():
 
 
 def reference_train_bit(data, pairs, hyper, bit_seed, alpha=None):
-    """Online training of one bit rebuilt from public pieces only.
+    """Online training of one bit rebuilt from the oracles.
 
     Returns W, the surrogate and empirical traces, and the per-epoch
-    fraction of pair visits where `pair_gradient_step` moved W.
+    fraction of pair visits where `pair_gradient_step` moved W. The traces
+    come from the (n, K, K) objective oracle.
     """
     rng = seeded_rng(bit_seed)
     W = init_projection(hyper.K, data.dim, rng)
     X = data.features
-    start = objective(data, pairs, W, hyper)
-    surr, emp, fractions = [start.surrogate], [start.empirical], []
-    omega = start.surrogate
+
+    def traces(W):
+        return objective_arrays(X, pairs.i, pairs.j, pairs.s, W, hyper.rho, hyper.lam)[:2]
+
+    omega, start_emp = traces(W)
+    surr, emp, fractions = [omega], [start_emp], []
     for epoch in range(hyper.epochs):
         epoch_hyper = replace(hyper, eta=hyper.eta / (1 + epoch))
         updates = 0
@@ -483,12 +515,12 @@ def reference_train_bit(data, pairs, hyper, bit_seed, alpha=None):
             updates += moved is not W
             W = moved
         fractions.append(updates / len(pairs))
-        now = objective(data, pairs, W, hyper)
-        surr.append(now.surrogate)
-        emp.append(now.empirical)
-        if abs(now.surrogate - omega) / max(abs(omega), 1e-12) < hyper.tol:
+        now, now_emp = traces(W)
+        surr.append(now)
+        emp.append(now_emp)
+        if abs(now - omega) / max(abs(omega), 1e-12) < hyper.tol:
             break
-        omega = now.surrogate
+        omega = now
     return W, surr, emp, fractions
 
 
