@@ -192,10 +192,19 @@ class GroundTruth:
     threshold: float | None
 
     def __post_init__(self):
+        # Both builders emit sorted lists, so one pass over the concatenated
+        # lists checks that each rises strictly; only a list that does not
+        # is sorted to look for a repeated id.
         lists = tuple(np.asarray(lst, dtype=np.int64) for lst in self.neighbor_lists)
-        for lst in lists:
-            if lst.ndim != 1 or np.unique(lst).size != lst.size:
-                raise ValidationError("neighbor lists must be 1-D and duplicate-free")
+        if any(lst.ndim != 1 for lst in lists):
+            raise ValidationError("neighbor lists must be 1-D and duplicate-free")
+        if lists:
+            ends = np.cumsum([lst.size for lst in lists])
+            rises = np.diff(np.concatenate(lists)) > 0
+            rises[ends[(ends > 0) & (ends < ends[-1])] - 1] = True  # across a list boundary
+            for q in np.unique(np.searchsorted(ends, np.flatnonzero(~rises), side="right")):
+                if not (np.diff(np.sort(lists[q])) > 0).all():
+                    raise ValidationError("neighbor lists must be 1-D and duplicate-free")
         object.__setattr__(self, "neighbor_lists", lists)
 
     @property

@@ -380,7 +380,8 @@ def aggregate_runs(metrics, n_seeds: int):
     """Mean and sample standard deviation per metric across seeds.
 
     `metrics` maps metric name to a length-n_seeds sequence. The standard
-    deviation uses the n-1 denominator and is 0.0 for a single seed.
+    deviation uses the n-1 denominator and is 0.0 for a single seed, except
+    that a NaN mean always has a NaN deviation.
     """
     if not isinstance(n_seeds, (int, np.integer)) or n_seeds < 1:
         raise ValidationError("n_seeds must be an integer >= 1")
@@ -390,6 +391,9 @@ def aggregate_runs(metrics, n_seeds: int):
         if values.shape != (n_seeds,):
             raise ValidationError(f"metric {name} must have exactly {n_seeds} values")
         mean = float(values.mean())
-        std = 0.0 if n_seeds == 1 else float(values.std(ddof=1))
+        if np.isnan(mean):
+            std = float("nan")
+        else:
+            std = 0.0 if n_seeds == 1 else float(values.std(ddof=1))
         out[name] = (mean, std)
     return out

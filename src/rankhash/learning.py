@@ -10,11 +10,13 @@ instead minimizes a convex-in-the-max upper bound per pair:
 with y = W @ x and h the emitted symbols. The maximizing (k, l) is the
 error-adjusted competitor: the online step finds it with a K x K scan (the
 row-major first maximizer) and moves the rows of W so the emitted symbols
-beat it. Off its diagonal the adjusted matrix adds one constant to every
-sum y_i[k] + y_j[l], so the objective pass and the block screen take its
-maximum from each pair's emitted symbols, top two scores per side and best
-diagonal sum (`_pair_scores`) without building it. The scalar per-pair
-forms these are checked against live in `tests/oracles.py`.
+beat it. The trainer runs that step on a block of pairs at a time, in one
+stacked gemv and one (B, K, K) scan per block, and applies the block's
+first update. Off its diagonal the adjusted matrix adds one constant to
+every sum y_i[k] + y_j[l], so the objective pass takes its maximum from each
+pair's emitted symbols, top two scores per side and best diagonal sum
+(`_pair_scores`) without building it. The scalar per-pair forms these are
+checked against live in `tests/oracles.py`.
 
 `train_rsh` learns all L projection matrices independently from derived
 child seeds. `train_srsh` learns them sequentially, reweighting pairs after
@@ -154,63 +156,14 @@ def _prepare(data: Dataset, pairs: PairSet):
     return data.features, pairs.i, pairs.j, pairs.s
 
 
-# Block screening in `_train_bit`. W only changes on an update, so the
-# next block of pairs in the epoch's order can be decided in one vectorised
-# pass; the pairs `_certify_quiet` proves leave W alone are skipped and the
-# rest take the exact step. Outputs do not depend on these constants, only
-# the time spent does. A screen costs about as much as ten exact steps, so
-# it runs only once the current run of visits without an update, or the
-# previous gap between two updates, reaches _SCREEN_AFTER visits, and a
-# block is as long as the longer of the two.
-_SCREEN_AFTER = 32
-_BLOCK_MIN = 64
-_BLOCK_MAX = 1024
-_UNIT = 2.0**-53  # float64 unit roundoff
-
-
-def _certify_quiet(X, W, bi, bj, bs, rho: float, lam: float) -> np.ndarray:
-    """Mask of the pairs (bi, bj, bs) that provably leave W unchanged.
-
-    The block is decided from one gathered matmul and the same top-2 pass
-    as the objective (`_pair_scores`: argmaxes, top two scores per side,
-    best diagonal sum). The matmul's projections y may round differently
-    from the exact step's gemv. For any summation order
-    and any FMA use, |fl(w . x) - w . x| <= g * max|W| * |x|_1 with
-    g = d * u / (1 - d * u), so each projection of the two evaluations
-    differs by at most twice that.
-
-    With a1 > a2 the top two of yi at hi, b1 > b2 those of yj at hj, and
-    q = min(a1 - a2, b1 - b2), the emitted cell (hi, hj) beats every other
-    cell of the adjusted matrix by at least
-      s = 1, hi == hj:  q - rho
-      s = 0, hi != hj:  min(q, a1 + b1 - max_k (yi[k] + yj[k]) - lam)
-      otherwise:        q
-    and this margin is also at most both top-2 gaps. When it exceeds
-    (4g + 10u) * max|W| * (|xi|_1 + |xj|_1) + 10u * max(rho, lam), which
-    covers the projection error and the rounding of the cells and of the
-    margin itself, the exact step finds the same emitted symbols and the
-    same unique adjusted argmax: no update. The bound used is at least
-    twice that, plus an underflow term. Margins compare strictly, so a
-    tied decision (a zero row, duplicate top scores) is never certified.
-    """
-    B = bi.size
-    d = W.shape[1]
-    Xb = X[np.concatenate((bi, bj))]
-    norm1 = np.abs(Xb).sum(axis=1)
-    w_max = float(np.abs(W).max())
-    if not w_max * float(norm1.max()) < 2.0**1000:  # keep every partial sum far from overflow
-        return np.zeros(B, dtype=bool)
-    sc = _pair_scores(Xb @ W.T, slice(None, B), slice(B, None))
-    same = sc.hi == sc.hj
-    similar = bs == 1
-    margin = np.minimum(sc.a1 - sc.a2, sc.b1 - sc.b2)
-    margin[similar & same] -= rho
-    cross = ~(similar | same)
-    margin[cross] = np.minimum(margin[cross], ((sc.a1 + sc.b1) - sc.best_diag)[cross] - lam)
-    g = d * _UNIT / (1.0 - d * _UNIT)
-    bound = ((8.0 * g + 32.0 * _UNIT) * w_max) * (norm1[:B] + norm1[B:])
-    bound += 32.0 * _UNIT * max(rho, lam) + 8.0 * d * np.finfo(np.float64).tiny
-    return margin > bound
+# Block size of `_train_bit`'s exact block step. Outputs do not depend on
+# these constants, only the time spent does. A block is twice the longer of
+# the last gap between two updates and the current run of visits without
+# one, within [_BLOCK_MIN, _BLOCK_MAX] pairs and at most _BLOCK_CELLS
+# loss-adjusted cells (but at least one pair).
+_BLOCK_MIN = 4
+_BLOCK_MAX = 256
+_BLOCK_CELLS = 1 << 16
 
 
 def _train_bit(X, pi, pj, ps, hyper: Hyperparams, bit_seed: int, alpha=None):
@@ -223,6 +176,15 @@ def _train_bit(X, pi, pj, ps, hyper: Hyperparams, bit_seed: int, alpha=None):
     and one per epoch), per epoch the fraction of pair visits that took an
     update step, and the per-pair errors of the final W (its last objective
     pass).
+
+    Each visit is the exact per-pair step, run a block of visits at a time.
+    `np.matmul(W, cols[ends])` projects the block's endpoints with one gemv
+    per stacked column, the BLAS call behind `W.dot(x)`, so every y is the
+    float a one-pair step computes. The block's K x K loss-adjusted cells
+    are the step's own sums (yi[k] + yj[l]) + e(k, l, s), and a row's flat
+    argmax is the row-major first maximiser. The first pair whose maximiser
+    is not its emitted cell (hi, hj) takes the update, exactly as a one-pair
+    step would, and the next block starts at the pair after it.
     """
     rng = seeded_rng(bit_seed)
     K = hyper.K
@@ -232,65 +194,49 @@ def _train_bit(X, pi, pj, ps, hyper: Hyperparams, bit_seed: int, alpha=None):
     surr_trace = [omega]
     emp_trace = [emp]
     update_trace = []
-    # The exact step works on lists and row views, and W.dot(x) runs the
-    # same gemv as W @ x: the same float operations as whole-array indexing,
-    # with less interpreter work per pair.
-    x_rows = list(X)
+    cols = X[:, :, None]
     w_rows = list(W)
-    off = list(_pair_offsets(K, rho, lam))
-    li, lj, ls = pi.tolist(), pj.tolist(), ps.tolist()
-    weights = None if alpha is None else alpha.tolist()
+    offsets = _pair_offsets(K, rho, lam)
     n = pi.size
-    m = np.empty((K, K), dtype=np.float64)
+    block_max = max(1, min(_BLOCK_MAX, _BLOCK_CELLS // (K * K)))
+    ends = np.empty(2 * n, dtype=np.intp)  # the epoch's endpoint rows, interleaved
     quiet_run = 0  # visits since the last update
     last_gap = 0  # visits between the last two updates
     for epoch in range(hyper.epochs):
         base_step = hyper.eta / (1.0 + epoch)
         order = rng.permutation(n)
-        visit = order.tolist()
+        ends[0::2] = pi[order]
+        ends[1::2] = pj[order]
+        sims = ps[order]
         updates = 0
         pos = 0
-        screened = 0  # order[pos:screened] was screened against the current W
         while pos < n:
-            if pos >= screened and max(quiet_run, last_gap) >= _SCREEN_AFTER:
-                size = min(max(quiet_run, last_gap, _BLOCK_MIN), _BLOCK_MAX)
-                screened = min(pos + size, n)
-                block = order[pos:screened]
-                certified = _certify_quiet(X, W, pi[block], pj[block], ps[block], rho, lam)
-                todo = (np.flatnonzero(~certified) + pos).tolist()
-                todo.append(screened)
-                k = 0
-            if pos < screened:
-                quiet_run += todo[k] - pos
-                pos = todo[k]
-                k += 1
-                if pos == screened:
-                    continue
-            t = visit[pos]
-            pos += 1
-            xi = x_rows[li[t]]
-            xj = x_rows[lj[t]]
-            yi = W.dot(xi)
-            yj = W.dot(xj)
-            np.add.outer(yi, yj, out=m)
-            m += off[ls[t]]
-            gi, gj = divmod(int(m.argmax()), K)
-            hi = int(yi.argmax())
-            hj = int(yj.argmax())
-            if gi == hi and gj == hj:
-                quiet_run += 1
+            size = min(max(2 * max(quiet_run, last_gap), _BLOCK_MIN), block_max)
+            stop = min(pos + size, n)
+            y = np.matmul(W, cols[ends[2 * pos : 2 * stop]])[:, :, 0]
+            m = y[0::2, :, None] + y[1::2, None, :]
+            m += offsets[sims[pos:stop]]
+            g = m.reshape(stop - pos, K * K).argmax(axis=1)
+            h = y.argmax(axis=1)
+            moved = g != h[0::2] * K + h[1::2]
+            r = int(moved.argmax())
+            if not moved[r]:
+                quiet_run += stop - pos
+                pos = stop
                 continue
             updates += 1
-            last_gap = quiet_run + 1
+            last_gap = quiet_run + r + 1
             quiet_run = 0
-            screened = pos
-            step = base_step if weights is None else base_step * weights[t]
+            gi, gj = divmod(int(g[r]), K)
+            hi, hj = int(h[2 * r]), int(h[2 * r + 1])
+            step = base_step if alpha is None else base_step * float(alpha[order[pos + r]])
+            pos += r + 1
             if gi != hi:
-                dx = step * xi
+                dx = step * X[ends[2 * pos - 2]]
                 w_rows[hi] += dx
                 w_rows[gi] -= dx
             if gj != hj:
-                dx = step * xj
+                dx = step * X[ends[2 * pos - 1]]
                 w_rows[hj] += dx
                 w_rows[gj] -= dx
         update_trace.append(updates / n)

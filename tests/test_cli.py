@@ -330,6 +330,24 @@ def test_summary_json_is_strict_when_a_radius_retrieves_nothing(tmp_path):
     assert metric["mean"] is None and metric["per_seed"] == [None]
 
 
+def test_single_seed_nan_mean_is_written_with_nan_std(tmp_path):
+    # with seeds = 1 a radius that retrieves nothing has no deviation either:
+    # nan in metrics.csv and null in summary.json, like its mean
+    cfg = write_config(
+        tmp_path, extra="dim = 32\nseparation = 0\nmethods = wta\nK = 16\nL = 16\n"
+        "seeds = 1\nradius_list = 0\nk_list = 5\n",
+    )
+    out = tmp_path / "out"
+    run_pipeline(cfg, out)
+    lines = (out / "metrics.csv").read_text().splitlines()
+    assert "wta,64,16,mean,precision_r0,nan" in lines
+    assert "wta,64,16,std,precision_r0,nan" in lines
+    assert "wta,64,16,std,ap,0.0" in lines
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject_constant)
+    metric = summary["methods"]["wta"]["metrics"]["precision_r0"]
+    assert metric["mean"] is None and metric["std"] is None
+
+
 def test_identical_rows_center_to_zero_and_collide(tmp_path):
     # every row centers to the zero vector: all projections tie, every
     # method emits symbol 0 everywhere, every pair is similar, and each

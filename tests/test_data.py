@@ -213,6 +213,31 @@ def test_groundtruth_from_labels():
 # -------------------------------------------------------------------- pairs
 
 
+@pytest.mark.parametrize(
+    "lists, ok",
+    [
+        ([[5, 1, 3]], True),  # unsorted, no duplicate
+        ([[5, 1, 5]], False),  # unsorted, with a duplicate
+        ([[2, 4], [9, 3, 9, 0]], False),  # duplicate in an unsorted later list
+        ([[1, 3, 7], [7, 8]], True),  # a list ends on the id the next starts with
+        ([[4, 7], [7, 2, 7]], False),
+        ([[1, 1]], False),
+        ([[]], True),  # an empty list
+        ([[3, 5], [], [5, 6]], True),
+        ([[3, 5], [], [6, 6]], False),
+        ([], True),
+        ([[[1, 2]]], False),  # not 1-D
+    ],
+)
+def test_groundtruth_rejects_duplicates_in_any_list(lists, ok):
+    if ok:
+        gt = data_module.GroundTruth(tuple(lists), None)
+        assert [lst.tolist() for lst in gt.neighbor_lists] == lists
+    else:
+        with pytest.raises(ValidationError, match="duplicate-free"):
+            data_module.GroundTruth(tuple(lists), None)
+
+
 def test_make_pairs_two_points():
     data = Dataset(np.array([[0.0], [1.0]]), np.arange(2))
     pairs = make_pairs(data, 10.0, 100, 0.5, seeded_rng(6))

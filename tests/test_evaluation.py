@@ -660,6 +660,11 @@ def test_aggregate_runs():
     assert out["ap"][1] == pytest.approx(math.sqrt(0.5))
     out = aggregate_runs({"ap": [0.7]}, 1)
     assert out["ap"] == (0.7, 0.0)
+    # a radius that retrieved nothing: one seed or several, mean and std
+    # are both NaN
+    for values in ([math.nan], [math.nan, 0.5]):
+        mean, std = aggregate_runs({"precision_r0": values}, len(values))["precision_r0"]
+        assert math.isnan(mean) and math.isnan(std)
 
 
 def test_aggregate_runs_checks_length():
