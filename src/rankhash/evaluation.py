@@ -2,6 +2,9 @@
 
 The database codes are kept once, as an (L, N) column store, and one
 mismatch count over that store serves range lookup, kNN and the PR curve.
+`encode_dataset` already writes that layout (its (N, L) result is the
+transpose of a C-contiguous uint8 store), and every reader here keeps the
+integer dtype it is given, so no code is widened to int64 on the way.
 All distances here are symbol-level Hamming distances (count of positions
 where two codes disagree), never distances between packed bit strings. A
 query that retrieves nothing has no defined precision; it is excluded from
@@ -41,9 +44,13 @@ def _as_code(code) -> np.ndarray:
     code = np.asarray(code)
     if code.ndim != 1 or code.size < 1:
         raise ValidationError("a code must be a non-empty 1-D symbol array")
-    if code.dtype.kind not in "iu":
+    _check_integer(code)
+    return code
+
+
+def _check_integer(codes: np.ndarray) -> None:
+    if codes.dtype.kind not in "iu":
         raise ValidationError("code symbols must be integers")
-    return code.astype(np.int64, copy=False)
 
 
 def _as_count(name: str, value, low: int, high: int) -> int:
@@ -83,30 +90,37 @@ class HashTable:
 
 
 def build_table(codes, ids, K: int) -> HashTable:
-    """Store database codes by column in the smallest dtype that holds K - 1."""
-    codes = np.asarray(codes, dtype=np.int64)
+    """Store database codes by column in the smallest dtype that holds K - 1.
+
+    The table owns its store: the columns are always a fresh C-contiguous
+    copy, so writing into `codes` afterwards changes no lookup. From
+    `encode_dataset`'s output the copy is one contiguous memcpy.
+    """
+    codes = np.asarray(codes)
     ids = np.asarray(ids, dtype=np.int64)
     if codes.ndim != 2 or codes.shape[0] < 1:
         raise ValidationError("codes must be a non-empty (N, L) array")
+    _check_integer(codes)
     if ids.shape != (codes.shape[0],):
         raise ValidationError("ids must align with code rows")
     if isinstance(K, bool) or not isinstance(K, (int, np.integer)):
         raise ValidationError("K must be an integer")
     if codes.size and (codes.min() < 0 or codes.max() >= K):
         raise ValidationError(f"symbols must lie in [0, {K})")
-    columns = np.ascontiguousarray(codes.astype(np.min_scalar_type(int(K) - 1)).T)
+    columns = np.array(codes.T, dtype=np.min_scalar_type(int(K) - 1), order="C")
     return HashTable(columns=columns, ids=ids, L=codes.shape[1], K=int(K))
 
 
-def _differ(columns: np.ndarray, queries: np.ndarray) -> np.ndarray:
+def _differ(columns: np.ndarray, queries: np.ndarray, out=None) -> np.ndarray:
     """(L, B, N) mask of the positions where each of B query codes differs
-    from each of the N stored codes in the (L, N) `columns`.
+    from each of the N stored codes in the (L, N) `columns`, written into
+    `out` when given.
 
     A query symbol that the store's dtype cannot hold (negative, say)
     matches nothing.
     """
     symbols = queries.astype(columns.dtype, copy=False)
-    differ = np.not_equal(columns[:, None, :], symbols.T[:, :, None], order="C")
+    differ = np.not_equal(columns[:, None, :], symbols.T[:, :, None], out=out, order="C")
     if symbols is not queries:
         beyond = symbols != queries  # the cast wrapped these
         if beyond.any():
@@ -114,14 +128,16 @@ def _differ(columns: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return differ
 
 
-def _mismatches(columns: np.ndarray, queries: np.ndarray) -> np.ndarray:
+def _mismatches(columns: np.ndarray, queries: np.ndarray, mask=None, out=None) -> np.ndarray:
     """(B, N) count of positions where each of B query codes differs from
     each of the N stored codes in the (L, N) `columns`.
 
-    Compares every position at once and sums the mask over positions, one
-    whole-row vector add per position.
+    Compares every position at once (into the (L, B, N) `mask` when given)
+    and sums the mask over positions, one whole-row vector add per
+    position, into `out` when given.
     """
-    return _differ(columns, queries).sum(axis=0, dtype=np.min_scalar_type(columns.shape[0]))
+    return _differ(columns, queries, mask).sum(
+        axis=0, dtype=np.min_scalar_type(columns.shape[0]), out=out)
 
 
 def lookup(table: HashTable, code, radius: int, strategy: str = "auto") -> set:
@@ -143,21 +159,20 @@ def lookup(table: HashTable, code, radius: int, strategy: str = "auto") -> set:
 
 
 def _as_queries(query) -> np.ndarray:
-    """A (B, L) int64 block of query codes; one code is a block of one."""
+    """A (B, L) integer block of query codes, in the dtype given; one code
+    is a block of one."""
     query = np.asarray(query)
     if query.ndim == 1:
         return _as_code(query)[None, :]
     if query.ndim != 2 or query.size < 1:
         raise ValidationError("queries must be one code or a non-empty (B, L) block")
-    if query.dtype.kind not in "iu":
-        raise ValidationError("code symbols must be integers")
-    return query.astype(np.int64, copy=False)
+    _check_integer(query)
+    return query
 
 
 def _ranking_inputs(codes, ids, query, k):
     codes = np.asarray(codes)
-    if codes.dtype.kind not in "iu":
-        codes = codes.astype(np.int64)
+    _check_integer(codes)
     ids = np.asarray(ids, dtype=np.int64)
     queries = _as_queries(query)
     if codes.ndim != 2 or codes.shape[1] != queries.shape[1]:
@@ -202,19 +217,25 @@ def _ranked(keys_of, ids: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray
                            for start in range(0, queries.shape[0], block)])
 
 
+def _key_type(largest: int) -> np.dtype:
+    """The dtype of ranking keys up to `largest`: partition is several times
+    slower on uint8 keys than on int16 (or wider) ones, and int16 is 2-3x
+    faster than intp."""
+    return np.promote_types(np.min_scalar_type(largest), np.int16)
+
+
 def knn_hamming(codes, ids, query, k: int) -> np.ndarray:
     """The k database ids closest in symbol Hamming distance.
 
-    `codes` is (N, L), read by column: an (N, L) view of a column store,
-    such as `table.columns.T`, is compared without a copy. `query` is one
-    code, giving a (k,) array, or a (B, L) block of codes, giving (B, k)
-    with row b the answer for query b. Ties break by ascending id, so the
-    ordering is total and deterministic.
+    `codes` is (N, L) integer symbols, read by column in their own dtype:
+    `encode_dataset`'s output and `table.columns.T` are both (N, L) views
+    of a C-contiguous uint8 column store, compared with no copy and no
+    widening. `query` is one code, giving a (k,) array, or a (B, L) block
+    of codes, giving (B, k) with row b the answer for query b. Ties break
+    by ascending id, so the ordering is total and deterministic.
     """
     columns, ids, queries, k = _ranking_inputs(codes, ids, query, k)
-    # partition is several times slower on uint8 keys than on int16 (or
-    # wider) ones, and int16 is 2-3x faster than intp
-    key_type = np.promote_types(np.min_scalar_type(columns.shape[0]), np.int16)
+    key_type = _key_type(columns.shape[0])
     hits = _ranked(lambda block: _mismatches(columns, block).astype(key_type), ids, queries, k)
     return hits[0] if np.ndim(query) == 1 else hits
 
@@ -226,19 +247,22 @@ def _weighted_keys(columns: np.ndarray, theta: np.ndarray):
 
     Each row's sum is the same float whatever the block: an (N, L) sum
     over a row-major array. When 2^L <= N the 2^L agreement patterns are
-    scored once by that expression, and each row gathers its pattern's
-    key, indexed by the positions where it differs.
+    scored once by that expression and ranked, equal scores sharing a rank,
+    so (rank, id) order is (score, id) order; each row gathers its
+    pattern's rank, indexed by the positions where it differs, as a small
+    integer key.
     """
     L, n = columns.shape
     if (1 << L) <= n:
         bit = (1 << np.arange(L)).astype(np.min_scalar_type((1 << L) - 1))
         agree = (np.arange(1 << L)[:, None] & bit) == 0
-        table = -np.where(agree, theta, 0.0).sum(axis=1)
+        scores, rank = np.unique(-np.where(agree, theta, 0.0).sum(axis=1), return_inverse=True)
+        rank = rank.astype(_key_type(scores.size - 1))
 
         def keys(queries):
             differ = _differ(columns, queries) * bit[:, None, None]
             # take: indexing with a small unsigned index array is ~3x slower
-            return table.take(differ.sum(axis=0, dtype=bit.dtype))
+            return rank.take(differ.sum(axis=0, dtype=bit.dtype))
     else:
         def keys(queries):
             # row-major (B, N, L): the sum's order follows the memory layout
@@ -309,9 +333,10 @@ def pr_curve_by_radius(table: HashTable, query_codes, gt: GroundTruth):
     retrieved. Returns a list of (R, precision, recall) where the precision
     is NaN if no query retrieved anything at that radius.
     """
-    query_codes = np.asarray(query_codes, dtype=np.int64)
+    query_codes = np.asarray(query_codes)
     if query_codes.ndim != 2 or query_codes.shape[1] != table.L:
         raise ValidationError("query codes must be (Q, L) matching the table")
+    _check_integer(query_codes)
     if len(gt.neighbor_lists) != query_codes.shape[0]:
         raise ValidationError("groundtruth must have one neighbor list per query")
     sizes = np.array([lst.size for lst in gt.neighbor_lists], dtype=np.int64)
@@ -326,9 +351,13 @@ def pr_curve_by_radius(table: HashTable, query_codes, gt: GroundTruth):
     prec_count = np.zeros(L + 1, dtype=np.int64)
     recall_sum = np.zeros(L + 1)
     block = max(1, BLOCK_CELLS // table.columns.size)
+    # one mask and one count buffer serve every block, so the pass faults
+    # in its pages once, whatever the allocator holds from earlier work
+    mask = np.empty((L, min(block, asked.size), table.ids.size), dtype=bool)
+    counts = np.empty(mask.shape[1:], dtype=np.min_scalar_type(L))
     for start in range(0, asked.size, block):
         qs = asked[start:start + block]
-        dists = _mismatches(table.columns, query_codes[qs])
+        dists = _mismatches(table.columns, query_codes[qs], mask[:, :qs.size], counts[:qs.size])
         offsets = np.arange(qs.size)[:, None] * (L + 1)
         total = _cumulative_counts(dists + offsets, qs.size, L)
         # every (query, row) whose row id is relevant to the query: an id

@@ -1,7 +1,9 @@
 """Encoding by argmax of projections, and the two baselines in that form.
 
 Three code families share one representation (length-L symbol arrays over
-{0, ..., K-1}) and one encoder, `encode_dataset`:
+{0, ..., K-1}, one unsigned byte per symbol up to K = 256) and one encoder,
+`encode_dataset`, which writes the (L, N) column store that every reader in
+`evaluation` scans:
 
 * learned argmax-of-projections codes (a `HashModel` from training),
 * winner-take-all permutation codes (`make_wta_spec`, `wta_as_rsh`): the
@@ -43,17 +45,20 @@ def encode_dataset(data: Dataset, model: HashModel) -> np.ndarray:
     """Encode every row of a dataset, returning an (N, L) symbol matrix.
 
     Row order follows the dataset; column l is the symbol emitted by
-    projection matrix l.
+    projection matrix l. The symbols are in the smallest unsigned dtype
+    that holds K - 1 (uint8 up to K = 256), and the matrix is the transpose
+    of a C-contiguous (L, N) column store: `codes.T` is the layout that
+    `build_table`, `knn_hamming` and `knn_weighted` scan, with no copy.
     """
     if data.dim != model.d:
         raise ValidationError(
             f"dimension mismatch: dataset has d={data.dim}, model expects d={model.d}"
         )
     X = data.features
-    codes = np.empty((data.n, model.L), dtype=np.int64)
+    columns = np.empty((model.L, data.n), dtype=np.min_scalar_type(model.K - 1))
     for l in range(model.L):
-        codes[:, l] = np.argmax(X @ model.projections[l].T, axis=1)
-    return codes
+        columns[l] = np.argmax(X @ model.projections[l].T, axis=1)
+    return columns.T
 
 
 def check_wta_window(window, d: int) -> None:

@@ -6,11 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankhash import (
+    Dataset,
     GroundTruth,
+    HashModel,
+    Hyperparams,
     ValidationError,
     aggregate_runs,
     average_precision,
     build_table,
+    encode_dataset,
     knn_hamming,
     knn_weighted,
     lookup,
@@ -394,6 +398,115 @@ def test_knn_reads_a_column_store_like_int64_codes():
             assert np.array_equal(knn_weighted(table.columns.T, ids, q, theta, k), want)
         assert np.array_equal(knn_hamming(table.columns.T, ids, queries, k),
                               knn_hamming(codes, ids, queries, k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    pattern_table=st.booleans(),
+    L=st.integers(min_value=1, max_value=9),
+    K=st.sampled_from([2, 3, 4, 257]),
+    distinct=st.integers(min_value=1, max_value=12),
+    B=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+def test_store_layout_codes_rank_like_int64_codes(seed, pattern_table, L, K, distinct, B, data):
+    # encode_dataset's (N, L) uint8/uint16 view of an (L, N) store, and a
+    # row-major int64 copy of it, give every reader the same answers
+    rng = seeded_rng(seed)
+    if pattern_table:  # 2^L <= N: weighted keys from the pattern table
+        L = min(L, 6)
+        n = (1 << L) + data.draw(st.integers(0, 20))
+    else:  # 2^L > N: weighted keys summed row by row
+        L = max(L, 2)
+        n = data.draw(st.integers(1, min(80, (1 << L) - 1)))
+    d = 5
+    model = HashModel(rng.standard_normal((L, K, d)), None, Hyperparams(K=K, L=L))
+    # few distinct rows, so most codes repeat and ties are everywhere
+    rows = rng.standard_normal((distinct, d))[rng.integers(0, distinct, size=n)]
+    codes = encode_dataset(Dataset(rows, np.arange(n)), model)
+    query_rows = np.vstack([rows[:B], rng.standard_normal((B, d))])
+    queries = encode_dataset(Dataset(query_rows, np.arange(len(query_rows))), model)
+    assert codes.T.flags.c_contiguous and codes.dtype == np.min_scalar_type(K - 1)
+    wide, wide_queries = (np.ascontiguousarray(c, dtype=np.int64) for c in (codes, queries))
+    ids = rng.permutation(20 * n)[:n] * 3 - 5 * n
+    theta = rng.choice(TIE_THETA, size=L) if rng.random() < 0.7 else rng.random(L)
+    k = data.draw(st.integers(1, n))
+    assert np.array_equal(knn_hamming(codes, ids, queries, k),
+                          knn_hamming(wide, ids, wide_queries, k))
+    assert np.array_equal(knn_weighted(codes, ids, queries, theta, k),
+                          knn_weighted(wide, ids, wide_queries, theta, k))
+    for q, wide_q in zip(queries, wide_queries):
+        assert np.array_equal(knn_weighted(codes, ids, q, theta, k),
+                              reference_knn_weighted(wide, ids, wide_q, theta, k))
+    table, wide_table = build_table(codes, ids, K), build_table(wide, ids, K)
+    assert table.columns.tobytes() == wide_table.columns.tobytes()
+    for q, wide_q in zip(queries, wide_queries):
+        for radius in range(L + 1):
+            assert lookup(table, q, radius) == lookup(wide_table, wide_q, radius)
+    gt = make_gt([rng.choice(ids, size=int(rng.integers(0, n + 1)), replace=False)
+                  for _ in range(len(queries) - 1)] + [ids[:1]])
+    assert_same_curve(pr_curve_by_radius(table, queries, gt),
+                      pr_curve_by_radius(wide_table, wide_queries, gt))
+
+
+def test_build_table_owns_its_store():
+    rng = seeded_rng(32)
+    n, L, K = 300, 5, 4
+    wide = rng.integers(0, K, size=(n, L))
+    ids = rng.permutation(n) + 10
+    store = np.array(wide.T, dtype=np.uint8, order="C")  # (L, N), as encode_dataset writes
+    inputs = {"int64": wide, "uint8 C-order": np.ascontiguousarray(store.T),
+              "uint8 F-order": store.T}
+    assert inputs["uint8 F-order"].flags.f_contiguous
+    tables = {name: build_table(codes, ids, K) for name, codes in inputs.items()}
+    for table in tables.values():
+        assert table.columns.flags.c_contiguous and table.columns.dtype == np.uint8
+        assert table.columns.tobytes() == tables["int64"].columns.tobytes()
+    queries = np.vstack([wide[:5], rng.integers(0, K, size=(5, L))])
+    before = {name: [lookup(t, q, r) for q in queries for r in range(L + 1)]
+              for name, t in tables.items()}
+    for codes in inputs.values():
+        codes[:] = (codes + 1) % K  # the caller reuses its array
+    for name, table in tables.items():
+        assert not np.shares_memory(table.columns, inputs[name])
+        assert [lookup(table, q, r) for q in queries for r in range(L + 1)] == before[name]
+
+
+def test_readers_reject_non_integer_codes():
+    table, codes, ids = random_table(33, n=20, L=4)
+    gt = make_gt([ids[:3]] * 2)
+    for bad in (codes * 0.5, codes.astype(bool)):
+        with pytest.raises(ValidationError):
+            build_table(bad, ids, 3)
+        with pytest.raises(ValidationError):
+            knn_hamming(bad, ids, codes[0], 3)
+        with pytest.raises(ValidationError):
+            knn_weighted(bad, ids, codes[0], np.ones(4), 3)
+        with pytest.raises(ValidationError):
+            pr_curve_by_radius(table, bad[:2], gt)
+    with pytest.raises(ValidationError):
+        build_table(codes + 3, ids, 3)  # symbols outside [0, K)
+
+
+@pytest.mark.parametrize("L", [6, 9])
+def test_weighted_keys_are_small_integer_ranks_on_the_pattern_table(L):
+    # 2^L <= N: each row gathers its pattern's int16 rank, equal scores
+    # sharing one, so (rank, id) order is (score, id) order
+    rng = seeded_rng(34)
+    n = 1 << L
+    columns = rng.integers(0, 3, size=(L, n)).astype(np.uint8)
+    theta = rng.choice(TIE_THETA, size=L)
+    queries = columns[:, :3].T
+    keys = evaluation._weighted_keys(columns, theta)(queries)
+    assert keys.dtype == np.int16 and keys.shape == (3, n)
+    for b in range(3):
+        # the row-major (N, L) sums of reference_knn_weighted
+        scores = -np.where(np.ascontiguousarray(columns.T) == queries[b], theta, 0.0).sum(axis=1)
+        order = np.lexsort((np.arange(n), keys[b]))
+        assert np.array_equal(order, np.lexsort((np.arange(n), scores)))
+        assert np.array_equal(np.unique(keys[b], return_inverse=True)[1].ravel(),
+                              np.unique(scores, return_inverse=True)[1].ravel())
 
 
 def test_knn_query_shapes():

@@ -106,6 +106,21 @@ def test_encode_dataset_symbol_range():
     assert codes.min() >= 0 and codes.max() < 4
 
 
+@pytest.mark.parametrize("K", [2, 4, 256, 257])
+def test_encode_dataset_writes_a_column_store(K):
+    # the (N, L) codes are the transpose of a C-contiguous (L, N) store in
+    # the smallest unsigned dtype that holds K - 1: uint8, uint16 from 257
+    model = make_model(3, K, 6, seed=K)
+    data = Dataset(seeded_rng(K + 1).standard_normal((50, 6)), np.arange(50))
+    codes = encode_dataset(data, model)
+    assert codes.dtype == np.min_scalar_type(K - 1)
+    assert codes.dtype == (np.uint8 if K <= 256 else np.uint16)
+    assert codes.shape == (50, 3) and codes.T.flags.c_contiguous
+    for l in range(3):
+        want = [rsh_encode(x, model.projections[l]) for x in data.features]
+        assert np.array_equal(codes[:, l], want)
+
+
 # ----------------------------------------------------------------- wta
 
 
