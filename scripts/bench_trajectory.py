@@ -1,0 +1,113 @@
+"""Summarise paired benchmark runs of two checkouts into one trajectory file.
+
+Reads the `perfbench/out/results/*.json` that `perfbench/run.py` left in a
+parent checkout and in a change checkout, pairs the runs by workload, seed
+and trace mode, and writes one JSON file with, per workload and metric, the
+median and interquartile range of each side, how many pairs the change won
+(by the metric's direction in `BENCHMARK.json`), each run's seed and
+`speed_factor`, and the machine the runs came from.
+
+Usage:
+    python3 scripts/bench_trajectory.py PARENT_CHECKOUT CHANGE_CHECKOUT --out BENCH_<n>.json
+
+Run the two sides alternately (parent, change, parent, ...) with the same
+seeds, so that both see the same phases of the host's speed.
+"""
+
+import argparse
+import json
+import platform
+import statistics
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
+
+
+def load_runs(checkout: Path) -> dict:
+    """{(workload, trace, seed): (info, metric values)} for one checkout."""
+    runs = {}
+    for path in sorted((checkout / "perfbench" / "out" / "results").glob("*.json")):
+        if path.name.endswith(".spans.json"):
+            continue
+        record = json.loads(path.read_text(encoding="utf-8"))
+        info, result = record["info"], record["result"]
+        if not result.get("correct") or result.get("failed"):
+            raise SystemExit(f"{path.name}: the run failed its output checks")
+        values = {name: m["value"] for name, m in result["metrics"].items()}
+        runs[(info["workload"], info["trace"], info["seed"])] = (info, values)
+    return runs
+
+
+def spread(values: list) -> dict:
+    """Median and interquartile range (inclusive quartiles) of `values`."""
+    if len(values) < 2:
+        return {"median": values[0], "iqr": 0.0, "values": values}
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "iqr": q3 - q1, "values": values}
+
+
+def cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text(encoding="utf-8").splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def trajectory(parent: dict, change: dict, spec: dict) -> dict:
+    better = {m["name"]: (m["unit"], m["better"]) for m in spec["end_to_end"] + spec["per_layer"]}
+    shared = sorted(set(parent) & set(change))
+    if not shared:
+        raise SystemExit("no run (workload, trace, seed) is present on both sides")
+    info = change[shared[0]][0]
+    machine = {key: info[key] for key in ("nproc", "python", "numpy")}
+    machine.update(machine=platform.machine(), cpu=cpu_model())
+    workloads = {}
+    for key in shared:
+        workload, trace, seed = key
+        sides = {"parent": parent[key], "change": change[key]}
+        entry = workloads.setdefault(workload if trace == 0 else f"{workload} (traced)", {
+            "trace": trace, "runs": [], "metrics": {}})
+        entry["runs"].append({"seed": seed, "seconds": sides["change"][0]["seconds"], **{
+            f"{side}_speed_factor": sides[side][0]["calibration"]["speed_factor"]
+            for side in SIDES}})
+        for name, value in sides["change"][1].items():
+            if name in sides["parent"][1]:
+                metric = entry["metrics"].setdefault(name, {"parent": [], "change": []})
+                metric["parent"].append(sides["parent"][1][name])
+                metric["change"].append(value)
+    for entry in workloads.values():
+        for name, metric in entry["metrics"].items():
+            unit, direction = better.get(name, (None, None))
+            pairs = list(zip(metric["parent"], metric["change"]))
+            wins = sum((c < p) if direction == "lower" else (c > p) for p, c in pairs)
+            entry["metrics"][name] = {
+                "unit": unit, "better": direction,
+                "parent": spread(metric["parent"]), "change": spread(metric["change"]),
+                "change_better_pairs": f"{wins}/{len(pairs)}" if direction else None,
+            }
+    return {"machine": machine, "workloads": workloads}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout holding the parent's results")
+    parser.add_argument("change", type=Path, help="checkout holding the change's results")
+    parser.add_argument("--out", type=Path, required=True, help="trajectory file to write")
+    args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    report = trajectory(load_runs(args.parent), load_runs(args.change), spec)
+    args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    for name, entry in report["workloads"].items():
+        print(f"{name}: {len(entry['runs'])} pairs")
+        for metric, m in entry["metrics"].items():
+            print(f"  {metric:14s} {m['parent']['median']:12.6g} -> {m['change']['median']:12.6g}"
+                  f"  (change better in {m['change_better_pairs']})")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -5,6 +5,9 @@ mismatch count over that store serves range lookup, kNN and the PR curve.
 `encode_dataset` already writes that layout (its (N, L) result is the
 transpose of a C-contiguous uint8 store), and every reader here keeps the
 integer dtype it is given, so no code is widened to int64 on the way.
+`lookup` answers with an int64 array of ids in table row order, and
+weighted kNN keeps the rank tables of its last few weight vectors, so a
+stream of single queries against one model rebuilds neither per call.
 All distances here are symbol-level Hamming distances (count of positions
 where two codes disagree), never distances between packed bit strings. A
 query that retrieves nothing has no defined precision; it is excluded from
@@ -14,7 +17,7 @@ precision means, while its recall counts as 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -33,10 +36,11 @@ __all__ = [
     "aggregate_runs",
 ]
 
-# The PR curve and kNN compare blocks of queries whose (L, B, N) comparison
-# mask holds at most about this many cells, and `relevant_hits` marks blocks
-# of (B, N) cells, so their transient arrays stay at a few MB (16 MB for the
-# float terms of kNN's direct weighted sum) whatever the table size.
+# kNN compares blocks of queries whose (L, B, N) comparison mask holds at
+# most about this many cells, the PR curve blocks whose mask, counts and
+# bincount keys hold about this many bytes, and `relevant_hits` marks
+# blocks of (B, N) cells, so their transient arrays stay at a few MB (16 MB
+# for the float terms of kNN's direct weighted sum) whatever the table size.
 BLOCK_CELLS = 1 << 21
 
 
@@ -140,8 +144,9 @@ def _mismatches(columns: np.ndarray, queries: np.ndarray, mask=None, out=None) -
         axis=0, dtype=np.min_scalar_type(columns.shape[0]), out=out)
 
 
-def lookup(table: HashTable, code, radius: int, strategy: str = "auto") -> set:
-    """All database ids whose codes lie within `radius` symbol flips.
+def lookup(table: HashTable, code, radius: int, strategy: str = "auto") -> np.ndarray:
+    """The database ids whose codes lie within `radius` symbol flips, as a
+    1-D int64 array in table row order (empty when nothing is in range).
 
     One count of mismatches over the whole column store answers every
     radius. `strategy` ("auto", "expand" or "scan") is accepted for
@@ -155,7 +160,7 @@ def lookup(table: HashTable, code, radius: int, strategy: str = "auto") -> set:
     if strategy not in ("auto", "expand", "scan"):
         raise ValidationError("strategy must be auto, expand, or scan")
     near = _mismatches(table.columns, code[None, :])[0] <= radius
-    return set(table.ids[near].tolist())
+    return table.ids[near]
 
 
 def _as_queries(query) -> np.ndarray:
@@ -240,6 +245,27 @@ def knn_hamming(codes, ids, query, k: int) -> np.ndarray:
     return hits[0] if np.ndim(query) == 1 else hits
 
 
+@lru_cache(maxsize=4)
+def _pattern_ranks(theta_bytes: bytes):
+    """(bit, rank) for the float64 weights whose bytes are `theta_bytes`:
+    `bit[l]` is 1 << l, and `rank[p]` the rank of agreement pattern p's
+    score, minus the sum of theta over the positions whose bit p lacks,
+    equal scores sharing a rank.
+
+    Depends on theta alone, so a served stream of single queries against
+    one model builds it once; the arrays are shared and read-only.
+    """
+    theta = np.frombuffer(theta_bytes)
+    L = theta.size
+    bit = (1 << np.arange(L)).astype(np.min_scalar_type((1 << L) - 1))
+    agree = (np.arange(1 << L)[:, None] & bit) == 0
+    scores, rank = np.unique(-np.where(agree, theta, 0.0).sum(axis=1), return_inverse=True)
+    rank = rank.astype(_key_type(scores.size - 1))
+    bit.setflags(write=False)
+    rank.setflags(write=False)
+    return bit, rank
+
+
 def _weighted_keys(columns: np.ndarray, theta: np.ndarray):
     """A function from a (B, L) query block to (B, N) ranking keys for the
     codes in the (L, N) `columns`: minus each row's weighted similarity,
@@ -247,17 +273,14 @@ def _weighted_keys(columns: np.ndarray, theta: np.ndarray):
 
     Each row's sum is the same float whatever the block: an (N, L) sum
     over a row-major array. When 2^L <= N the 2^L agreement patterns are
-    scored once by that expression and ranked, equal scores sharing a rank,
-    so (rank, id) order is (score, id) order; each row gathers its
-    pattern's rank, indexed by the positions where it differs, as a small
-    integer key.
+    scored once by that expression and ranked (`_pattern_ranks`, kept for
+    the last few thetas), equal scores sharing a rank, so (rank, id) order
+    is (score, id) order; each row gathers its pattern's rank, indexed by
+    the positions where it differs, as a small integer key.
     """
     L, n = columns.shape
     if (1 << L) <= n:
-        bit = (1 << np.arange(L)).astype(np.min_scalar_type((1 << L) - 1))
-        agree = (np.arange(1 << L)[:, None] & bit) == 0
-        scores, rank = np.unique(-np.where(agree, theta, 0.0).sum(axis=1), return_inverse=True)
-        rank = rank.astype(_key_type(scores.size - 1))
+        bit, rank = _pattern_ranks(theta.tobytes())
 
         def keys(queries):
             differ = _differ(columns, queries) * bit[:, None, None]
@@ -350,16 +373,21 @@ def pr_curve_by_radius(table: HashTable, query_codes, gt: GroundTruth):
     prec_sum = np.zeros(L + 1)
     prec_count = np.zeros(L + 1, dtype=np.int64)
     recall_sum = np.zeros(L + 1)
-    block = max(1, BLOCK_CELLS // table.columns.size)
-    # one mask and one count buffer serve every block, so the pass faults
-    # in its pages once, whatever the allocator holds from earlier work
+    # one mask, one count buffer and one bincount key buffer serve every
+    # block, so the pass faults in its pages once, whatever the allocator
+    # holds from earlier work; the three together hold about BLOCK_CELLS
+    # bytes
+    count_type, key_type = np.min_scalar_type(L), np.dtype(np.intp)
+    row_bytes = (L + count_type.itemsize + key_type.itemsize) * table.ids.size
+    block = max(1, BLOCK_CELLS // row_bytes)
     mask = np.empty((L, min(block, asked.size), table.ids.size), dtype=bool)
-    counts = np.empty(mask.shape[1:], dtype=np.min_scalar_type(L))
+    counts = np.empty(mask.shape[1:], dtype=count_type)
+    keys = np.empty(mask.shape[1:], dtype=key_type)
     for start in range(0, asked.size, block):
         qs = asked[start:start + block]
         dists = _mismatches(table.columns, query_codes[qs], mask[:, :qs.size], counts[:qs.size])
         offsets = np.arange(qs.size)[:, None] * (L + 1)
-        total = _cumulative_counts(dists + offsets, qs.size, L)
+        total = _cumulative_counts(np.add(dists, offsets, out=keys[:qs.size]), qs.size, L)
         # every (query, row) whose row id is relevant to the query: an id
         # absent from the table matches no row, a repeated id several
         wanted = np.concatenate([gt.neighbor_lists[q] for q in qs])

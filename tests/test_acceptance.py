@@ -214,9 +214,10 @@ def test_ball_lookup_matches_linear_scan():
     for q in q_codes:
         dists = (codes != q).sum(axis=1)
         for R in range(4):
-            expected = set(ids[dists <= R].tolist())
-            assert lookup(table, q, R, strategy="expand") == expected
-            assert lookup(table, q, R, strategy="scan") == expected
+            expected = ids[dists <= R]
+            for strategy in ("expand", "scan"):
+                got = lookup(table, q, R, strategy=strategy)
+                assert got.dtype == np.int64 and np.array_equal(got, expected)
     print("\nlookup: 50 queries x radii 0-3, expand and scan both match the scan filter")
 
 

@@ -1,0 +1,66 @@
+"""`scripts/bench_trajectory.py` pairs two checkouts' benchmark results."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_trajectory.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("bench_trajectory", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_result(checkout: Path, seed: int, knn_us: float, ap: float, speed: float, ok=True):
+    results = checkout / "perfbench" / "out" / "results"
+    results.mkdir(parents=True, exist_ok=True)
+    info = {"workload": "query_stream", "seed": seed, "trace": 0, "seconds": 30.0,
+            "nproc": 2, "python": "3.11", "numpy": "2.0",
+            "calibration": {"speed_factor": speed}}
+    result = {"correct": ok, "attempted": 10, "failed": 0 if ok else 1, "metrics": {
+        "knn_mean_us": {"value": knn_us, "unit": "us"},
+        "ap_rsh": {"value": ap, "unit": "ratio"}}}
+    path = results / f"query_stream-seed{seed}-trace0.json"
+    path.write_text(json.dumps({"info": info, "result": result}), encoding="utf-8")
+    (results / f"query_stream-seed{seed}-trace0.spans.json").write_text("{}", encoding="utf-8")
+
+
+def test_pairs_runs_by_seed_and_reports_medians_iqr_and_wins(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, before, after in ((1, 400.0, 260.0), (2, 420.0, 270.0), (3, 410.0, 430.0),
+                                (4, 390.0, 250.0), (5, 430.0, 280.0)):
+        write_result(parent, seed, before, 0.5, 0.7)
+        write_result(change, seed, after, 0.5, 0.8)
+    write_result(change, 9, 100.0, 0.5, 0.8)  # no parent run: left out
+    out = tmp_path / "BENCH.json"
+    assert load_script().main([str(parent), str(change), "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["machine"]["nproc"] == 2
+    entry = report["workloads"]["query_stream"]
+    assert [run["seed"] for run in entry["runs"]] == [1, 2, 3, 4, 5]
+    assert entry["runs"][0] == {"seed": 1, "seconds": 30.0,
+                                "parent_speed_factor": 0.7, "change_speed_factor": 0.8}
+    knn = entry["metrics"]["knn_mean_us"]
+    assert knn["better"] == "lower" and knn["unit"] == "us"
+    assert knn["parent"]["median"] == 410.0 and knn["parent"]["iqr"] == 20.0
+    assert knn["change"]["median"] == 270.0 and knn["change"]["iqr"] == 20.0
+    assert knn["change_better_pairs"] == "4/5"
+    assert entry["metrics"]["ap_rsh"]["change_better_pairs"] == "0/5"
+
+
+def test_refuses_failed_runs_and_unpaired_sides(tmp_path):
+    script = load_script()
+    write_result(tmp_path / "parent", 1, 400.0, 0.5, 0.7, ok=False)
+    with pytest.raises(SystemExit, match="failed"):
+        script.load_runs(tmp_path / "parent")
+    write_result(tmp_path / "a", 1, 400.0, 0.5, 0.7)
+    write_result(tmp_path / "b", 2, 400.0, 0.5, 0.7)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit, match="both sides"):
+        script.main([str(tmp_path / "a"), str(tmp_path / "b"), "--out", str(out)])
+    assert not out.exists()

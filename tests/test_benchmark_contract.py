@@ -3,8 +3,10 @@
 `perfbench/workloads.py` imports names from the package, patches every
 `CLI_LAYER_NAMES` entry in the `rankhash.cli` namespace for its traced run,
 reads `HashTable.buckets` for its occupancy counts, and calls `lookup` with
-each `STRATEGIES` entry. It is read here as source, not imported, so a
-renamed or removed name fails this suite rather than only the benchmark.
+each `STRATEGIES` entry. Its per-layer metrics also need the CLI to call
+the layers they take medians of. It is read here as source, not imported,
+so a renamed or removed name fails this suite rather than only the
+benchmark.
 """
 
 import ast
@@ -16,7 +18,9 @@ import numpy as np
 import rankhash.cli as cli
 from rankhash.evaluation import build_table, lookup
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+CLI = ROOT / "src" / "rankhash" / "cli.py"
 
 
 def workloads_tree() -> ast.Module:
@@ -48,6 +52,23 @@ def test_cli_exposes_every_layer_name_the_benchmark_traces():
     assert [name for name in names if not hasattr(cli, name)] == []
 
 
+def test_cli_calls_every_layer_the_traced_metrics_need():
+    # `layer_metrics` takes medians over the spans of these calls, and only
+    # the CLI makes them (serving calls one of the two kNN functions); a
+    # CLI that stopped calling one would fail only the traced benchmark run
+    tree = ast.parse(CLI.read_text(encoding="utf-8"))
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    needed = ("pr_curve_by_radius", "knn_hamming", "knn_weighted")
+    assert [name for name in needed if name not in called] == []
+    # the trainers are picked per method, then called
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert {"train_rsh", "train_srsh"} <= read
+    pair_fns = [name.rpartition(".")[2] for name in workloads_constant("PAIR_FNS")]
+    assert pair_fns and called.intersection(pair_fns)
+
+
 def test_table_and_lookup_serve_what_the_benchmark_reads():
     codes = np.array([[0, 1, 2], [0, 1, 2], [2, 1, 0]])
     table = build_table(codes, np.arange(3), 3)
@@ -55,4 +76,5 @@ def test_table_and_lookup_serve_what_the_benchmark_reads():
     strategies = workloads_constant("STRATEGIES")
     assert strategies
     for strategy in strategies:
-        assert lookup(table, codes[0], 1, strategy) == {0, 1}
+        found = lookup(table, codes[0], 1, strategy)
+        assert found.dtype == np.int64 and np.array_equal(found, [0, 1])

@@ -105,8 +105,16 @@ def reference_pr_curve(codes, ids, query_codes, gt):
     return curve
 
 
-def linear_scan(codes, ids, query, radius) -> set:
-    return {int(i) for c, i in zip(codes, ids) if symbol_hamming(c, query) <= radius}
+def linear_scan(codes, ids, query, radius) -> np.ndarray:
+    """Ids within `radius` of `query`, one code at a time, in row order."""
+    return np.array([i for c, i in zip(codes, ids) if symbol_hamming(c, query) <= radius],
+                    dtype=np.int64)
+
+
+def assert_ids(got, want):
+    """`got` is a 1-D int64 id array equal to `want`, order included."""
+    assert isinstance(got, np.ndarray) and got.dtype == np.int64 and got.ndim == 1
+    assert np.array_equal(got, want)
 
 
 def test_symbol_hamming_examples():
@@ -166,13 +174,13 @@ def test_build_table_partitions_ids():
 def test_lookup_radius_zero_is_exact_bucket():
     table, codes, ids = random_table(1)
     got = lookup(table, codes[0], 0)
-    expected = {int(i) for c, i in zip(codes, ids) if np.array_equal(c, codes[0])}
-    assert got == expected
+    expected = [i for c, i in zip(codes, ids) if np.array_equal(c, codes[0])]
+    assert_ids(got, expected)
 
 
 def test_lookup_radius_L_is_everything():
     table, codes, ids = random_table(2)
-    assert lookup(table, codes[0], table.L) == set(ids.tolist())
+    assert_ids(lookup(table, codes[0], table.L), ids)
 
 
 def test_lookup_matches_linear_scan_and_strategies_agree():
@@ -182,9 +190,9 @@ def test_lookup_matches_linear_scan_and_strategies_agree():
         query = rng.integers(0, 3, size=6)
         for radius in range(4):
             brute = linear_scan(codes, ids, query, radius)
-            assert lookup(table, query, radius, strategy="expand") == brute
-            assert lookup(table, query, radius, strategy="scan") == brute
-            assert lookup(table, query, radius) == brute
+            assert_ids(lookup(table, query, radius, strategy="expand"), brute)
+            assert_ids(lookup(table, query, radius, strategy="scan"), brute)
+            assert_ids(lookup(table, query, radius), brute)
 
 
 @pytest.mark.parametrize("K", [2, 3, 300])
@@ -205,10 +213,10 @@ def test_lookup_strategies_match_linear_scan_with_foreign_symbols(K):
             query[p] = foreign[(trial + p) % len(foreign)]
         for radius in range(L + 1):
             brute = linear_scan(codes, ids, query, radius)
-            assert lookup(table, query, radius, strategy="scan") == brute
-            assert lookup(table, query, radius) == brute
+            assert_ids(lookup(table, query, radius, strategy="scan"), brute)
+            assert_ids(lookup(table, query, radius), brute)
             if K < 300 or radius <= 1:
-                assert lookup(table, query, radius, strategy="expand") == brute
+                assert_ids(lookup(table, query, radius, strategy="expand"), brute)
 
 
 @pytest.mark.parametrize("K", [3, 300])
@@ -222,19 +230,34 @@ def test_lookup_scans_the_store_without_building_buckets(K):
         for radius in range(L + 1):
             brute = linear_scan(codes, ids, query, radius)
             for strategy in ("auto", "expand", "scan"):
-                assert lookup(table, query, radius, strategy) == brute
+                assert_ids(lookup(table, query, radius, strategy), brute)
     assert "buckets" not in vars(table)
     with pytest.raises(ValidationError):
         lookup(table, codes[0], 1, "probe")
 
 
+def test_lookup_returns_int64_ids_in_table_row_order():
+    rng = seeded_rng(90)
+    n, L, K = 120, 5, 3
+    codes = rng.integers(0, K, size=(n, L)).astype(np.uint8)
+    ids = rng.permutation(10 * n)[:n].astype(np.int32) - 300  # unsorted, some negative
+    table = build_table(codes, ids, K)
+    for query in (codes[3], rng.integers(0, K, size=L), np.array([1, 0, K, 2, 1])):
+        for radius in range(L + 1):
+            assert_ids(lookup(table, query, radius),
+                       ids[np.count_nonzero(codes != query, axis=1) <= radius])
+    # nothing in range: an empty (0,) id array
+    missed = lookup(table, np.full(L, K), L - 1)
+    assert missed.shape == (0,) and missed.dtype == np.int64
+
+
 def test_lookup_monotone_in_radius():
     table, codes, _ = random_table(5)
     query = codes[7]
-    prev: set = set()
+    prev = np.empty(0, dtype=np.int64)
     for radius in range(table.L + 1):
         got = lookup(table, query, radius)
-        assert prev <= got
+        assert np.isin(prev, got).all()
         prev = got
 
 
@@ -249,7 +272,7 @@ def test_lookup_rejects_non_integer_radius():
     for radius in (True, False, 1.0, 2.5, "1"):
         with pytest.raises(ValidationError):
             lookup(table, np.zeros(6, dtype=int), radius)
-    assert lookup(table, np.zeros(6, dtype=int), np.int64(6)) == set(table.ids.tolist())
+    assert_ids(lookup(table, np.zeros(6, dtype=int), np.int64(6)), table.ids)
 
 
 def test_build_table_rejects_non_integer_K():
@@ -380,6 +403,53 @@ def test_knn_weighted_pattern_table_is_bit_exact(L, extra):
         assert np.array_equal(knn_weighted(layout, ids[: small.shape[0]], codes[0], theta, k), want)
 
 
+def fresh_pattern_ranks(theta):
+    """The (bit, rank) tables built from scratch, as every call built them
+    before they were cached."""
+    L = theta.size
+    bit = (1 << np.arange(L)).astype(np.min_scalar_type((1 << L) - 1))
+    agree = (np.arange(1 << L)[:, None] & bit) == 0
+    scores, rank = np.unique(-np.where(agree, theta, 0.0).sum(axis=1), return_inverse=True)
+    return bit, rank.astype(evaluation._key_type(scores.size - 1))
+
+
+@pytest.mark.parametrize("L", [1, 3, 8, 9, 12])
+def test_cached_pattern_ranks_equal_a_fresh_build(L):
+    rng = seeded_rng(70 + L)
+    thetas = [rng.random(L), rng.choice(TIE_THETA, size=L), np.full(L, 0.7),
+              np.zeros(L), -np.zeros(L), np.where(rng.random(L) < 0.5, -0.0, 0.0),
+              np.where(rng.random(L) < 0.5, 0.0, rng.choice([0.1, 0.2, 0.3], size=L))]
+    for theta in thetas:
+        evaluation._pattern_ranks.cache_clear()
+        bit, rank = evaluation._pattern_ranks(theta.tobytes())
+        want_bit, want_rank = fresh_pattern_ranks(theta)
+        for got, want in ((bit, want_bit), (rank, want_rank)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            with pytest.raises(ValueError):
+                got[0] = 1
+        again = evaluation._pattern_ranks(theta.copy().tobytes())
+        assert again[0] is bit and again[1] is rank
+    # -0.0 is its own cache entry, with the same ranks as 0.0
+    zero = evaluation._pattern_ranks(np.zeros(L).tobytes())[1]
+    assert np.array_equal(evaluation._pattern_ranks((-np.zeros(L)).tobytes())[1], zero)
+
+
+@pytest.mark.parametrize("L", [4, 9])
+def test_knn_weighted_builds_pattern_ranks_once_per_theta(L):
+    rng = seeded_rng(80 + L)
+    theta = rng.choice(TIE_THETA, size=L)
+    for n in ((1 << L) + 5, (1 << L) - 1):  # the pattern table, then the direct sum
+        codes = rng.integers(0, 3, size=(n, L))
+        ids = rng.permutation(n) + 7
+        evaluation._pattern_ranks.cache_clear()
+        for query in (codes[0], codes[1]):
+            got = knn_weighted(codes, ids, query, list(theta), 11)
+            assert np.array_equal(got, reference_knn_weighted(codes, ids, query, theta, 11))
+        info = evaluation._pattern_ranks.cache_info()
+        patterns = (1 << L) <= n
+        assert (info.misses, info.hits) == ((1, 1) if patterns else (0, 0))
+
+
 def test_knn_reads_a_column_store_like_int64_codes():
     rng = seeded_rng(30)
     codes = rng.integers(0, 3, size=(70, 6))
@@ -443,7 +513,7 @@ def test_store_layout_codes_rank_like_int64_codes(seed, pattern_table, L, K, dis
     assert table.columns.tobytes() == wide_table.columns.tobytes()
     for q, wide_q in zip(queries, wide_queries):
         for radius in range(L + 1):
-            assert lookup(table, q, radius) == lookup(wide_table, wide_q, radius)
+            assert_ids(lookup(table, q, radius), lookup(wide_table, wide_q, radius))
     gt = make_gt([rng.choice(ids, size=int(rng.integers(0, n + 1)), replace=False)
                   for _ in range(len(queries) - 1)] + [ids[:1]])
     assert_same_curve(pr_curve_by_radius(table, queries, gt),
@@ -470,7 +540,10 @@ def test_build_table_owns_its_store():
         codes[:] = (codes + 1) % K  # the caller reuses its array
     for name, table in tables.items():
         assert not np.shares_memory(table.columns, inputs[name])
-        assert [lookup(table, q, r) for q in queries for r in range(L + 1)] == before[name]
+        after = [lookup(table, q, r) for q in queries for r in range(L + 1)]
+        assert len(after) == len(before[name])
+        for got, want in zip(after, before[name]):
+            assert_ids(got, want)
 
 
 def test_readers_reject_non_integer_codes():
@@ -660,7 +733,7 @@ def test_pr_curve_and_ap_match_brute_force():
     for R in range(L + 1):
         precisions, recalls = [], []
         for q in range(Q):
-            got = lookup(table, queries[q], R)
+            got = set(lookup(table, queries[q], R).tolist())
             relevant = set(gt.neighbor_lists[q].tolist())
             p = precision(got, relevant)
             if p is not None:
@@ -693,7 +766,9 @@ def assert_same_curve(got, want):
 
 
 def block_rows(n, L):
-    return max(1, evaluation.BLOCK_CELLS // (n * L))
+    """Queries per PR-curve block: each holds a mask, a count and a key row."""
+    row_bytes = L + np.min_scalar_type(L).itemsize + np.dtype(np.intp).itemsize
+    return max(1, evaluation.BLOCK_CELLS // (n * row_bytes))
 
 
 @pytest.mark.parametrize("which", ["one", "block-1", "block+1", "many"])
