@@ -10,16 +10,19 @@ instead minimizes a convex-in-the-max upper bound per pair:
 with y = W @ x and h the emitted symbols. The maximizing (k, l) is the
 error-adjusted competitor: the online step finds it with a K x K scan (the
 row-major first maximizer) and moves the rows of W so the emitted symbols
-beat it. The trainer runs that step on a block of pairs at a time, in one
-stacked gemv and one (B, K, K) scan per block, and applies the block's
-first update. Off its diagonal the adjusted matrix adds one constant to
+beat it. The trainer (`_train_bits`) runs that step on a block of pairs
+at a time and trains a stack of independent bits in rounds: each round
+decides one block of every bit still training, with one stacked gemv and
+one (A, S, K, K) scan for all A bits, and applies each bit's first update
+in its block. Off its diagonal the adjusted matrix adds one constant to
 every sum y_i[k] + y_j[l], so the objective pass takes its maximum from each
 pair's emitted symbols, top two scores per side and best diagonal sum
 (`_pair_scores`) without building it. The scalar per-pair forms these are
 checked against live in `tests/oracles.py`.
 
 `train_rsh` learns all L projection matrices independently from derived
-child seeds. `train_srsh` learns them sequentially, reweighting pairs after
+child seeds, as one stack of L bits. `train_srsh` learns them sequentially,
+a stack of one bit at a time, reweighting pairs after
 each bit the way boosting does, and returns per-bit fusion weights theta.
 """
 
@@ -156,97 +159,219 @@ def _prepare(data: Dataset, pairs: PairSet):
     return data.features, pairs.i, pairs.j, pairs.s
 
 
-# Block size of `_train_bit`'s exact block step. Outputs do not depend on
-# these constants, only the time spent does. A block is twice the longer of
-# the last gap between two updates and the current run of visits without
-# one, within [_BLOCK_MIN, _BLOCK_MAX] pairs and at most _BLOCK_CELLS
-# loss-adjusted cells (but at least one pair).
+# Block sizes of `_train_bits`' exact block step. Outputs do not depend on
+# these constants, only the time spent does. Each bit asks for twice the
+# longer of the last gap between two of its updates and its current run of
+# visits without one, within [_BLOCK_MIN, _BLOCK_MAX] pairs. A round decides
+# the smallest ask for every bit still training, cut so that each of its
+# buffers holds at most _BLOCK_CELLS floats: the A * S * K * K loss-adjusted
+# cells and the A * 2S * d gathered endpoint values (but at least one pair
+# per bit), and rounded down to a power of two.
 _BLOCK_MIN = 4
 _BLOCK_MAX = 256
 _BLOCK_CELLS = 1 << 16
 
 
-def _train_bit(X, pi, pj, ps, hyper: Hyperparams, bit_seed: int, alpha=None):
-    """Online training of one projection matrix.
+class _Bit:
+    """One bit's state inside `_train_bits`."""
 
-    Epochs visit the pairs in a freshly shuffled order with step size
-    eta / (1 + epoch); training stops at the epoch cap or when the relative
-    change of the surrogate objective between epochs drops below tol.
-    Returns W, the surrogate and empirical traces (one entry before training
-    and one per epoch), per epoch the fraction of pair visits that took an
-    update step, and the per-pair errors of the final W (its last objective
-    pass).
+    def __init__(self, seed, hyper, X, pi, pj, ps, pad):
+        self.rng = seeded_rng(seed)
+        self.W = self.out = init_projection(hyper.K, X.shape[1], self.rng)
+        self.omega, emp, self.err = _objective_arrays(X, pi, pj, ps, self.W, hyper.rho, hyper.lam)
+        self.surr, self.emp, self.upd = [self.omega], [emp], []
+        # the epoch's visits in order: first rows, second rows, similarities,
+        # padded with zeros for rounds that run past its end
+        self.plan = np.zeros((3, pi.size + pad), dtype=np.min_scalar_type(max(X.shape[0] - 1, 1)))
+        self.epoch = 0
+        self.quiet = 0  # visits since the last update
+        self.gap = 0  # visits between the last two updates
+        self.done = False
 
-    Each visit is the exact per-pair step, run a block of visits at a time.
-    `np.matmul(W, cols[ends])` projects the block's endpoints with one gemv
-    per stacked column, the BLAS call behind `W.dot(x)`, so every y is the
-    float a one-pair step computes. The block's K x K loss-adjusted cells
-    are the step's own sums (yi[k] + yj[l]) + e(k, l, s), and a row's flat
-    argmax is the row-major first maximiser. The first pair whose maximiser
-    is not its emitted cell (hi, hj) takes the update, exactly as a one-pair
-    step would, and the next block starts at the pair after it.
+
+class _Round(NamedTuple):
+    """A round's views of `_train_bits`' buffers, for A bits and S pairs each."""
+
+    E: np.ndarray  # (A, 2S, d, 1) endpoint columns, first and second points interleaved
+    pair_cols: np.ndarray  # E as (A * S, 2, d, 1)
+    Y: np.ndarray  # (A, 2S, K, 1) projections
+    y: np.ndarray  # (A, 2S, K)
+    yi: np.ndarray  # (A, S, K, 1) first points' projections
+    yj: np.ndarray  # (A, S, 1, K) second points'
+    cells: np.ndarray  # (A, S, K, K) loss-adjusted cells
+    flat: np.ndarray  # (A, S, K * K) the cells, one row per pair
+    offsets: np.ndarray  # (A, S, K, K) e(k, l, s)
+    h: np.ndarray  # (A, 2S) emitted symbols
+    pairs: np.ndarray  # (A, S, 2) the emitted symbols (hi, hj) of each pair
+    g: np.ndarray  # (A, S) flat argmax cell
+    e: np.ndarray  # (A, S) flat emitted cell hi * K + hj
+    moved: np.ndarray  # (A, S) g != e: the pair takes an update
+
+
+def _train_bits(X, pi, pj, ps, hyper: Hyperparams, seeds, alpha=None):
+    """Online training of independent projection matrices, one per seed.
+
+    Each bit's epochs visit the pairs in a freshly shuffled order from its
+    own rng, with step size eta / (1 + epoch); a bit stops at the epoch cap
+    or when the relative change of its surrogate objective between epochs
+    drops below tol. alpha, if given, multiplies each pair's step. Returns,
+    per seed, W, the surrogate and empirical traces (one entry before
+    training and one per epoch), per epoch the fraction of pair visits that
+    took an update step, and the per-pair errors of the final W.
+
+    Each visit is the exact per-pair step, run a block of visits at a time,
+    and each round decides one block of S visits for every bit still
+    training. `np.matmul` of the stacked W with the block's gathered (d, 1)
+    endpoint columns runs one gemv per column, the BLAS call behind
+    `W.dot(x)`, so every y is the float a one-pair step computes. The
+    (A, S, K, K) cells are the step's own sums (yi[k] + yj[l]) + e(k, l, s),
+    and a row's flat argmax is the row-major first maximiser. Per bit, the
+    first pair whose maximiser is not its emitted cell (hi, hj) takes the
+    update, exactly as a one-pair step would, and that bit's next block
+    starts at the pair after it. So outputs depend neither on S nor on how
+    many bits share a round: every kept decision is made with the bit's W
+    as the one-pair step would see it, decisions past a bit's first update
+    are dropped, and bits share buffers but no values.
+
+    A lone bit (srsh, `train_rsh_bit`, or the last bit still training) reads
+    its blocks as slices of a window of endpoint rows gathered ahead; a
+    stack of bits gathers each round's rows with one take.
     """
-    rng = seeded_rng(bit_seed)
-    K = hyper.K
-    W = init_projection(K, X.shape[1], rng)
-    rho, lam = hyper.rho, hyper.lam
-    omega, emp, err = _objective_arrays(X, pi, pj, ps, W, rho, lam)
-    surr_trace = [omega]
-    emp_trace = [emp]
-    update_trace = []
+    K, d, n = hyper.K, X.shape[1], pi.size
+    L = len(seeds)
+    width = max(K * K, 2 * d)  # floats per pair in the widest round buffer
+    # cap[A]: the most pairs per bit in a round of A bits
+    cap = [0] + [max(1, min(_BLOCK_MAX, _BLOCK_CELLS // (A * width), n)) for A in range(1, L + 1)]
+    span = max(A * cap[A] for A in range(1, L + 1))  # pairs of the largest round
+    window = min(n, max(cap[1], _BLOCK_CELLS // (2 * d)))  # pairs a lone bit's window holds
+    bits = [_Bit(seed, hyper, X, pi, pj, ps, cap[2] if L > 1 else 0) for seed in seeds]
+    offsets = _pair_offsets(K, hyper.rho, hyper.lam)
     cols = X[:, :, None]
-    w_rows = list(W)
-    offsets = _pair_offsets(K, rho, lam)
-    n = pi.size
-    block_max = max(1, min(_BLOCK_MAX, _BLOCK_CELLS // (K * K)))
-    ends = np.empty(2 * n, dtype=np.intp)  # the epoch's endpoint rows, interleaved
-    quiet_run = 0  # visits since the last update
-    last_gap = 0  # visits between the last two updates
-    for epoch in range(hyper.epochs):
-        base_step = hyper.eta / (1.0 + epoch)
-        order = rng.permutation(n)
-        ends[0::2] = pi[order]
-        ends[1::2] = pj[order]
-        sims = ps[order]
-        updates = 0
-        pos = 0
-        while pos < n:
-            size = min(max(2 * max(quiet_run, last_gap), _BLOCK_MIN), block_max)
-            stop = min(pos + size, n)
-            y = np.matmul(W, cols[ends[2 * pos : 2 * stop]])[:, :, 0]
-            m = y[0::2, :, None] + y[1::2, None, :]
-            m += offsets[sims[pos:stop]]
-            g = m.reshape(stop - pos, K * K).argmax(axis=1)
-            h = y.argmax(axis=1)
-            moved = g != h[0::2] * K + h[1::2]
-            r = int(moved.argmax())
-            if not moved[r]:
-                quiet_run += stop - pos
-                pos = stop
-                continue
-            updates += 1
-            last_gap = quiet_run + r + 1
-            quiet_run = 0
-            gi, gj = divmod(int(g[r]), K)
-            hi, hj = int(h[2 * r]), int(h[2 * r + 1])
-            step = base_step if alpha is None else base_step * float(alpha[order[pos + r]])
-            pos += r + 1
-            if gi != hi:
-                dx = step * X[ends[2 * pos - 2]]
-                w_rows[hi] += dx
-                w_rows[gi] -= dx
-            if gj != hj:
-                dx = step * X[ends[2 * pos - 1]]
-                w_rows[hj] += dx
-                w_rows[gj] -= dx
-        update_trace.append(updates / n)
-        omega_new, emp_new, err = _objective_arrays(X, pi, pj, ps, W, rho, lam)
-        surr_trace.append(omega_new)
-        emp_trace.append(emp_new)
-        if abs(omega_new - omega) / max(abs(omega), 1e-12) < hyper.tol:
-            break
-        omega = omega_new
-    return W, surr_trace, emp_trace, update_trace, err
+    rows = 2 * max(window, span) * d
+    floats = np.empty(rows + 2 * span * K + 2 * span * K * K)
+    col_buf = floats[:rows].reshape(-1, d, 1)
+    y_buf = floats[rows : rows + 2 * span * K]
+    cell_buf, offset_buf = floats[rows + 2 * span * K :].reshape(2, span * K * K)
+    sym_buf = np.empty(4 * span, dtype=np.intp)  # emitted symbols, argmax cells, emitted cells
+    moved_buf = np.empty(span, dtype=bool)
+    dx = np.empty(d)
+    flat_cell = np.array([K, 1], dtype=np.intp)  # (hi, hj) . flat_cell = hi * K + hj
+    win = [0, 0]  # the lone bit's window [lo, hi) of visits; hi = 0 forces a refill
+
+    def round_views(A, S):
+        E = col_buf[: 2 * A * S].reshape(A, 2 * S, d, 1)
+        Y = y_buf[: 2 * A * S * K].reshape(A, 2 * S, K, 1)
+        y = Y[..., 0]
+        cells = cell_buf[: A * S * K * K].reshape(A, S, K, K)
+        h = sym_buf[: 2 * A * S].reshape(A, 2 * S)
+        g, e = sym_buf[2 * A * S : 4 * A * S].reshape(2, A, S)
+        return _Round(
+            E, E.reshape(A * S, 2, d, 1), Y, y, y[:, 0::2, :, None], y[:, 1::2, None, :],
+            cells, cells.reshape(A, S, K * K), offset_buf[: A * S * K * K].reshape(A, S, K, K),
+            h, h.reshape(A, S, 2), g, e, moved_buf[: A * S].reshape(A, S),
+        )
+
+    shaped = {}  # (A, S) -> _Round
+
+    def start_epoch(b):
+        b.step = hyper.eta / (1.0 + b.epoch)
+        b.order = b.rng.permutation(n)
+        b.plan[0, :n] = pi[b.order]
+        b.plan[1, :n] = pj[b.order]
+        b.plan[2, :n] = ps[b.order]
+        b.pos = b.updates = 0
+        win[1] = 0
+
+    def end_epoch(b):
+        """Close b's epoch; True when b has finished training."""
+        b.upd.append(b.updates / n)
+        omega, emp, b.err = _objective_arrays(X, pi, pj, ps, b.W, hyper.rho, hyper.lam)
+        b.surr.append(omega)
+        b.emp.append(emp)
+        b.epoch += 1
+        if b.epoch == hyper.epochs or abs(omega - b.omega) / max(abs(b.omega), 1e-12) < hyper.tol:
+            # the finished W leaves the stack for the array it started in,
+            # so that training allocates nothing once it is done
+            b.out[...] = b.W
+            b.W = b.out
+            return True
+        b.omega = omega
+        start_epoch(b)
+        return False
+
+    def stack(active):
+        Ws = np.stack([b.W for b in active])
+        for b, W in zip(active, Ws):
+            b.W, b.rows = W, list(W)
+        win[1] = 0
+        return Ws[:, None]
+
+    for b in bits:
+        start_epoch(b)
+    active = bits
+    Ws = stack(active)  # (A, 1, K, d)
+    lone_cols = col_buf[None]
+    ask, left = _BLOCK_MIN, n  # the smallest ask and the longest rest of an epoch
+    while active:
+        A = len(active)
+        # a power of two, so that a call builds views for few round shapes
+        S = 1 << (min(ask, cap[A], left).bit_length() - 1)
+        v = shaped.get((A, S)) or shaped.setdefault((A, S), round_views(A, S))
+        if A == 1:
+            b = active[0]
+            if b.pos + S > win[1]:
+                win[:] = b.pos, min(b.pos + window, n)
+                pair_rows = b.plan[:2, win[0] : win[1]].T
+                out = col_buf[: 2 * len(pair_rows)].reshape(-1, 2, d, 1)
+                cols.take(pair_rows, axis=0, out=out, mode="clip")
+            at = 2 * (b.pos - win[0])
+            E = lone_cols[:, at : at + 2 * S]
+            s = b.plan[None, 2, b.pos : b.pos + S]
+        else:
+            plan = np.concatenate([b.plan[:, b.pos : b.pos + S] for b in active], axis=1)
+            cols.take(plan[:2].T, axis=0, out=v.pair_cols, mode="clip")
+            E, s = v.E, plan[2].reshape(A, S)
+        np.matmul(Ws, E, out=v.Y)
+        np.add(v.yi, v.yj, out=v.cells)
+        np.add(v.cells, offsets.take(s, axis=0, out=v.offsets, mode="clip"), out=v.cells)
+        v.flat.argmax(axis=2, out=v.g)
+        v.y.argmax(axis=2, out=v.h)
+        np.dot(v.pairs, flat_cell, out=v.e)
+        moved = np.not_equal(v.g, v.e, out=v.moved)
+        ask, left, finished = _BLOCK_MAX, 0, False
+        for a, r in enumerate(moved.argmax(axis=1).tolist()):
+            b = active[a]
+            if r < n - b.pos and moved[a, r]:
+                b.updates += 1
+                b.gap = b.quiet + r + 1
+                b.quiet = 0
+                gi, gj = divmod(int(v.g[a, r]), K)
+                hi, hj = int(v.h[a, 2 * r]), int(v.h[a, 2 * r + 1])
+                at = b.pos + r
+                step = b.step if alpha is None else b.step * float(alpha[b.order[at]])
+                b.pos = at + 1
+                xi, xj = b.plan[:2, at].tolist()
+                if gi != hi:
+                    np.multiply(X[xi], step, out=dx)
+                    b.rows[hi] += dx
+                    b.rows[gi] -= dx
+                if gj != hj:
+                    np.multiply(X[xj], step, out=dx)
+                    b.rows[hj] += dx
+                    b.rows[gj] -= dx
+            else:  # no update in b's block, which may end with its epoch
+                taken = min(S, n - b.pos)
+                b.quiet += taken
+                b.pos += taken
+            if b.pos == n and end_epoch(b):
+                b.done = finished = True
+            else:
+                ask = min(ask, max(2 * max(b.quiet, b.gap), _BLOCK_MIN))
+                left = max(left, n - b.pos)
+        if finished:
+            active = [b for b in active if not b.done]
+            Ws = stack(active) if active else None
+    return [(b.W, b.surr, b.emp, b.upd, b.err) for b in bits]
 
 
 def train_rsh(data: Dataset, pairs: PairSet, hyper: Hyperparams, log: TrainLog | None = None) -> HashModel:
@@ -254,18 +379,18 @@ def train_rsh(data: Dataset, pairs: PairSet, hyper: Hyperparams, log: TrainLog |
 
     Bit l trains from child_seed(hyper.seed, l), so results do not depend on
     the order bits are trained in, and identical seeds reproduce identical
-    models bit for bit.
+    models bit for bit. The bits train in lockstep, one block of each per
+    round (`_train_bits`).
     """
     X, pi, pj, ps = _prepare(data, pairs)
-    mats = []
-    for l in range(hyper.L):
-        W, surr, emp, upd, _ = _train_bit(X, pi, pj, ps, hyper, child_seed(hyper.seed, l))
-        mats.append(W)
-        if log is not None:
+    seeds = [child_seed(hyper.seed, l) for l in range(hyper.L)]
+    trained = _train_bits(X, pi, pj, ps, hyper, seeds)
+    if log is not None:
+        for l, (_, surr, emp, upd, _) in enumerate(trained):
             log.bits.append(
                 BitTrace(bit=l, objective_trace=surr, empirical_trace=emp, update_fraction=upd)
             )
-    return HashModel(np.stack(mats), None, hyper)
+    return HashModel(np.stack([W for W, *_ in trained]), None, hyper)
 
 
 def train_rsh_bit(data: Dataset, pairs: PairSet, hyper: Hyperparams, bit_seed: int) -> np.ndarray:
@@ -274,8 +399,7 @@ def train_rsh_bit(data: Dataset, pairs: PairSet, hyper: Hyperparams, bit_seed: i
     `train_rsh` is exactly this, run once per bit with derived child seeds.
     """
     X, pi, pj, ps = _prepare(data, pairs)
-    W = _train_bit(X, pi, pj, ps, hyper, bit_seed)[0]
-    return W
+    return _train_bits(X, pi, pj, ps, hyper, [bit_seed])[0][0]
 
 
 def boost_step(alpha, norm_err, eps_min: float):
@@ -321,8 +445,8 @@ def train_srsh(data: Dataset, pairs: PairSet, hyper: Hyperparams, log: TrainLog 
     mats = []
     thetas = []
     for l in range(hyper.L):
-        W, surr, emp, upd, err = _train_bit(
-            X, pi, pj, ps, hyper, child_seed(hyper.seed, l), alpha=alpha
+        [(W, surr, emp, upd, err)] = _train_bits(
+            X, pi, pj, ps, hyper, [child_seed(hyper.seed, l)], alpha=alpha
         )
         norm_err = err / emax if emax > 0 else np.zeros(pi.size)
         alpha, eps, theta = boost_step(alpha, norm_err, hyper.eps_min)

@@ -630,8 +630,9 @@ def test_training_matches_reference_loop_screening_every_block(case, monkeypatch
     d=st.integers(min_value=1, max_value=80),
     scale=st.sampled_from([1e-3, 1.0, 1e3]),
     integer_w=st.booleans(),
+    A=st.integers(min_value=1, max_value=8),
 )
-def test_stacked_matmul_matches_row_gemv_bit_for_bit(seed, K, d, scale, integer_w):
+def test_stacked_matmul_matches_row_gemv_bit_for_bit(seed, K, d, scale, integer_w, A):
     # the block step's projections: np.matmul of W with gathered (d, 1)
     # columns runs one gemv per column, the same BLAS call as W.dot on a row
     # view of X, so every projection is the same float. K starts at 2, as in
@@ -639,14 +640,37 @@ def test_stacked_matmul_matches_row_gemv_bit_for_bit(seed, K, d, scale, integer_
     # come out as -0.0 on one side and 0.0 on the other.
     rng = seeded_rng(seed)
     X = rng.standard_normal((12, d)) * scale
+    shape = (A, K, d)
     if integer_w:
-        W = rng.integers(-3, 4, size=(K, d)).astype(np.float64)
+        Ws = rng.integers(-3, 4, size=shape).astype(np.float64)
     else:
-        W = rng.standard_normal((K, d))
+        Ws = rng.standard_normal(shape)
     ends = rng.integers(0, 12, size=int(rng.integers(1, 40)))
-    stacked = np.matmul(W, X[:, :, None][ends])[:, :, 0]
-    rows = np.stack([W.dot(X[e]) for e in ends])
+    stacked = np.matmul(Ws[0], X[:, :, None][ends])[:, :, 0]
+    rows = np.stack([Ws[0].copy().dot(X[e]) for e in ends])
     assert stacked.tobytes() == rows.tobytes()
+    # the lockstep shapes: A stacked W broadcast over (A, 2S, d, 1) columns,
+    # written into a slice of a persistent buffer. A lone W reads its
+    # columns as a slice of a window gathered ahead; a stack gathers each
+    # round's columns into the front of a persistent buffer.
+    cols = X[:, :, None]
+    col_buf = np.empty((2 * 8 * 20 + 16, d, 1))
+    y_buf = np.full(2 * 8 * 20 * K, np.nan)
+    for S in sorted({1, int(rng.integers(1, 21))}):
+        ends = rng.integers(0, 12, size=(A, 2 * S))
+        if A == 1:
+            lo = int(rng.integers(0, 8))
+            before, after = rng.integers(0, 12, size=lo), rng.integers(0, 12, size=8)
+            window = np.concatenate([before, ends[0], after])
+            cols.take(window, axis=0, out=col_buf[: window.size], mode="clip")
+            E = col_buf[None, lo : lo + 2 * S]
+        else:
+            E = col_buf[: 2 * A * S].reshape(A, 2 * S, d, 1)
+            cols.take(ends, axis=0, out=E, mode="clip")
+        Y = y_buf[: 2 * A * S * K].reshape(A, 2 * S, K, 1)
+        np.matmul(np.stack(list(Ws))[:, None], E, out=Y)
+        want = np.stack([[Ws[a].copy().dot(X[e]) for e in ends[a]] for a in range(A)])
+        assert Y[..., 0].tobytes() == want.tobytes()
 
 
 def test_zero_rows_train_like_the_reference():
@@ -701,12 +725,13 @@ def test_rounding_tie_rows_train_like_the_reference(seed, d, monkeypatch):
 def test_production_blocks_span_many_pairs(monkeypatch):
     # with the production constants, a problem whose pairs rarely update W
     # is decided in blocks of more than one pair, and still matches the
-    # reference
+    # reference. The block step's operand stacks (A, 2S, d, 1) endpoint
+    # columns: S pairs for each of A bits.
     sizes = []
     matmul = np.matmul
 
     def recording(a, b, *args, **kwargs):
-        sizes.append(b.shape[0] // 2)
+        sizes.extend([b.shape[1] // 2] * b.shape[0])
         return matmul(a, b, *args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", recording)
@@ -722,3 +747,52 @@ def test_production_blocks_span_many_pairs(monkeypatch):
     assert np.array_equal(model.projections[0], W)
     assert log.bits[0].objective_trace == surr
     assert log.bits[0].update_fraction == fractions
+
+
+def assert_bits_match_reference(data, pairs, hyper, log, model):
+    for l, trace in enumerate(log.bits):
+        W, surr, emp, fractions = reference_train_bit(data, pairs, hyper, child_seed(hyper.seed, l))
+        assert np.array_equal(model.projections[l], W)
+        assert trace.objective_trace == surr
+        assert trace.empirical_trace == emp
+        assert trace.update_fraction == fractions
+
+
+@pytest.mark.parametrize("problem, seed", [("clusters", 3), ("ties", 2)])
+def test_lockstep_bits_stop_at_their_own_epochs(problem, seed):
+    # rsh's bits train in one stack of rounds. Under tol each bit leaves the
+    # stack at its own epoch, the rest go on in smaller rounds, down to a
+    # lone bit, and every bit still trains like the one-pair reference
+    data, pairs = oracle_problem(problem, seed)
+    hyper = Hyperparams(K=3, L=4, rho=1.0, lam=0.5, eta=0.1, epochs=30, tol=1e-3, seed=seed)
+    log = TrainLog()
+    model = train_rsh(data, pairs, hyper, log=log)
+    epochs = [len(trace.update_fraction) for trace in log.bits]
+    assert len(set(epochs)) > 1 and max(epochs) < hyper.epochs
+    assert_bits_match_reference(data, pairs, hyper, log, model)
+
+
+def test_lockstep_rounds_respect_the_cell_cap(monkeypatch):
+    # with _BLOCK_CELLS low, the cap of A * S * max(K^2, 2d) floats per
+    # round buffer cuts every block below what the bits ask for (at least
+    # _BLOCK_MIN pairs), for the stack of three rsh bits and for srsh's lone
+    # bits alike, and training still matches the reference
+    data, pairs = tie_heavy_problem(4)
+    K, width = 3, max(3 * 3, 2 * data.dim)
+    rounds = []
+    matmul = np.matmul
+
+    def recording(a, b, *args, **kwargs):
+        rounds.append((b.shape[0], b.shape[1] // 2))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(learning, "_BLOCK_CELLS", 8 * width)
+    monkeypatch.setattr(np, "matmul", recording)
+    assert_matches_oracle("ties", K, 1.0, 1.0, 4, 0.0, seed=4)
+    monkeypatch.undo()
+    # the three bits need different numbers of rounds for their four epochs,
+    # so the stack shrinks as they finish
+    assert {A for A, _ in rounds} == {1, 2, 3}
+    assert all(S <= 8 // A for A, S in rounds)
+    assert max(S for A, S in rounds if A == 3) == 2 < learning._BLOCK_MIN
+    assert max(S for A, S in rounds if A == 1) == 8
