@@ -251,7 +251,8 @@ def _train_bits(X, pi, pj, ps, hyper: Hyperparams, seeds, alpha=None):
     floats = np.empty(rows + 2 * span * K + 2 * span * K * K)
     col_buf = floats[:rows].reshape(-1, d, 1)
     y_buf = floats[rows : rows + 2 * span * K]
-    cell_buf, offset_buf = floats[rows + 2 * span * K :].reshape(2, span * K * K)
+    cell_buf = floats[rows + 2 * span * K : rows + 2 * span * K + span * K * K]
+    offset_buf = floats[rows + 2 * span * K + span * K * K :]
     sym_buf = np.empty(4 * span, dtype=np.intp)  # emitted symbols, argmax cells, emitted cells
     moved_buf = np.empty(span, dtype=bool)
     dx = np.empty(d)
