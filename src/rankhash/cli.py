@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -320,19 +320,11 @@ def _transform(cfg: ExperimentConfig, train: Dataset, query: Dataset):
     return train, query, artifacts
 
 
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    out = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out
-
-
 def _null_nan(value):
     # JSON has no NaN; a precision mean over no query is written as null
     if isinstance(value, dict):
         return {key: _null_nan(v) for key, v in value.items()}
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return [_null_nan(v) for v in value]
     if isinstance(value, float) and np.isnan(value):
         return None
@@ -359,7 +351,7 @@ def cmd_preprocess(cfg: ExperimentConfig, out: Path) -> None:
         np.save(out / f"{name}.npy", arr)
         written[name] = f"{name}.npy"
     manifest = {
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),
         "outputs": written,
         "shapes": {"train": [train.n, train.dim], "query": [query.n, query.dim]},
     }
@@ -545,7 +537,7 @@ def _evaluate_seeds(cfg: ExperimentConfig, method: str, models, db: Dataset,
 def _write_results(cfg: ExperimentConfig, out: Path, runs, key: str, summary: dict) -> None:
     rows = [_CSV_HEADER] + [row for r in runs for row in r.rows]
     (out / "metrics.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
-    _write_json(out / "summary.json", {"config": _config_dict(cfg), key: summary})
+    _write_json(out / "summary.json", {"config": asdict(cfg), key: summary})
 
 
 def cmd_eval(cfg: ExperimentConfig, out: Path) -> None:

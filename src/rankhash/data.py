@@ -222,14 +222,6 @@ PAIR_BLOCK_CELLS = 1 << 20
 GT_BLOCK_CELLS = 1 << 17
 
 
-def _sq_distances(A: np.ndarray, B: np.ndarray, sq_a=None, sq_b=None) -> np.ndarray:
-    # Squared Euclidean distances between rows of A and rows of B; sq_a and
-    # sq_b are the rows' squared norms, computed here unless given.
-    sq_a = (A * A).sum(axis=1) if sq_a is None else sq_a
-    sq_b = (B * B).sum(axis=1) if sq_b is None else sq_b
-    return _sq_from_gram(A @ B.T, sq_a, sq_b)
-
-
 def _sq_from_gram(gram: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray) -> np.ndarray:
     # sq_a[i] + sq_b[j] - 2 gram[i, j], clipped at 0, as a new array; the
     # one expression behind every distance here. Doubles gram in place.
@@ -261,7 +253,7 @@ def calibrate_groundtruth(db: Dataset, queries: Dataset, target_avg: float) -> G
 
     Holds one Q x N matrix: the single `queries @ db.T` product, which row
     blocks of about GT_BLOCK_CELLS cells turn into distances in place by the
-    same expression as `_sq_distances`. Each block adds its distances to a
+    same expression as `_pair_distances`. Each block adds its distances to a
     candidate pool for the threshold, as in `calibrate_pair_threshold`.
     """
     if db.dim != queries.dim:
@@ -316,7 +308,7 @@ def _row_blocks(n: int):
 
 def _pair_distances(features: np.ndarray, sq_norms: np.ndarray, r0: int, r1: int) -> np.ndarray:
     """Block [r0:r1, r0:] of the N x N distance matrix, by the same expression."""
-    sq = _sq_distances(features[r0:r1], features[r0:], sq_norms[r0:r1], sq_norms[r0:])
+    sq = _sq_from_gram(features[r0:r1] @ features[r0:].T, sq_norms[r0:r1], sq_norms[r0:])
     return np.sqrt(sq, out=sq)
 
 

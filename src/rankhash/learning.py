@@ -14,16 +14,14 @@ beat it. The trainer (`_train_bits`) runs that step on a block of pairs
 at a time and trains a stack of independent bits in rounds: each round
 decides one block of every bit still training, with one stacked gemv and
 one (A, S, K, K) scan for all A bits, and applies each bit's first update
-in its block. Off its diagonal the adjusted matrix adds one constant to
-every sum y_i[k] + y_j[l], so the objective pass takes its maximum from each
-pair's emitted symbols, top two scores per side and best diagonal sum
-(`_pair_scores`) without building it. The scalar per-pair forms these are
-checked against live in `tests/oracles.py`.
+in its block. The objective pass (`_objective_arrays`) takes each pair's
+maximum without building the adjusted matrix. The scalar per-pair forms
+these are checked against live in `tests/oracles.py`.
 
 `train_rsh` learns all L projection matrices independently from derived
 child seeds, as one stack of L bits. `train_srsh` learns them sequentially,
-a stack of one bit at a time, reweighting pairs after
-each bit the way boosting does, and returns per-bit fusion weights theta.
+a stack of one bit at a time, reweighting pairs after each bit the way
+boosting does, and returns per-bit fusion weights theta.
 """
 
 from __future__ import annotations
@@ -75,46 +73,28 @@ class ObjectiveValues(NamedTuple):
     empirical: float
 
 
-class _PairScores(NamedTuple):
-    hi: np.ndarray  # emitted symbols of the first and second points
-    hj: np.ndarray
-    a1: np.ndarray  # top two scores of yi, a1 >= a2 (equal on a tie)
-    a2: np.ndarray
-    b1: np.ndarray  # top two scores of yj
-    b2: np.ndarray
-    best_diag: np.ndarray  # max_k (yi[k] + yj[k])
-
-
-def _pair_scores(Y, pi, pj) -> _PairScores:
-    """Per pair, what the loss-adjusted maximum depends on.
-
-    Y holds one row of projections per point; pi and pj index (or slice)
-    its rows. Off its diagonal the adjusted K x K matrix adds one constant
-    to every sum yi[k] + yj[l], so its maximum needs only the argmaxes, the
-    top two scores of each side and the best diagonal sum.
-    """
-    K = Y.shape[1]
-    h = Y.argmax(axis=1)
-    top = np.partition(Y, K - 2, axis=1)
-    t1, t2 = top[:, -1], top[:, -2]
-    best_diag = (Y[pi] + Y[pj]).max(axis=1)
-    return _PairScores(h[pi], h[pj], t1[pi], t2[pi], t1[pj], t2[pj], best_diag)
-
-
 def _objective_arrays(X, pi, pj, ps, W, rho, lam):
     """Total surrogate, total empirical error, and the per-pair errors.
 
-    The best off-diagonal cell is a1 + b1 when the emitted symbols differ;
-    otherwise one side gives up its top score for its second. Rounding is
-    monotone, so adding rho * s or lam * (1 - s) after the maximum gives the
-    same float as adding it to every cell before.
+    Off its diagonal the adjusted K x K matrix adds one constant to every
+    sum yi[k] + yj[l], so its maximum needs only the emitted symbols hi and
+    hj, the top two scores of each side (a1 >= a2, b1 >= b2, equal on a
+    tie) and the best diagonal sum max_k (yi[k] + yj[k]). The best
+    off-diagonal cell is a1 + b1 when the emitted symbols differ; otherwise
+    one side gives up its top score for its second. Rounding is monotone, so
+    adding rho * s or lam * (1 - s) after the maximum gives the same float
+    as adding it to every cell before.
     """
-    sc = _pair_scores(X @ W.T, pi, pj)
-    same = sc.hi == sc.hj
+    Y = X @ W.T
+    h = Y.argmax(axis=1)
+    top = np.partition(Y, Y.shape[1] - 2, axis=1)
+    t1, t2 = top[:, -1], top[:, -2]
+    a1, a2, b1, b2 = t1[pi], t2[pi], t1[pj], t2[pj]
+    same = h[pi] == h[pj]
     sf = ps.astype(np.float64)
-    off = np.where(same, np.maximum(sc.a1 + sc.b2, sc.a2 + sc.b1), sc.a1 + sc.b1)
-    value = np.maximum(off + rho * sf, sc.best_diag + lam * (1.0 - sf))
-    surrogate = value - (sc.a1 + sc.b1)
+    off = np.where(same, np.maximum(a1 + b2, a2 + b1), a1 + b1)
+    value = np.maximum(off + rho * sf, (Y[pi] + Y[pj]).max(axis=1) + lam * (1.0 - sf))
+    surrogate = value - (a1 + b1)
     err = np.where(ps == 1, rho * ~same, lam * same)
     return float(surrogate.sum()), float(err.sum()), err
 
@@ -177,7 +157,7 @@ class _Bit:
 
     def __init__(self, seed, hyper, X, pi, pj, ps, pad):
         self.rng = seeded_rng(seed)
-        self.W = self.out = init_projection(hyper.K, X.shape[1], self.rng)
+        self.W = init_projection(hyper.K, X.shape[1], self.rng)
         self.omega, emp, self.err = _objective_arrays(X, pi, pj, ps, self.W, hyper.rho, hyper.lam)
         self.surr, self.emp, self.upd = [self.omega], [emp], []
         # the epoch's visits in order: first rows, second rows, similarities,
@@ -247,12 +227,10 @@ def _train_bits(X, pi, pj, ps, hyper: Hyperparams, seeds, alpha=None):
     bits = [_Bit(seed, hyper, X, pi, pj, ps, cap[2] if L > 1 else 0) for seed in seeds]
     offsets = _pair_offsets(K, hyper.rho, hyper.lam)
     cols = X[:, :, None]
-    rows = 2 * max(window, span) * d
-    floats = np.empty(rows + 2 * span * K + 2 * span * K * K)
-    col_buf = floats[:rows].reshape(-1, d, 1)
-    y_buf = floats[rows : rows + 2 * span * K]
-    cell_buf = floats[rows + 2 * span * K : rows + 2 * span * K + span * K * K]
-    offset_buf = floats[rows + 2 * span * K + span * K * K :]
+    col_buf = np.empty((2 * max(window, span), d, 1))
+    y_buf = np.empty(2 * span * K)
+    cell_buf = np.empty(span * K * K)
+    offset_buf = np.empty(span * K * K)
     sym_buf = np.empty(4 * span, dtype=np.intp)  # emitted symbols, argmax cells, emitted cells
     moved_buf = np.empty(span, dtype=bool)
     dx = np.empty(d)
@@ -291,10 +269,6 @@ def _train_bits(X, pi, pj, ps, hyper: Hyperparams, seeds, alpha=None):
         b.emp.append(emp)
         b.epoch += 1
         if b.epoch == hyper.epochs or abs(omega - b.omega) / max(abs(b.omega), 1e-12) < hyper.tol:
-            # the finished W leaves the stack for the array it started in,
-            # so that training allocates nothing once it is done
-            b.out[...] = b.W
-            b.W = b.out
             return True
         b.omega = omega
         start_epoch(b)
