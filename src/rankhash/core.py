@@ -87,17 +87,31 @@ def _check_seed(seed, name: str) -> None:
         raise ValidationError(f"{name} must be in [0, 2**64)")
 
 
+def _as_count(name: str, value, low: int, high: int | None = None) -> int:
+    """A count or size as an int in [low, high] (no upper bound when high is
+    None): an int or np.integer, never a bool or a float. The message opens
+    with the bare `name`, which the CLI maps to its config key."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low or (high is not None and value > high)):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValidationError(f"{name} must be an integer {bounds}, got {value!r}")
+    return int(value)
+
+
 def init_projection(K: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a fresh K x d projection matrix with standard normal entries."""
-    if not isinstance(K, (int, np.integer)) or K < 2:
-        raise ValidationError("K must be at least 2; argmax over a single projection is constant")
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValidationError("d must be at least 1")
-    return rng.standard_normal((int(K), int(d)))
+    """Draw a fresh K x d projection matrix with standard normal entries;
+    K >= 2, since the argmax over a single projection is constant."""
+    return rng.standard_normal((_as_count("K", K, 2), _as_count("d", d, 1)))
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
-    out = np.array(values, dtype=dtype, copy=True)
+def _frozen_array(values, dtype, name: str) -> np.ndarray:
+    """A read-only C-contiguous copy of `values` as `dtype`, owned by the
+    value type that holds it. For an integer dtype the values must already
+    be integers (or none at all): a float or a bool is refused, not cast."""
+    given = np.asarray(values)
+    if given.dtype.kind not in "iu" and given.size and np.dtype(dtype).kind in "iu":
+        raise ValidationError(f"{name} must be integers")
+    out = np.array(given, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
 
@@ -110,7 +124,7 @@ class Dataset:
     ids: np.ndarray
 
     def __post_init__(self):
-        feats = np.array(self.features, dtype=np.float64, copy=True)
+        feats = _frozen_array(self.features, np.float64, "features")
         if feats.ndim != 2:
             raise ValidationError("features must be a 2-D array")
         n, d = feats.shape
@@ -118,13 +132,11 @@ class Dataset:
             raise ValidationError("features must have at least one row and one column")
         if not np.all(np.isfinite(feats)):
             raise ValidationError("features must be finite")
-        ids = np.array(self.ids, dtype=np.int64, copy=True)
+        ids = _frozen_array(self.ids, np.int64, "ids")
         if ids.shape != (n,):
             raise ValidationError("ids must be a 1-D array with one entry per row")
         if np.unique(ids).size != n:
             raise ValidationError("ids must be unique")
-        feats.setflags(write=False)
-        ids.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "ids", ids)
 
@@ -160,9 +172,9 @@ class PairSet:
     s: np.ndarray
 
     def __post_init__(self):
-        i = _frozen_array(self.i, np.int64)
-        j = _frozen_array(self.j, np.int64)
-        s = _frozen_array(self.s, np.int64)
+        i = _frozen_array(self.i, np.int64, "pair indices")
+        j = _frozen_array(self.j, np.int64, "pair indices")
+        s = _frozen_array(self.s, np.int64, "s")
         if not (i.ndim == j.ndim == s.ndim == 1) or not (i.shape == j.shape == s.shape):
             raise ValidationError("i, j, s must be 1-D arrays of equal length")
         if i.size:
@@ -205,10 +217,8 @@ class Hyperparams:
     eps_min: float = 1e-4
 
     def __post_init__(self):
-        if not isinstance(self.K, (int, np.integer)) or self.K < 2:
-            raise ValidationError("K must be an integer >= 2")
-        if not isinstance(self.L, (int, np.integer)) or self.L < 1:
-            raise ValidationError("L must be an integer >= 1")
+        object.__setattr__(self, "K", _as_count("K", self.K, 2))
+        object.__setattr__(self, "L", _as_count("L", self.L, 1))
         for name in ("rho", "lam", "eta", "tol", "eps_min"):
             value = getattr(self, name)
             if not isinstance(value, (int, float, np.floating)) or isinstance(value, bool):
@@ -226,12 +236,8 @@ class Hyperparams:
             raise ValidationError("tol must be >= 0")
         if not 0 < self.eps_min < 0.5:
             raise ValidationError("eps_min must lie strictly between 0 and 0.5")
-        if not isinstance(self.epochs, (int, np.integer)) or self.epochs < 1:
-            raise ValidationError("epochs must be an integer >= 1")
+        object.__setattr__(self, "epochs", _as_count("epochs", self.epochs, 1))
         _check_seed(self.seed, "seed")
-        object.__setattr__(self, "K", int(self.K))
-        object.__setattr__(self, "L", int(self.L))
-        object.__setattr__(self, "epochs", int(self.epochs))
         object.__setattr__(self, "seed", int(self.seed))
 
 
@@ -245,7 +251,7 @@ class HashModel:
     hyper: Hyperparams
 
     def __post_init__(self):
-        proj = np.array(self.projections, dtype=np.float64, copy=True)
+        proj = _frozen_array(self.projections, np.float64, "projections")
         if proj.ndim != 3:
             raise ValidationError("projections must have shape (L, K, d)")
         L, K, d = proj.shape
@@ -255,15 +261,13 @@ class HashModel:
             raise ValidationError("projections must be finite")
         if K != self.hyper.K or L != self.hyper.L:
             raise ValidationError("projection shape must match hyper.K and hyper.L")
-        proj.setflags(write=False)
         object.__setattr__(self, "projections", proj)
         if self.weights is not None:
-            w = np.array(self.weights, dtype=np.float64, copy=True)
+            w = _frozen_array(self.weights, np.float64, "weights")
             if w.shape != (L,):
                 raise ValidationError("weights must be a length-L vector")
             if not np.all(np.isfinite(w)):
                 raise ValidationError("weights must be finite")
-            w.setflags(write=False)
             object.__setattr__(self, "weights", w)
 
     @property

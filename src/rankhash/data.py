@@ -18,7 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, FormatError, PairSet, RankHashError, ValidationError
+from .core import (
+    Dataset,
+    FormatError,
+    PairSet,
+    RankHashError,
+    ValidationError,
+    _as_count,
+    _frozen_array,
+)
 
 __all__ = [
     "PcaBasis",
@@ -134,8 +142,8 @@ class PcaBasis:
     components: np.ndarray
 
     def __post_init__(self):
-        mean = np.array(self.mean, dtype=np.float64, copy=True)
-        comps = np.array(self.components, dtype=np.float64, copy=True)
+        mean = _frozen_array(self.mean, np.float64, "mean")
+        comps = _frozen_array(self.components, np.float64, "components")
         if mean.ndim != 1 or comps.ndim != 2 or comps.shape[1] != mean.shape[0]:
             raise ValidationError("components must be (m, d) with a length-d mean")
         m, d = comps.shape
@@ -144,8 +152,6 @@ class PcaBasis:
         gram = comps @ comps.T
         if np.max(np.abs(gram - np.eye(m))) > 1e-8:
             raise ValidationError("components must be orthonormal within 1e-8")
-        mean.setflags(write=False)
-        comps.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "components", comps)
 
@@ -160,15 +166,12 @@ def fit_pca(data: Dataset, m: int) -> PcaBasis:
     Each component's sign is fixed so its largest-magnitude entry is
     positive, making the basis deterministic.
     """
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValidationError("m must be an integer >= 1")
-    if m > min(data.n, data.dim):
-        raise ValidationError(f"m={m} exceeds min(N, d) = {min(data.n, data.dim)}")
+    m = _as_count("m", m, 1, min(data.n, data.dim))
     mean = data.features.mean(axis=0)
     centered = data.features - mean
     cov = centered.T @ centered / max(data.n - 1, 1)
     evals, evecs = np.linalg.eigh(cov)
-    order = np.argsort(-evals, kind="stable")[: int(m)]
+    order = np.argsort(-evals, kind="stable")[:m]
     comps = evecs.T[order].copy()
     for row in comps:
         lead = np.argmax(np.abs(row))
@@ -186,7 +189,8 @@ def apply_pca(basis: PcaBasis, data: Dataset) -> Dataset:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Per-query neighbor id lists; threshold is None for label-derived truth."""
+    """Per-query neighbor id lists, each kept as a read-only int64 copy;
+    threshold is None for label-derived truth."""
 
     neighbor_lists: tuple
     threshold: float | None
@@ -195,7 +199,7 @@ class GroundTruth:
         # Both builders emit sorted lists, so one pass over the concatenated
         # lists checks that each rises strictly; only a list that does not
         # is sorted to look for a repeated id.
-        lists = tuple(np.asarray(lst, dtype=np.int64) for lst in self.neighbor_lists)
+        lists = tuple(_frozen_array(lst, np.int64, "neighbor lists") for lst in self.neighbor_lists)
         if any(lst.ndim != 1 for lst in lists):
             raise ValidationError("neighbor lists must be 1-D and duplicate-free")
         if lists:
@@ -364,9 +368,7 @@ def groundtruth_from_labels(db_ids, db_labels, query_labels) -> GroundTruth:
 
 
 def _check_sampling(max_pairs, pos_fraction) -> None:
-    if isinstance(max_pairs, bool) or not isinstance(max_pairs, (int, np.integer)) \
-            or max_pairs < 1:
-        raise ValidationError("max_pairs must be an integer >= 1")
+    _as_count("max_pairs", max_pairs, 1)
     if not 0 < pos_fraction < 1:
         raise ValidationError("pos_fraction must lie strictly between 0 and 1")
 
@@ -458,8 +460,8 @@ def synth_clusters(n_clusters: int, per_cluster: int, d: int, separation: float,
     bound. Rows are cluster-major (cluster 0 first). Returns the dataset and
     the integer cluster label of each row.
     """
-    if n_clusters < 1 or per_cluster < 1 or d < 1:
-        raise ValidationError("n_clusters, per_cluster, and d must be >= 1")
+    for name, count in (("n_clusters", n_clusters), ("per_cluster", per_cluster), ("d", d)):
+        _as_count(name, count, 1)
     separation = float(separation)
     noise_sigma = float(noise_sigma)
     if separation < 0 or noise_sigma < 0:
@@ -484,8 +486,7 @@ def synth_clusters(n_clusters: int, per_cluster: int, d: int, separation: float,
 def split_dataset(data: Dataset, n_train: int, n_query: int,
                   rng: np.random.Generator) -> tuple[Dataset, Dataset]:
     """Disjoint random split keeping original ids."""
-    if n_train < 1 or n_query < 1:
-        raise ValidationError("split sizes must be >= 1")
+    n_train, n_query = _as_count("n_train", n_train, 1), _as_count("n_query", n_query, 1)
     if n_train + n_query > data.n:
         raise ValidationError(
             f"split needs {n_train + n_query} rows, dataset has {data.n}"

@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, _as_count, _frozen_array
 from .data import GroundTruth
 
 __all__ = [
@@ -57,15 +57,6 @@ def _check_integer(codes: np.ndarray) -> None:
         raise ValidationError("code symbols must be integers")
 
 
-def _as_count(name: str, value, low: int, high: int) -> int:
-    """An integer in [low, high]; bools are rejected, not read as 0 or 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer")
-    if not low <= value <= high:
-        raise ValidationError(f"{name}={value} must lie in [{low}, {high}]")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class HashTable:
     """Database codes stored by column, for mismatch-counting scans.
@@ -96,23 +87,23 @@ class HashTable:
 def build_table(codes, ids, K: int) -> HashTable:
     """Store database codes by column in the smallest dtype that holds K - 1.
 
-    The table owns its store: the columns are always a fresh C-contiguous
-    copy, so writing into `codes` afterwards changes no lookup. From
-    `encode_dataset`'s output the copy is one contiguous memcpy.
+    The table owns its store and its ids: both are fresh read-only copies,
+    the columns C-contiguous, so writing into `codes` or `ids` afterwards
+    changes no lookup. From `encode_dataset`'s output the copy of the
+    columns is one contiguous memcpy.
     """
     codes = np.asarray(codes)
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = _frozen_array(ids, np.int64, "ids")
     if codes.ndim != 2 or codes.shape[0] < 1:
         raise ValidationError("codes must be a non-empty (N, L) array")
     _check_integer(codes)
     if ids.shape != (codes.shape[0],):
         raise ValidationError("ids must align with code rows")
-    if isinstance(K, bool) or not isinstance(K, (int, np.integer)):
-        raise ValidationError("K must be an integer")
+    K = _as_count("K", K, 1)
     if codes.size and (codes.min() < 0 or codes.max() >= K):
         raise ValidationError(f"symbols must lie in [0, {K})")
-    columns = np.array(codes.T, dtype=np.min_scalar_type(int(K) - 1), order="C")
-    return HashTable(columns=columns, ids=ids, L=codes.shape[1], K=int(K))
+    columns = _frozen_array(codes.T, np.min_scalar_type(K - 1), "codes")
+    return HashTable(columns=columns, ids=ids, L=codes.shape[1], K=K)
 
 
 def _differ(columns: np.ndarray, queries: np.ndarray, out=None) -> np.ndarray:
@@ -440,8 +431,7 @@ def aggregate_runs(metrics, n_seeds: int):
     deviation uses the n-1 denominator and is 0.0 for a single seed, except
     that a NaN mean always has a NaN deviation.
     """
-    if not isinstance(n_seeds, (int, np.integer)) or n_seeds < 1:
-        raise ValidationError("n_seeds must be an integer >= 1")
+    n_seeds = _as_count("n_seeds", n_seeds, 1)
     out = {}
     for name, values in metrics.items():
         values = np.asarray(values, dtype=np.float64)

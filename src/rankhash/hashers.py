@@ -27,6 +27,8 @@ from .core import (
     HashModel,
     Hyperparams,
     ValidationError,
+    _as_count,
+    _frozen_array,
 )
 
 __all__ = [
@@ -76,7 +78,7 @@ class WtaSpec:
     window: int
 
     def __post_init__(self):
-        perms = np.array(self.permutations, dtype=np.int64, copy=True)
+        perms = _frozen_array(self.permutations, np.int64, "permutations")
         if perms.ndim != 2 or perms.shape[0] < 1:
             raise ValidationError("permutations must be a non-empty (L, d) array")
         d = perms.shape[1]
@@ -85,7 +87,6 @@ class WtaSpec:
             if not np.array_equal(np.sort(perms[row]), expected):
                 raise ValidationError(f"permutation row {row} is not a bijection on [0, {d})")
         check_wta_window(self.window, d)
-        perms.setflags(write=False)
         object.__setattr__(self, "permutations", perms)
         object.__setattr__(self, "window", int(self.window))
 
@@ -100,8 +101,7 @@ class WtaSpec:
 
 def make_wta_spec(L: int, K: int, d: int, rng: np.random.Generator) -> WtaSpec:
     """Draw L random permutations of [0, d) with window size K."""
-    if L < 1:
-        raise ValidationError("L must be >= 1")
+    L, d = _as_count("L", L, 1), _as_count("d", d, 1)
     perms = np.stack([rng.permutation(d) for _ in range(L)])
     return WtaSpec(perms, K)
 
@@ -128,12 +128,11 @@ class LshSpec:
     hyperplanes: np.ndarray
 
     def __post_init__(self):
-        planes = np.array(self.hyperplanes, dtype=np.float64, copy=True)
+        planes = _frozen_array(self.hyperplanes, np.float64, "hyperplanes")
         if planes.ndim != 2 or planes.shape[0] < 1 or planes.shape[1] < 1:
             raise ValidationError("hyperplanes must be a non-empty 2-D array")
         if not np.all(np.isfinite(planes)):
             raise ValidationError("hyperplanes must be finite")
-        planes.setflags(write=False)
         object.__setattr__(self, "hyperplanes", planes)
 
     @property
@@ -147,11 +146,7 @@ class LshSpec:
 
 def make_lsh_spec(bits: int, d: int, rng: np.random.Generator) -> LshSpec:
     """Draw `bits` random hyperplanes with standard normal entries."""
-    if bits < 1:
-        raise ValidationError("bits must be >= 1")
-    if d < 1:
-        raise ValidationError("d must be >= 1")
-    return LshSpec(rng.standard_normal((bits, d)))
+    return LshSpec(rng.standard_normal((_as_count("bits", bits, 1), _as_count("d", d, 1))))
 
 
 def lsh_as_rsh(spec: LshSpec) -> HashModel:
@@ -169,6 +164,4 @@ def lsh_as_rsh(spec: LshSpec) -> HashModel:
 
 def symbol_bits(K: int) -> int:
     """Bits needed per symbol: ceil(log2 K)."""
-    if not isinstance(K, (int, np.integer)) or K < 2:
-        raise ValidationError("K must be an integer >= 2")
-    return int(K - 1).bit_length()
+    return (_as_count("K", K, 2) - 1).bit_length()

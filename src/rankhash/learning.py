@@ -389,6 +389,8 @@ def boost_step(alpha, norm_err, eps_min: float):
     norm_err = np.asarray(norm_err, dtype=np.float64)
     if alpha.ndim != 1 or alpha.shape != norm_err.shape or alpha.size == 0:
         raise ValidationError("alpha and norm_err must be 1-D arrays of equal nonzero length")
+    if not (np.isfinite(alpha).all() and np.isfinite(norm_err).all()):
+        raise ValidationError("alpha and norm_err must be finite")
     if alpha.min() <= 0:
         raise ValidationError("alpha must be strictly positive")
     if norm_err.min() < 0 or norm_err.max() > 1:

@@ -203,6 +203,24 @@ def test_preprocess_full_rank_pca_preserves_distances(tmp_path):
         assert db == pytest.approx(da, rel=1e-4)
 
 
+def test_config_json_holds_every_field_and_rebuilds_the_config(tmp_path):
+    extra = ("methods = wta, lsh\nrho_grid = 0.5, 2\nlambda_grid = 1\nL_list = 2, 3\n"
+             "radius_list = 0, 1\nk_list = 3\nseeds = 1\n")
+    path = write_config(tmp_path, extra=extra)
+    cfg = parse_config(path.read_text())
+    out = tmp_path / "out"
+    for command in ("preprocess", "benchmark"):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    names = {f.name for f in fields(ExperimentConfig)}
+    for written in ("manifest.json", "summary.json"):
+        config = json.loads((out / written).read_text())["config"]
+        assert set(config) == names
+        for name in names:
+            assert isinstance(config[name], list) == isinstance(getattr(cfg, name), tuple)
+        rebuilt = {k: tuple(v) if isinstance(v, list) else v for k, v in config.items()}
+        assert ExperimentConfig(**rebuilt) == cfg
+
+
 def test_seed_override_changes_outputs(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"

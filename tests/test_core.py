@@ -14,7 +14,18 @@ from rankhash import (
     init_projection,
     load_model,
     save_model,
+    GroundTruth,
+    LshSpec,
+    PcaBasis,
+    WtaSpec,
+    aggregate_runs,
+    build_table,
+    fit_pca,
+    make_lsh_spec,
+    make_wta_spec,
     seeded_rng,
+    split_dataset,
+    synth_clusters,
 )
 from rankhash.hashers import encode_dataset
 
@@ -244,3 +255,82 @@ def test_model_round_trip_property(K, L, d, with_weights, seed):
     assert (back.weights is None) == (weights is None)
     if weights is not None:
         assert np.array_equal(back.weights, weights)
+
+
+# ------------------------------------------------ owned arrays and counts
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PairSet([0], [1], [0.5]),  # cast, the similar pair read as s = 0
+        lambda: PairSet([0.0], [1.0], [1]),
+        lambda: PairSet([0], [1], [True]),
+        lambda: Dataset(np.zeros((2, 3)), [0.2, 1.7]),  # cast, stored as ids [0, 1]
+        lambda: GroundTruth(([0.5],), None),
+        lambda: build_table(np.zeros((2, 3), dtype=int), [0.0, 1.5], 2),
+    ],
+    ids=["s", "i_j", "bool_s", "dataset_ids", "neighbor_lists", "table_ids"],
+)
+def test_integer_arrays_refuse_non_integers(make):
+    with pytest.raises(ValidationError, match="must be integers"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "build,sources,held",
+    [
+        (Dataset, lambda: (np.ones((2, 3)), np.array([4, 7])), lambda v: (v.features, v.ids)),
+        (PairSet, lambda: (np.array([0]), np.array([1]), np.array([1])), lambda v: (v.i, v.j, v.s)),
+        (
+            lambda p, w: HashModel(p, w, Hyperparams(K=2, L=1)),
+            lambda: (np.ones((1, 2, 3)), np.ones(1)),
+            lambda v: (v.projections, v.weights),
+        ),
+        (PcaBasis, lambda: (np.zeros(2), np.eye(2)), lambda v: (v.mean, v.components)),
+        (WtaSpec, lambda: (np.array([[2, 0, 1]]), 2), lambda v: (v.permutations,)),
+        (LshSpec, lambda: (np.ones((2, 3)),), lambda v: (v.hyperplanes,)),
+        (lambda *lists: GroundTruth(lists, None), lambda: (np.array([1, 5]), np.array([0])),
+         lambda v: v.neighbor_lists),
+        (
+            lambda codes, ids: build_table(codes, ids, 3),
+            lambda: (np.array([[0, 2], [1, 1], [2, 0]]), np.array([9, 4, 6])),
+            lambda v: (v.columns, v.ids),
+        ),
+    ],
+    ids=["Dataset", "PairSet", "HashModel", "PcaBasis", "WtaSpec", "LshSpec", "GroundTruth",
+         "HashTable"],
+)
+def test_value_types_hold_read_only_copies(build, sources, held):
+    given = sources()
+    value = build(*given)
+    kept = [a.copy() for a in held(value)]
+    for a in given:
+        if isinstance(a, np.ndarray):
+            a.flat[0] += 1  # the caller's arrays, after validation
+    for a, b in zip(held(value), kept):
+        assert np.array_equal(a, b)
+        assert not a.flags.writeable and a.flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "name,call",
+    [
+        ("L", lambda: make_wta_spec(2.5, 2, 4, seeded_rng(0))),
+        ("bits", lambda: make_lsh_spec(2.5, 4, seeded_rng(0))),
+        ("n_train", lambda: split_dataset(Dataset.from_features(np.eye(4)), 2.5, 1, seeded_rng(0))),
+        ("n_clusters", lambda: synth_clusters(2.5, 3, 2, 1.0, 0.1, seeded_rng(0))),
+        ("K", lambda: Hyperparams(K=4.0, L=2)),
+        ("L", lambda: Hyperparams(K=4, L=True)),
+        ("epochs", lambda: Hyperparams(K=4, L=2, epochs=True)),
+        ("m", lambda: fit_pca(Dataset.from_features(np.eye(3)), True)),
+        ("n_seeds", lambda: aggregate_runs({"ap": [0.5]}, True)),
+    ],
+    ids=["wta_L", "lsh_bits", "split", "clusters", "hyper_K", "hyper_L", "hyper_epochs", "pca_m",
+         "n_seeds"],
+)
+def test_counts_are_integers_never_floats_or_bools(name, call):
+    # a float raised a bare TypeError deep inside; a bool was read as 1.
+    # The message opens with the bare name, which the CLI maps to its key.
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+        call()

@@ -403,6 +403,21 @@ def test_boost_step_clamps_eps():
     assert theta == pytest.approx(-math.log(99.0))
 
 
+@pytest.mark.parametrize(
+    "alpha,norm_err",
+    [
+        ([1.0, np.nan], [0.0, 1.0]),
+        ([1.0, np.inf], [0.0, 1.0]),
+        ([1.0, 1.0], [np.nan, 1.0]),
+    ],
+)
+def test_boost_step_rejects_non_finite_inputs(alpha, norm_err):
+    # a NaN passes the range checks and would come back as NaN weights,
+    # eps and theta
+    with pytest.raises(ValidationError, match="finite"):
+        boost_step(np.array(alpha), np.array(norm_err), 1e-4)
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32))
 def test_boost_step_preserves_total_and_positivity(seed):
