@@ -238,16 +238,6 @@ def test_groundtruth_rejects_duplicates_in_any_list(lists, ok):
             data_module.GroundTruth(tuple(lists), None)
 
 
-def test_groundtruth_lists_cannot_gain_a_duplicate_after_validation():
-    mine = np.array([1, 2, 3])
-    gt = data_module.GroundTruth((mine,), None)
-    mine[1] = 1
-    assert gt.neighbor_lists[0].tolist() == [1, 2, 3]
-    with pytest.raises(ValueError):
-        gt.neighbor_lists[0][1] = 1
-
-
-
 def test_make_pairs_two_points():
     data = Dataset(np.array([[0.0], [1.0]]), np.arange(2))
     pairs = make_pairs(data, 10.0, 100, 0.5, seeded_rng(6))

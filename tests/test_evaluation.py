@@ -275,16 +275,6 @@ def test_lookup_rejects_non_integer_radius():
     assert_ids(lookup(table, np.zeros(6, dtype=int), np.int64(6)), table.ids)
 
 
-def test_build_table_owns_its_ids():
-    table, codes, ids = random_table(3)
-    assert ids.dtype == np.int64 and ids.flags.writeable
-    before = lookup(table, codes[0], 2)
-    ids += 5000  # the caller's array, after the build
-    assert np.array_equal(lookup(table, codes[0], 2), before)
-    with pytest.raises(ValueError):
-        table.ids[0] = 0
-
-
 def test_build_table_rejects_non_integer_K():
     codes = np.zeros((3, 2), dtype=int)
     for K in (True, 2.0, "2"):
