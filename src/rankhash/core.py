@@ -74,7 +74,7 @@ def child_seed(seed: int, index: int) -> int:
     per-bit training run in any order (or in parallel) with serial results.
     """
     _check_seed(seed, "seed")
-    if not isinstance(index, (int, np.integer)):
+    if not isinstance(index, (int, np.integer)) or isinstance(index, bool):
         raise ValidationError("index must be an integer")
     digest = hashlib.sha256(b"rankhash:%d:%d" % (seed, index)).digest()
     return int.from_bytes(digest[:8], "little")
@@ -104,13 +104,22 @@ def init_projection(K: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((_as_count("K", K, 2), _as_count("d", d, 1)))
 
 
+def _as_ints(values, name: str, dtype=np.int64) -> np.ndarray:
+    """`values` as an array of `dtype` (None keeps the given integer dtype),
+    copied only if needed. They must already be integers, or none at all: a
+    float or a bool array is refused by its dtype, not cast, so the check
+    makes no pass over the values."""
+    given = np.asarray(values)
+    if given.dtype.kind not in "iu" and given.size:
+        raise ValidationError(f"{name} must be integers")
+    return given if dtype is None else given.astype(dtype, copy=False)
+
+
 def _frozen_array(values, dtype, name: str) -> np.ndarray:
     """A read-only C-contiguous copy of `values` as `dtype`, owned by the
-    value type that holds it. For an integer dtype the values must already
-    be integers (or none at all): a float or a bool is refused, not cast."""
-    given = np.asarray(values)
-    if given.dtype.kind not in "iu" and given.size and np.dtype(dtype).kind in "iu":
-        raise ValidationError(f"{name} must be integers")
+    value type that holds it. For an integer dtype, `_as_ints` decides what
+    it accepts."""
+    given = _as_ints(values, name, None) if np.dtype(dtype).kind in "iu" else values
     out = np.array(given, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
@@ -155,7 +164,7 @@ class Dataset:
 
     def subset(self, rows) -> "Dataset":
         """Select rows (keeping their ids) as a new Dataset."""
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = _as_ints(rows, "rows")
         return Dataset(self.features[rows], self.ids[rows])
 
 

@@ -12,6 +12,7 @@ File formats:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +26,7 @@ from .core import (
     RankHashError,
     ValidationError,
     _as_count,
+    _as_ints,
     _frozen_array,
 )
 
@@ -220,32 +222,69 @@ class GroundTruth:
 # pair matrix in row blocks of about this many cells, so their transient
 # arrays stay at a few MB whatever N is.
 PAIR_BLOCK_CELLS = 1 << 20
-# Distance groundtruth keeps its Q x N matrix and finishes it in row blocks
-# of about this many cells, so each block's temporaries (about 1 MB) stay
-# small next to the matrix even when Q x N is near PAIR_BLOCK_CELLS.
+# Each pair block's product, and distance groundtruth's Q x N product, is
+# finished into squared distances in row chunks of about this many cells
+# (1 MB), so that a chunk's elementwise passes run on data held in cache.
 GT_BLOCK_CELLS = 1 << 17
 
 
-def _sq_from_gram(gram: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray) -> np.ndarray:
-    # sq_a[i] + sq_b[j] - 2 gram[i, j], clipped at 0, as a new array; the
-    # one expression behind every distance here. Doubles gram in place.
-    sq = sq_a[:, None] + sq_b[None, :]
+def _squared_into(gram: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray,
+                  scratch: np.ndarray) -> np.ndarray:
+    """fl(fl(sq_a[i] + sq_b[j]) - 2 gram[i, j]) in place of gram: the one
+    expression behind every distance here, as an unclipped squared distance.
+    The distance is sqrt(max(sq, 0)). `scratch` holds at least gram.size
+    floats."""
+    sums = scratch[:gram.size].reshape(gram.shape)
+    np.add(sq_a[:, None], sq_b[None, :], out=sums)
     gram *= 2.0
-    sq -= gram
-    return np.maximum(sq, 0.0, out=sq)
+    return np.subtract(sums, gram, out=gram)
 
 
-def _add_to_pool(pool: np.ndarray, bound: float, values: np.ndarray, rank: int):
-    """Add `values` (each <= bound) to a candidate pool for the rank-th
-    smallest value. Once the pool holds 2 * rank values it is cut back to
-    its rank smallest, whose largest becomes the bound later values must
-    not exceed to matter. Returns the pool and the bound."""
-    pool = np.concatenate([pool, values])
-    del values  # the block's copy, before the partition copies the pool
-    if pool.size >= 2 * rank:
-        pool = np.partition(pool, rank - 1)[:rank]
-        bound = pool[rank - 1]
-    return pool, bound
+def _squared_cutoff(t: float) -> float:
+    """The largest double c with sqrt(max(c, 0)) <= t, so that a distance
+    sqrt(max(sq, 0)) is <= t exactly when sq <= c.
+
+    A correctly rounded sqrt is monotone, so the squared values whose
+    distance is <= t are all those up to some double, found a few
+    nextafter steps from t * t. For t < 0 no value passes, so c is NaN
+    (no comparison with NaN holds; -inf would still admit -inf); for
+    t = inf every value but NaN passes.
+    """
+    if t < 0:
+        return math.nan
+    if t == math.inf:
+        return math.inf
+    c = t * t
+    while math.sqrt(c) > t:
+        c = math.nextafter(c, -math.inf)
+    while math.sqrt(math.nextafter(c, math.inf)) <= t:
+        c = math.nextafter(c, math.inf)
+    return c
+
+
+def _rank_smallest(chunks, rank: int) -> float:
+    """The rank-th smallest value in an iterable of arrays; NaN never counts.
+
+    The values each chunk keeps collect in a list. Once the list holds
+    2 * rank values they are cut back to their rank smallest, whose largest
+    then bounds what later chunks keep.
+    """
+    kept, held, bound = [], 0, math.inf
+    for chunk in chunks:
+        kept.append(chunk[chunk <= bound])
+        held += kept[-1].size
+        if held >= 2 * rank:
+            pool = _smallest(kept, rank).copy()  # frees the rest
+            kept, held, bound = [pool], rank, pool[-1]
+    return float(_smallest(kept, rank)[-1])
+
+
+def _smallest(kept: list, rank: int) -> np.ndarray:
+    # the rank smallest of the arrays in kept, the largest last; partitions
+    # a lone array in place, since every kept array is a fresh copy
+    pool = kept[0] if len(kept) == 1 else np.concatenate(kept)
+    pool.partition(rank - 1)
+    return pool[:rank]
 
 
 def calibrate_groundtruth(db: Dataset, queries: Dataset, target_avg: float) -> GroundTruth:
@@ -256,9 +295,10 @@ def calibrate_groundtruth(db: Dataset, queries: Dataset, target_avg: float) -> G
     target_avg. Neighbor lists hold database ids at distance <= threshold.
 
     Holds one Q x N matrix: the single `queries @ db.T` product, which row
-    blocks of about GT_BLOCK_CELLS cells turn into distances in place by the
-    same expression as `_pair_distances`. Each block adds its distances to a
-    candidate pool for the threshold, as in `calibrate_pair_threshold`.
+    chunks of about GT_BLOCK_CELLS cells turn into squared distances in place
+    (`_squared_into`). The threshold is the square root of the rank-th
+    smallest squared value, and the lists compare squared values with
+    `_squared_cutoff(threshold)`; no other square root is taken.
     """
     if db.dim != queries.dim:
         raise ValidationError("database and query dimensions differ")
@@ -274,17 +314,14 @@ def calibrate_groundtruth(db: Dataset, queries: Dataset, target_avg: float) -> G
     sq_q = (q_feats * q_feats).sum(axis=1)
     sq_db = (db_feats * db_feats).sum(axis=1)
     # one product: split by rows, the BLAS may round it differently
-    dists = q_feats @ db_feats.T
+    sq = q_feats @ db_feats.T
     rows = max(1, GT_BLOCK_CELLS // db.n)
-    pool = np.empty(0)
-    bound = np.inf
-    for r0 in range(0, queries.n, rows):
-        block = dists[r0:r0 + rows]
-        np.sqrt(_sq_from_gram(block, sq_q[r0:r0 + rows], sq_db), out=block)
-        pool, bound = _add_to_pool(pool, bound, block[block <= bound], rank)
-    threshold = float(np.partition(pool, rank - 1)[rank - 1])
-    lists = tuple(db.ids[dists[q] <= threshold] for q in range(queries.n))
-    return GroundTruth(lists, threshold)
+    scratch = np.empty(rows * db.n)
+    chunks = (_squared_into(sq[r0:r0 + rows], sq_q[r0:r0 + rows], sq_db, scratch)
+              for r0 in range(0, queries.n, rows))
+    threshold = math.sqrt(max(_rank_smallest(chunks, rank), 0.0))
+    cut = _squared_cutoff(threshold)
+    return GroundTruth(tuple(db.ids[row <= cut] for row in sq), threshold)
 
 
 def _row_blocks(n: int):
@@ -310,10 +347,29 @@ def _row_blocks(n: int):
         r0 = r1
 
 
-def _pair_distances(features: np.ndarray, sq_norms: np.ndarray, r0: int, r1: int) -> np.ndarray:
-    """Block [r0:r1, r0:] of the N x N distance matrix, by the same expression."""
-    sq = _sq_from_gram(features[r0:r1] @ features[r0:].T, sq_norms[r0:r1], sq_norms[r0:])
-    return np.sqrt(sq, out=sq)
+def _triangle_chunks(features: np.ndarray):
+    """The squared distances of the pairs (i, j), i < j, in row-major order,
+    as (i0, chunk): chunk[t, c] belongs to the pair (i0 + t, i0 + 1 + c), and
+    its cells with c < t, which are no pairs, hold NaN.
+
+    Each `_row_blocks` block is one product, features[r0:r1] @
+    features[r0:].T, which row chunks of about GT_BLOCK_CELLS cells turn
+    into squared distances in place (`_squared_into`), each chunk from the
+    column after its first row's diagonal on. A chunk is a view of the
+    block, valid until the next one is drawn.
+    """
+    n = features.shape[0]
+    sq_norms = (features * features).sum(axis=1)
+    scratch = np.empty(max(GT_BLOCK_CELLS, n))
+    for r0, r1 in _row_blocks(n):
+        gram = features[r0:r1] @ features[r0:].T
+        rows = max(1, GT_BLOCK_CELLS // (n - r0))
+        for i0 in range(r0, min(r1, n - 1), rows):
+            h = min(rows, r1 - i0)
+            chunk = _squared_into(gram[i0 - r0:i0 - r0 + h, i0 + 1 - r0:],
+                                  sq_norms[i0:i0 + h], sq_norms[i0 + 1:], scratch)
+            chunk[:, :h - 1][np.tri(h, h - 1, -1, dtype=bool)] = np.nan
+            yield i0, chunk
 
 
 def _strict_upper(block: np.ndarray, r0: int, r1: int) -> np.ndarray:
@@ -328,9 +384,9 @@ def calibrate_pair_threshold(data: Dataset, target_avg: float) -> float:
     neighbors, self-pairs excluded.
 
     The threshold is the rank-th smallest pair distance, rank = round(
-    target_avg * N / 2). Blocks add their distances to a candidate pool; once
-    the pool holds 2 * rank values it is cut back to its rank smallest, whose
-    largest then bounds the values later blocks add.
+    target_avg * N / 2): the square root of the rank-th smallest squared
+    distance, which `_rank_smallest` finds over `_triangle_chunks`. The
+    square root is monotone, so the two order statistics agree.
     """
     target_avg = float(target_avg)
     if not np.isfinite(target_avg) or target_avg < 1:
@@ -344,21 +400,14 @@ def calibrate_pair_threshold(data: Dataset, target_avg: float) -> float:
         raise ValidationError(
             f"target_avg {target_avg} needs {rank} pair distances, only {total} exist"
         )
-    features = data.features
-    sq_norms = (features * features).sum(axis=1)
-    pool = np.empty(0)
-    bound = np.inf
-    for r0, r1 in _row_blocks(n):
-        dists = _pair_distances(features, sq_norms, r0, r1)
-        pool, bound = _add_to_pool(
-            pool, bound, dists[_strict_upper(dists <= bound, r0, r1)], rank)
-    return float(np.partition(pool, rank - 1)[rank - 1])
+    sq = _rank_smallest((chunk for _, chunk in _triangle_chunks(data.features)), rank)
+    return math.sqrt(max(sq, 0.0))
 
 
 def groundtruth_from_labels(db_ids, db_labels, query_labels) -> GroundTruth:
     """Class-label groundtruth: a query's neighbors are all database points
     sharing its label."""
-    db_ids = np.asarray(db_ids, dtype=np.int64)
+    db_ids = _as_ints(db_ids, "db_ids")
     db_labels = np.asarray(db_labels)
     query_labels = np.asarray(query_labels)
     if db_ids.shape != db_labels.shape or db_ids.ndim != 1 or query_labels.ndim != 1:
@@ -378,15 +427,11 @@ def _row_starts(n: int, rows) -> np.ndarray:
     return rows * (2 * n - rows - 1) // 2
 
 
-def _similar_pairs(n: int, similar_block) -> np.ndarray:
-    """Row-major ranks of the similar pairs; similar_block(r0, r1) gives the
-    similarity of block [r0:r1, r0:] as a fresh boolean array."""
-    found = []
-    for r0, r1 in _row_blocks(n):
-        similar = _strict_upper(similar_block(r0, r1), r0, r1)
-        t, c = np.divmod(np.flatnonzero(similar), n - r0)
-        found.append(_row_starts(n, r0 + t) + (c - t - 1))
-    return np.concatenate(found)
+def _mask_ranks(n: int, i0: int, j0: int, mask: np.ndarray) -> np.ndarray:
+    """Row-major ranks, among the pairs (i, j), i < j < n, of the pairs
+    (i0 + t, j0 + c) at the True cells (t, c) of mask."""
+    t, c = np.divmod(np.flatnonzero(mask), mask.shape[1])
+    return _row_starts(n, i0 + t) + (j0 - i0 - 1 + c - t)
 
 
 def _sample_pairs(n: int, similar: np.ndarray, max_pairs, pos_fraction, rng) -> PairSet:
@@ -432,10 +477,9 @@ def make_pairs(db: Dataset, gt_threshold: float, max_pairs: int, pos_fraction: f
     if np.isnan(threshold):
         raise ValidationError("gt_threshold must not be NaN")
     _check_sampling(max_pairs, pos_fraction)
-    features = db.features
-    sq_norms = (features * features).sum(axis=1)
-    similar = _similar_pairs(
-        db.n, lambda r0, r1: _pair_distances(features, sq_norms, r0, r1) <= threshold)
+    cut = _squared_cutoff(threshold)
+    similar = np.concatenate([_mask_ranks(db.n, i0, i0 + 1, chunk <= cut)
+                              for i0, chunk in _triangle_chunks(db.features)])
     return _sample_pairs(db.n, similar, max_pairs, pos_fraction, rng)
 
 
@@ -446,8 +490,11 @@ def make_pairs_from_labels(labels, max_pairs: int, pos_fraction: float,
     if labels.ndim != 1 or labels.size < 2:
         raise ValidationError("labels must be a 1-D array with at least two entries")
     _check_sampling(max_pairs, pos_fraction)
-    similar = _similar_pairs(labels.size, lambda r0, r1: labels[r0:r1, None] == labels[None, r0:])
-    return _sample_pairs(labels.size, similar, max_pairs, pos_fraction, rng)
+    n = labels.size
+    similar = np.concatenate([
+        _mask_ranks(n, r0, r0, _strict_upper(labels[r0:r1, None] == labels[None, r0:], r0, r1))
+        for r0, r1 in _row_blocks(n)])
+    return _sample_pairs(n, similar, max_pairs, pos_fraction, rng)
 
 
 def synth_clusters(n_clusters: int, per_cluster: int, d: int, separation: float,

@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import ValidationError, _as_count, _frozen_array
+from .core import ValidationError, _as_count, _as_ints, _frozen_array
 from .data import GroundTruth
 
 __all__ = [
@@ -169,7 +169,7 @@ def _as_queries(query) -> np.ndarray:
 def _ranking_inputs(codes, ids, query, k):
     codes = np.asarray(codes)
     _check_integer(codes)
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = _as_ints(ids, "ids")
     queries = _as_queries(query)
     if codes.ndim != 2 or codes.shape[1] != queries.shape[1]:
         raise ValidationError("codes must be (N, L) matching the query length")
@@ -314,8 +314,8 @@ def relevant_hits(hits, ids, neighbor_lists) -> np.ndarray:
     reads its hits from it. An id absent from the database, listed or hit,
     matches nothing.
     """
-    hits = np.asarray(hits, dtype=np.int64)
-    sorted_ids = np.sort(np.asarray(ids, dtype=np.int64))
+    hits = _as_ints(hits, "hits")
+    sorted_ids = np.sort(_as_ints(ids, "ids"))
     if hits.ndim != 2 or hits.shape[0] != len(neighbor_lists):
         raise ValidationError("hits must be (B, k), one row per neighbor list")
     n = sorted_ids.size
@@ -326,7 +326,7 @@ def relevant_hits(hits, ids, neighbor_lists) -> np.ndarray:
     block = max(1, BLOCK_CELLS // n)
     for start in range(0, hits.shape[0], block):
         lists = neighbor_lists[start:start + block]
-        wanted = np.concatenate([np.asarray(lst, dtype=np.int64) for lst in lists])
+        wanted = np.concatenate([_as_ints(lst, "neighbor lists") for lst in lists])
         at = np.searchsorted(sorted_ids, wanted)
         present = sorted_ids[np.minimum(at, n - 1)] == wanted
         owner = np.repeat(np.arange(len(lists)), [len(lst) for lst in lists])

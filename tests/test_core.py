@@ -21,8 +21,11 @@ from rankhash import (
     aggregate_runs,
     build_table,
     fit_pca,
+    groundtruth_from_labels,
+    knn_hamming,
     make_lsh_spec,
     make_wta_spec,
+    relevant_hits,
     seeded_rng,
     split_dataset,
     synth_clusters,
@@ -64,6 +67,13 @@ def test_child_seed_in_range(seed, index):
 def test_child_seed_distinct_indices():
     seeds = {child_seed(7, i) for i in range(200)}
     assert len(seeds) == 200
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0, "1"])
+def test_child_seed_refuses_non_integer_index(index):
+    # a bool was read as an int: child_seed(0, True) == child_seed(0, 1)
+    with pytest.raises(ValidationError, match="index must be an integer"):
+        child_seed(0, index)
 
 
 def test_init_projection_shape_and_determinism():
@@ -269,12 +279,29 @@ def test_model_round_trip_property(K, L, d, with_weights, seed):
         lambda: Dataset(np.zeros((2, 3)), [0.2, 1.7]),  # cast, stored as ids [0, 1]
         lambda: GroundTruth(([0.5],), None),
         lambda: build_table(np.zeros((2, 3), dtype=int), [0.0, 1.5], 2),
+        # the calls below cast their ids: rows [0 2], lists of ids [0, 1],
+        # kNN ids [0 1], and a hit read as id 0 and marked relevant
+        lambda: Dataset.from_features(np.eye(3)).subset([0.7, 2.9]),
+        lambda: Dataset.from_features(np.eye(3)).subset([True, False, True]),
+        lambda: groundtruth_from_labels([0.5, 1.5, 2.5], [0, 0, 1], [0]),
+        lambda: knn_hamming(np.zeros((3, 2), dtype=np.uint8), [0.5, 1.7, 2.2], [0, 0], 2),
+        lambda: relevant_hits([[0.9]], [0, 1], [[0]]),
+        lambda: relevant_hits([[0]], [0.0, 1.0], [[0]]),
+        lambda: relevant_hits([[0]], [0, 1], [[0.0]]),
     ],
-    ids=["s", "i_j", "bool_s", "dataset_ids", "neighbor_lists", "table_ids"],
+    ids=["s", "i_j", "bool_s", "dataset_ids", "neighbor_lists", "table_ids", "subset",
+         "subset_bool", "label_groundtruth_ids", "knn_ids", "hits", "hits_ids", "hits_lists"],
 )
 def test_integer_arrays_refuse_non_integers(make):
     with pytest.raises(ValidationError, match="must be integers"):
         make()
+
+
+def test_empty_id_lists_stay_allowed():
+    # an empty list has a float dtype, and holds no non-integer
+    assert relevant_hits([[1, 0]], [0, 1], [[]]).tolist() == [[False, False]]
+    gt = groundtruth_from_labels([], [], [3])
+    assert gt.neighbor_lists[0].dtype == np.int64 and gt.neighbor_lists[0].size == 0
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -461,6 +462,7 @@ def _check_label_pairs(labels, max_pairs, pos_fraction, seed):
     n=st.integers(2, 40),
     d=st.integers(1, 4),
     cells_per_row=st.floats(0.0, 1.5),
+    chunk_rows=st.floats(0.0, 1.5),
     avg_fraction=st.floats(0.0, 1.0),
     budget_fraction=st.floats(0.0, 1.2),
     pos_fraction=st.floats(0.01, 0.99),
@@ -468,11 +470,13 @@ def _check_label_pairs(labels, max_pairs, pos_fraction, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_pair_functions_match_full_matrix_references(
-        n, d, cells_per_row, avg_fraction, budget_fraction, pos_fraction, n_labels, seed):
+        n, d, cells_per_row, chunk_rows, avg_fraction, budget_fraction, pos_fraction, n_labels,
+        seed):
     # Integer coordinates make every dot product exact, so the blocks'
     # distances equal the N x N ones whatever order the BLAS sums in, and they
     # produce duplicate rows and ties at the threshold. Blocks run from one
-    # row (PAIR_BLOCK_CELLS below N) to the whole matrix (1.5 N^2 cells).
+    # row (PAIR_BLOCK_CELLS below N) to the whole matrix (1.5 N^2 cells), and
+    # their chunks from one row to 1.5 N rows.
     rng = seeded_rng(seed)
     features = rng.integers(-3, 4, (n, d)).astype(np.float64)
     labels = rng.integers(0, n_labels, n)
@@ -482,6 +486,7 @@ def test_pair_functions_match_full_matrix_references(
     cells = max(1, int(cells_per_row * n * n))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(data_module, "PAIR_BLOCK_CELLS", cells)
+        patch.setattr(data_module, "GT_BLOCK_CELLS", max(1, int(chunk_rows * n * n)))
         _check_distance_pairs(features, target_avg, max_pairs, pos_fraction, seed)
         _check_label_pairs(labels, max_pairs, pos_fraction, seed)
 
@@ -501,11 +506,18 @@ def test_pair_functions_match_references_on_real_features(n, d, avg_fraction, po
     _check_distance_pairs(features, 1.0 + avg_fraction * (n - 2), 4 * n, pos_fraction, seed)
 
 
-@pytest.fixture(params=[1, 50, 1 << 20], ids=["rows1", "cells50", "default"])
+@pytest.fixture(
+    params=[(1, 1 << 17), (50, 1 << 17), (50, 7), (1 << 20, 1), (1 << 20, 37),
+            (1 << 20, 1 << 17)],
+    ids=["rows1", "cells50", "cells50-chunks7", "chunks1", "chunks37", "default"])
 def block_cells(request, monkeypatch):
-    """One-row blocks; blocks of 50 cells, whose row counts grow down the
-    triangle and do not divide N; the default."""
-    monkeypatch.setattr(data_module, "PAIR_BLOCK_CELLS", request.param)
+    """(PAIR_BLOCK_CELLS, GT_BLOCK_CELLS): one-row blocks; blocks of 50
+    cells, whose row counts grow down the triangle and do not divide N, each
+    one chunk or cut into chunks of about 7 cells; one block cut into one-row
+    chunks, or into chunks of about 37 cells, whose row counts (3 at N = 10,
+    2 at N = 15) do not divide it; the defaults."""
+    monkeypatch.setattr(data_module, "PAIR_BLOCK_CELLS", request.param[0])
+    monkeypatch.setattr(data_module, "GT_BLOCK_CELLS", request.param[1])
     return request.param
 
 
@@ -563,6 +575,55 @@ def test_label_pairs_single_class_and_distinct_labels(block_cells):
     assert len(pairs) == 40 and np.all(pairs.s == 1)
     pairs = _check_label_pairs(np.arange(13), 40, 0.3, 33)
     assert len(pairs) == 40 and np.all(pairs.s == 0)
+
+
+@pytest.fixture(params=[1, 100, 1 << 17], ids=["chunks1", "chunks100", "default"])
+def chunk_cells(request, monkeypatch):
+    """GT_BLOCK_CELLS alone: the products keep their shapes, so real-valued
+    distances still match the full-matrix references bit for bit."""
+    monkeypatch.setattr(data_module, "GT_BLOCK_CELLS", request.param)
+    return request.param
+
+
+def test_make_pairs_cutoff_around_a_pair_distance(chunk_cells):
+    # Real-valued rows plus exact copies of some, whose squared distances
+    # come out slightly negative, zero or slightly positive (1, 7 and 2 of
+    # the 10 on an AVX-512 host). Every pair is drawn, so s marks exactly
+    # the pairs within the threshold.
+    rng = seeded_rng(38)
+    base = rng.standard_normal((30, 5)) * 3.0
+    features = np.concatenate([base, base[:6], base[:2]])
+    data = Dataset.from_features(features)
+    n = data.n
+    dists = np.sort(_reference_distances(features)[np.triu_indices(n, k=1)])
+    d = float(dists[300])
+    below, above = np.nextafter(d, -np.inf), np.nextafter(d, np.inf)
+    counts = {}
+    for t in (d, below, above, 0.0, -0.0, -1.0, 1e200, np.inf, float(dists[-1])):
+        pairs = make_pairs(data, t, n * n, 0.5, seeded_rng(39))
+        _assert_same_pairs(pairs, reference_make_pairs(data, t, n * n, 0.5, seeded_rng(39)))
+        counts[t] = int(pairs.s.sum())
+    assert counts[below] < counts[d] == counts[above]
+    assert 0 < counts[0.0] == counts[-0.0] <= 10 and counts[-1.0] == 0
+    assert counts[1e200] == counts[np.inf] == counts[float(dists[-1])] == len(dists)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.floats(min_value=0.0, allow_infinity=False, allow_nan=False))
+def test_squared_cutoff_is_the_largest_square_within_the_threshold(t):
+    c = data_module._squared_cutoff(t)
+    assert np.sqrt(c) <= t < np.sqrt(math.nextafter(c, math.inf))
+
+
+@pytest.mark.parametrize("target", [1.0, 17.5, 60.0])
+def test_calibrate_groundtruth_matches_reference_on_real_features(chunk_cells, target):
+    # many chunks of a real-valued 150 x 700 product, whose distances
+    # round differently from any integer grid
+    rng = seeded_rng(40)
+    db = Dataset.from_features(rng.standard_normal((700, 12)) * 2.0)
+    queries = Dataset.from_features(rng.standard_normal((150, 12)) * 2.0)
+    gt = calibrate_groundtruth(db, queries, target)
+    _assert_same_groundtruth(gt, reference_calibrate_groundtruth(db, queries, target))
 
 
 @pytest.mark.parametrize("max_pairs", [100, 30_000])
