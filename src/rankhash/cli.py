@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -28,6 +29,8 @@ from .core import (
     Hyperparams,
     RankHashError,
     ValidationError,
+    _as_count,
+    _as_real,
     child_seed,
     load_model,
     save_model,
@@ -197,26 +200,21 @@ def _hyperparams(cfg: ExperimentConfig, **overrides) -> Hyperparams:
     return Hyperparams(**{**values, **overrides})
 
 
-def _check_hyper(cfg: ExperimentConfig, keys: dict, **overrides) -> None:
-    """Raise ConfigError naming the config key if Hyperparams rejects the
-    config; `keys` maps fields whose value came from another key."""
+@contextmanager
+def _config_keys(**keys):
+    """Turn a library rule's ValidationError into a ConfigError naming the
+    config key. The message opens with the offending parameter's name; `keys`
+    maps names whose value came from another key."""
     try:
-        _hyperparams(cfg, **overrides)
+        yield
     except ValidationError as exc:
-        # Hyperparams messages open with the offending field's name
         name, _, why = str(exc).partition(" ")
-        key = keys.get(name, _KEY_OF_FIELD.get(name, name))
-        raise ConfigError(f"{key}: {why}") from exc
+        raise ConfigError(f"{keys.get(name, _KEY_OF_FIELD.get(name, name))}: {why}") from exc
 
 
 def validate_config(cfg: ExperimentConfig, command: str) -> None:
     def bad(field_name: str, why: str):
         raise ConfigError(f"{field_name}: {why}")
-
-    def at_least(bound, *names):
-        for name in names:
-            if not getattr(cfg, name) >= bound:  # NaN fails too
-                bad(name, f"must be >= {bound}")
 
     if not cfg.methods:
         bad("methods", "must list at least one method")
@@ -225,39 +223,41 @@ def validate_config(cfg: ExperimentConfig, command: str) -> None:
             bad("methods", f"unknown method {method!r}; choose from {', '.join(KNOWN_METHODS)}")
         if cfg.methods.count(method) > 1:
             bad("methods", f"{method!r} is listed more than once")
-    # the training-parameter invariants live in Hyperparams
-    _check_hyper(cfg, {})
-    if _sweeping(cfg):
+    # each value goes through the rule the library applies to it
+    with _config_keys():
+        _hyperparams(cfg)
+        _as_count("max_pairs", cfg.max_pairs, 1)
+        _as_real("neighbor_avg", cfg.neighbor_avg, 1)
+        _as_count("seeds", cfg.seeds, 1)
+        _as_real("pos_fraction", cfg.pos_fraction, 0, 1, open=True)
+        if not cfg.radius_list:
+            bad("radius_list", "must list at least one radius")
+        for R in cfg.radius_list:
+            _as_count("radius_list", R, 0)
+        for k in cfg.k_list:
+            _as_count("k_list", k, 1)
+        if cfg.synthetic:
+            for key in ("clusters", "per_cluster", "query_per_cluster", "dim"):
+                _as_count(key, getattr(cfg, key), 1)
+            _as_real("separation", cfg.separation, 0)
+            _as_real("noise_sigma", cfg.noise_sigma, 0)
+        elif command in ("preprocess", "benchmark"):
+            if not cfg.input:
+                bad("input", "required unless synthetic = true")
+            _as_count("train_count", cfg.train_count, 1)
+            _as_count("query_count", cfg.query_count, 1)
+        _as_count("pca", cfg.pca, 0)
+    # without a sweep the one cell is (rho, lam), checked above
+    with _config_keys(rho="rho_grid", lam="lambda_grid"):
         for rho, lam in _grid_cells(cfg):
-            _check_hyper(cfg, {"rho": "rho_grid", "lam": "lambda_grid"}, rho=rho, lam=lam)
-    for L in cfg.L_list:
-        _check_hyper(cfg, {"L": "L_list"}, L=L)
-    at_least(1, "max_pairs", "neighbor_avg", "seeds")
-    if not 0 < cfg.pos_fraction < 1:
-        bad("pos_fraction", "must lie strictly between 0 and 1")
-    if not cfg.radius_list:
-        bad("radius_list", "must list at least one radius")
-    if min(cfg.radius_list) < 0:
-        bad("radius_list", "radii must be >= 0")
-    if cfg.k_list and min(cfg.k_list) < 1:
-        bad("k_list", "cutoffs must be >= 1")
-    if cfg.synthetic:
-        at_least(1, "clusters", "per_cluster", "query_per_cluster", "dim")
-        at_least(0, "separation", "noise_sigma")
-    elif command in ("preprocess", "benchmark"):
-        if not cfg.input:
-            bad("input", "required unless synthetic = true")
-        at_least(1, "train_count", "query_count")
-    if cfg.pca < 0:
-        bad("pca", "must be >= 0 (0 disables)")
-
-
-def _sweeping(cfg: ExperimentConfig) -> bool:
-    return bool(cfg.sweep or cfg.rho_grid or cfg.lambda_grid)
+            _hyperparams(cfg, rho=rho, lam=lam)
+    with _config_keys(L="L_list"):
+        for L in cfg.L_list:
+            _hyperparams(cfg, L=L)
 
 
 def _grid_cells(cfg: ExperimentConfig):
-    if _sweeping(cfg):
+    if cfg.sweep or cfg.rho_grid or cfg.lambda_grid:
         rhos = cfg.rho_grid or _DEFAULT_GRID
         lams = cfg.lambda_grid or _DEFAULT_GRID
         return [(float(r), float(l)) for r in rhos for l in lams]

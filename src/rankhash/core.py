@@ -10,6 +10,7 @@ construction and safe to share across threads or processes.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,8 +63,7 @@ def seeded_rng(seed: int) -> np.random.Generator:
     The generator family is fixed so that identical seeds reproduce identical
     streams across runs and platforms.
     """
-    _check_seed(seed, "seed")
-    return np.random.Generator(np.random.PCG64(seed))
+    return np.random.Generator(np.random.PCG64(_as_count("seed", seed, 0, MAX_SEED)))
 
 
 def child_seed(seed: int, index: int) -> int:
@@ -73,18 +73,11 @@ def child_seed(seed: int, index: int) -> int:
     versions. Child streams for distinct indices are independent, which lets
     per-bit training run in any order (or in parallel) with serial results.
     """
-    _check_seed(seed, "seed")
+    seed = _as_count("seed", seed, 0, MAX_SEED)
     if not isinstance(index, (int, np.integer)) or isinstance(index, bool):
         raise ValidationError("index must be an integer")
     digest = hashlib.sha256(b"rankhash:%d:%d" % (seed, index)).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def _check_seed(seed, name: str) -> None:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValidationError(f"{name} must be an integer")
-    if not 0 <= int(seed) <= MAX_SEED:
-        raise ValidationError(f"{name} must be in [0, 2**64)")
 
 
 def _as_count(name: str, value, low: int, high: int | None = None) -> int:
@@ -96,6 +89,23 @@ def _as_count(name: str, value, low: int, high: int | None = None) -> int:
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ValidationError(f"{name} must be an integer {bounds}, got {value!r}")
     return int(value)
+
+
+def _as_real(name: str, value, low: float, high: float = math.inf, open: bool = False) -> float:
+    """A real parameter as a finite float in [low, high], or in (low, high)
+    when `open` is set: an int, float or numpy number, never a bool or a
+    string. The message opens with the bare `name`, as `_as_count`'s does."""
+    try:
+        real = (float(value) if isinstance(value, (int, float, np.integer, np.floating))
+                and not isinstance(value, bool) else math.nan)
+    except OverflowError:  # an int beyond the float range
+        real = math.inf
+    if not (math.isfinite(real) and (low < real < high if open else low <= real <= high)):
+        left, right = "()" if open else "[]"
+        bounds = (f"{'>' if open else '>='} {low:g}" if high == math.inf
+                  else f"in {left}{low:g}, {high:g}{right}")
+        raise ValidationError(f"{name} must be a finite number {bounds}, got {value!r}")
+    return real
 
 
 def init_projection(K: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -228,26 +238,13 @@ class Hyperparams:
     def __post_init__(self):
         object.__setattr__(self, "K", _as_count("K", self.K, 2))
         object.__setattr__(self, "L", _as_count("L", self.L, 1))
-        for name in ("rho", "lam", "eta", "tol", "eps_min"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float, np.floating)) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be a real number")
-            if not np.isfinite(value):
-                raise ValidationError(f"{name} must be finite")
-            object.__setattr__(self, name, float(value))
-        if self.rho < 0:
-            raise ValidationError("rho must be >= 0")
-        if self.lam < 0:
-            raise ValidationError("lam must be >= 0")
-        if self.eta <= 0:
-            raise ValidationError("eta must be > 0")
-        if self.tol < 0:
-            raise ValidationError("tol must be >= 0")
-        if not 0 < self.eps_min < 0.5:
-            raise ValidationError("eps_min must lie strictly between 0 and 0.5")
-        object.__setattr__(self, "epochs", _as_count("epochs", self.epochs, 1))
-        _check_seed(self.seed, "seed")
-        object.__setattr__(self, "seed", int(self.seed))
+        for name, low, high, open in (("rho", 0, math.inf, False), ("lam", 0, math.inf, False),
+                                      ("eta", 0, math.inf, True), ("tol", 0, math.inf, False),
+                                      ("eps_min", 0, 0.5, True)):
+            object.__setattr__(self, name, _as_real(name, getattr(self, name), low, high, open))
+        # the model format stores epochs as a u32 and the seed as a u64
+        object.__setattr__(self, "epochs", _as_count("epochs", self.epochs, 1, 2**32 - 1))
+        object.__setattr__(self, "seed", _as_count("seed", self.seed, 0, MAX_SEED))
 
 
 @dataclass(frozen=True)

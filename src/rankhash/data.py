@@ -27,6 +27,7 @@ from .core import (
     ValidationError,
     _as_count,
     _as_ints,
+    _as_real,
     _frozen_array,
 )
 
@@ -302,9 +303,7 @@ def calibrate_groundtruth(db: Dataset, queries: Dataset, target_avg: float) -> G
     """
     if db.dim != queries.dim:
         raise ValidationError("database and query dimensions differ")
-    target_avg = float(target_avg)
-    if not np.isfinite(target_avg) or target_avg < 1:
-        raise ValidationError("target_avg must be >= 1")
+    target_avg = _as_real("target_avg", target_avg, 1)
     rank = int(round(target_avg * queries.n))
     if rank > queries.n * db.n:
         raise ValidationError(
@@ -388,15 +387,13 @@ def calibrate_pair_threshold(data: Dataset, target_avg: float) -> float:
     distance, which `_rank_smallest` finds over `_triangle_chunks`. The
     square root is monotone, so the two order statistics agree.
     """
-    target_avg = float(target_avg)
-    if not np.isfinite(target_avg) or target_avg < 1:
-        raise ValidationError("target_avg must be >= 1")
+    target_avg = _as_real("target_avg", target_avg, 1)
     n = data.n
     if n < 2:
         raise ValidationError("need at least two points")
     rank = int(round(target_avg * n / 2.0))
     total = n * (n - 1) // 2
-    if rank < 1 or rank > total:
+    if rank > total:
         raise ValidationError(
             f"target_avg {target_avg} needs {rank} pair distances, only {total} exist"
         )
@@ -418,8 +415,7 @@ def groundtruth_from_labels(db_ids, db_labels, query_labels) -> GroundTruth:
 
 def _check_sampling(max_pairs, pos_fraction) -> None:
     _as_count("max_pairs", max_pairs, 1)
-    if not 0 < pos_fraction < 1:
-        raise ValidationError("pos_fraction must lie strictly between 0 and 1")
+    _as_real("pos_fraction", pos_fraction, 0, 1, open=True)
 
 
 def _row_starts(n: int, rows) -> np.ndarray:
@@ -509,10 +505,8 @@ def synth_clusters(n_clusters: int, per_cluster: int, d: int, separation: float,
     """
     for name, count in (("n_clusters", n_clusters), ("per_cluster", per_cluster), ("d", d)):
         _as_count(name, count, 1)
-    separation = float(separation)
-    noise_sigma = float(noise_sigma)
-    if separation < 0 or noise_sigma < 0:
-        raise ValidationError("separation and noise_sigma must be >= 0")
+    separation = _as_real("separation", separation, 0)
+    noise_sigma = _as_real("noise_sigma", noise_sigma, 0)
     # i.i.d. N(0, s^2 I) centers have E||c1 - c2||^2 = 2 d s^2
     scale = separation / np.sqrt(2.0 * d) if separation > 0 else 1.0
     centers = []

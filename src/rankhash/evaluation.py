@@ -45,16 +45,10 @@ BLOCK_CELLS = 1 << 21
 
 
 def _as_code(code) -> np.ndarray:
-    code = np.asarray(code)
+    code = _as_ints(code, "code symbols", None)
     if code.ndim != 1 or code.size < 1:
         raise ValidationError("a code must be a non-empty 1-D symbol array")
-    _check_integer(code)
     return code
-
-
-def _check_integer(codes: np.ndarray) -> None:
-    if codes.dtype.kind not in "iu":
-        raise ValidationError("code symbols must be integers")
 
 
 @dataclass(frozen=True)
@@ -92,15 +86,14 @@ def build_table(codes, ids, K: int) -> HashTable:
     changes no lookup. From `encode_dataset`'s output the copy of the
     columns is one contiguous memcpy.
     """
-    codes = np.asarray(codes)
+    codes = _as_ints(codes, "code symbols", None)
     ids = _frozen_array(ids, np.int64, "ids")
-    if codes.ndim != 2 or codes.shape[0] < 1:
+    if codes.ndim != 2 or codes.size < 1:
         raise ValidationError("codes must be a non-empty (N, L) array")
-    _check_integer(codes)
     if ids.shape != (codes.shape[0],):
         raise ValidationError("ids must align with code rows")
     K = _as_count("K", K, 1)
-    if codes.size and (codes.min() < 0 or codes.max() >= K):
+    if codes.min() < 0 or codes.max() >= K:
         raise ValidationError(f"symbols must lie in [0, {K})")
     columns = _frozen_array(codes.T, np.min_scalar_type(K - 1), "codes")
     return HashTable(columns=columns, ids=ids, L=codes.shape[1], K=K)
@@ -157,18 +150,16 @@ def lookup(table: HashTable, code, radius: int, strategy: str = "auto") -> np.nd
 def _as_queries(query) -> np.ndarray:
     """A (B, L) integer block of query codes, in the dtype given; one code
     is a block of one."""
-    query = np.asarray(query)
+    query = _as_ints(query, "code symbols", None)
     if query.ndim == 1:
         return _as_code(query)[None, :]
     if query.ndim != 2 or query.size < 1:
         raise ValidationError("queries must be one code or a non-empty (B, L) block")
-    _check_integer(query)
     return query
 
 
 def _ranking_inputs(codes, ids, query, k):
-    codes = np.asarray(codes)
-    _check_integer(codes)
+    codes = _as_ints(codes, "code symbols", None)
     ids = _as_ints(ids, "ids")
     queries = _as_queries(query)
     if codes.ndim != 2 or codes.shape[1] != queries.shape[1]:
@@ -347,10 +338,9 @@ def pr_curve_by_radius(table: HashTable, query_codes, gt: GroundTruth):
     retrieved. Returns a list of (R, precision, recall) where the precision
     is NaN if no query retrieved anything at that radius.
     """
-    query_codes = np.asarray(query_codes)
+    query_codes = _as_ints(query_codes, "code symbols", None)
     if query_codes.ndim != 2 or query_codes.shape[1] != table.L:
         raise ValidationError("query codes must be (Q, L) matching the table")
-    _check_integer(query_codes)
     if len(gt.neighbor_lists) != query_codes.shape[0]:
         raise ValidationError("groundtruth must have one neighbor list per query")
     sizes = np.array([lst.size for lst in gt.neighbor_lists], dtype=np.int64)

@@ -38,6 +38,7 @@ from .core import (
     Hyperparams,
     PairSet,
     ValidationError,
+    _as_real,
     child_seed,
     init_projection,
     seeded_rng,
@@ -395,8 +396,7 @@ def boost_step(alpha, norm_err, eps_min: float):
         raise ValidationError("alpha must be strictly positive")
     if norm_err.min() < 0 or norm_err.max() > 1:
         raise ValidationError("norm_err must lie in [0, 1]")
-    if not 0 < eps_min < 0.5:
-        raise ValidationError("eps_min must lie strictly between 0 and 0.5")
+    eps_min = _as_real("eps_min", eps_min, 0, 0.5, open=True)
     total = float(alpha.sum())
     eps = float((alpha * norm_err).sum() / total)
     eps = min(max(eps, eps_min), 1.0 - eps_min)

@@ -145,6 +145,14 @@ def test_validate_config_names_field():
         ("neighbor_avg = nan", "neighbor_avg"),
         ("separation = nan", "separation"),
         ("noise_sigma = nan", "noise_sigma"),
+        ("neighbor_avg = inf", "neighbor_avg"),
+        ("separation = inf", "separation"),
+        ("noise_sigma = inf", "noise_sigma"),
+        ("epochs = 4294967296", "epochs"),
+        ("max_pairs = 0", "max_pairs"),
+        ("pca = -1", "pca"),
+        ("radius_list = 1, -1", "radius_list"),
+        ("k_list = 0", "k_list"),
     ],
 )
 def test_invalid_config_exits_2_before_writing(tmp_path, capsys, line, key):

@@ -19,11 +19,16 @@ from rankhash import (
     PcaBasis,
     WtaSpec,
     aggregate_runs,
+    boost_step,
     build_table,
+    calibrate_groundtruth,
+    calibrate_pair_threshold,
     fit_pca,
     groundtruth_from_labels,
     knn_hamming,
     make_lsh_spec,
+    make_pairs,
+    make_pairs_from_labels,
     make_wta_spec,
     relevant_hits,
     seeded_rng,
@@ -155,6 +160,7 @@ def test_pairset_len():
         ("lam", -1.0),
         ("eta", 0.0),
         ("epochs", 0),
+        ("epochs", 2**32),  # the model format stores a u32
         ("tol", -1e-9),
         ("seed", -1),
         ("seed", 2**64),
@@ -165,7 +171,7 @@ def test_pairset_len():
 def test_hyperparams_rejects_out_of_range(field, value):
     kwargs = {"K": 4, "L": 8}
     kwargs[field] = value
-    with pytest.raises(ValidationError, match=field):
+    with pytest.raises(ValidationError, match=f"^{field} "):
         Hyperparams(**kwargs)
 
 
@@ -362,3 +368,30 @@ def test_counts_are_integers_never_floats_or_bools(name, call):
     # The message opens with the bare name, which the CLI maps to its key.
     with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
         call()
+
+
+_DATA = Dataset.from_features(np.eye(4))
+_REAL_ENTRY_POINTS = {
+    **{field: (field, lambda v, field=field: Hyperparams(K=4, L=2, **{field: v}))
+       for field in ("rho", "lam", "eta", "tol", "eps_min")},
+    "boost_step": ("eps_min", lambda v: boost_step(np.ones(2), np.zeros(2), v)),
+    "groundtruth": ("target_avg", lambda v: calibrate_groundtruth(_DATA, _DATA, v)),
+    "pair_threshold": ("target_avg", lambda v: calibrate_pair_threshold(_DATA, v)),
+    "make_pairs": ("pos_fraction", lambda v: make_pairs(_DATA, 1.0, 4, v, seeded_rng(0))),
+    "label_pairs": ("pos_fraction",
+                    lambda v: make_pairs_from_labels([0, 0, 1], 4, v, seeded_rng(0))),
+    "separation": ("separation", lambda v: synth_clusters(2, 3, 2, v, 0.1, seeded_rng(0))),
+    "noise_sigma": ("noise_sigma", lambda v: synth_clusters(2, 3, 2, 1.0, v, seeded_rng(0))),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True, "0.3"],
+                         ids=["nan", "inf", "-inf", "bool", "str"])
+@pytest.mark.parametrize("entry", list(_REAL_ENTRY_POINTS))
+def test_reals_are_finite_numbers_in_range(entry, value):
+    # inf passed the calibrations' `>= 1` and synth_clusters' `>= 0`, a NaN
+    # separation made 1000 draws per cluster before failing, and a string
+    # target_avg was read by float(). The message opens with the bare name.
+    name, call = _REAL_ENTRY_POINTS[entry]
+    with pytest.raises(ValidationError, match=f"^{name} must be a finite number"):
+        call(value)

@@ -562,6 +562,13 @@ def test_readers_reject_non_integer_codes():
         build_table(codes + 3, ids, 3)  # symbols outside [0, K)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_build_table_rejects_codes_with_no_positions(dtype):
+    # an L = 0 table could not be queried: lookup and kNN refuse an empty code
+    with pytest.raises(ValidationError, match="non-empty"):
+        build_table(np.zeros((3, 0), dtype), np.arange(3), 2)
+
+
 @pytest.mark.parametrize("L", [6, 9])
 def test_weighted_keys_are_small_integer_ranks_on_the_pattern_table(L):
     # 2^L <= N: each row gathers its pattern's int16 rank, equal scores
