@@ -68,7 +68,6 @@ from .learning import (
     boost_step,
     objective,
     train_rsh,
-    train_rsh_bit,
     train_srsh,
 )
 

@@ -110,13 +110,13 @@ class ExperimentConfig:
     methods: tuple[str, ...] = ("rsh",)
     K: int = 4
     L: int = 8
-    rho: float = 1.0
-    lam: float = 1.0
-    eta: float = 0.1
-    epochs: int = 50
-    tol: float = 1e-4
-    eps_min: float = 1e-4
-    seed: int = 0
+    rho: float = Hyperparams.rho
+    lam: float = Hyperparams.lam
+    eta: float = Hyperparams.eta
+    epochs: int = Hyperparams.epochs
+    tol: float = Hyperparams.tol
+    eps_min: float = Hyperparams.eps_min
+    seed: int = Hyperparams.seed
     # supervision
     max_pairs: int = 20000
     pos_fraction: float = 0.3
@@ -204,12 +204,16 @@ def _hyperparams(cfg: ExperimentConfig, **overrides) -> Hyperparams:
 def _config_keys(**keys):
     """Turn a library rule's ValidationError into a ConfigError naming the
     config key. The message opens with the offending parameter's name; `keys`
-    maps names whose value came from another key."""
+    maps names whose value came from another key. An error that names no
+    config key is about the data and passes through."""
     try:
         yield
     except ValidationError as exc:
         name, _, why = str(exc).partition(" ")
-        raise ConfigError(f"{keys.get(name, _KEY_OF_FIELD.get(name, name))}: {why}") from exc
+        key = keys.get(name, _KEY_OF_FIELD.get(name, name))
+        if key not in _KEY_TABLE:
+            raise
+        raise ConfigError(f"{key}: {why}") from exc
 
 
 def validate_config(cfg: ExperimentConfig, command: str) -> None:
@@ -307,8 +311,6 @@ def _transform(cfg: ExperimentConfig, train: Dataset, query: Dataset):
         train = Dataset(train.features - mean, train.ids)
         query = Dataset(query.features - mean, query.ids)
     if cfg.pca > 0:
-        if cfg.pca > min(train.n, train.dim):
-            raise ConfigError(f"pca: {cfg.pca} exceeds min(N, d) = {min(train.n, train.dim)}")
         basis = fit_pca(train, cfg.pca)
         artifacts["pca_mean"] = basis.mean
         artifacts["pca_components"] = basis.components
@@ -464,9 +466,6 @@ def _evaluate_model(cfg: ExperimentConfig, model: HashModel, db: Dataset,
     for R in cfg.radius_list:
         if R > model.L:
             raise ConfigError(f"radius_list: radius {R} exceeds code length {model.L}")
-    for k in cfg.k_list:
-        if k > db.n:
-            raise ConfigError(f"k_list: cutoff {k} exceeds the database size {db.n}")
     table = build_table(encode_dataset(db, model), db.ids, model.K)
     q_codes = encode_dataset(query, model)
     curve = pr_curve_by_radius(table, q_codes, gt)
@@ -631,7 +630,9 @@ def main(argv=None) -> int:
         validate_config(cfg, args.command)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](cfg, out)
+        # the bounds that depend on the data are the library's own rules
+        with _config_keys(m="pca", k="k_list", target_avg="neighbor_avg", window="K"):
+            _COMMANDS[args.command](cfg, out)
         return 0
     except ConfigError as exc:
         print(f"error:config: {exc}", file=sys.stderr)

@@ -123,8 +123,12 @@ def save_fvec(data: Dataset, path) -> None:
 
 
 def row_normalize(data: Dataset) -> Dataset:
-    """Scale every row to unit Euclidean norm; zero rows stay zero."""
-    norms = np.linalg.norm(data.features, axis=1)
+    """Scale every row to unit Euclidean norm; zero rows stay zero, and a
+    norm that overflows (entries near 1e154 and up) is refused."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(data.features, axis=1)
+    if not np.isfinite(norms).all():
+        raise ValidationError("row norms overflow the float range")
     safe = np.where(norms == 0, 1.0, norms)
     return Dataset(data.features / safe[:, None], data.ids)
 
@@ -264,28 +268,42 @@ def _squared_cutoff(t: float) -> float:
 
 
 def _rank_smallest(chunks, rank: int) -> float:
-    """The rank-th smallest value in an iterable of arrays; NaN never counts.
+    """The rank-th smallest value in an iterable of 2-D arrays; NaN never
+    counts.
 
-    The values each chunk keeps collect in a list. Once the list holds
-    2 * rank values they are cut back to their rank smallest, whose largest
-    then bounds what later chunks keep.
+    The values at or below the bound fill a pool of 2 * rank, which is cut
+    back to its rank smallest, whose largest then bounds what is kept, each
+    time it is full. Chunks are read about rank cells (or an eighth of the
+    chunk) at a time, so that a loose bound copies few values.
     """
-    kept, held, bound = [], 0, math.inf
+    pool = np.empty(2 * rank)
+    held, bound = 0, math.inf
     for chunk in chunks:
-        kept.append(chunk[chunk <= bound])
-        held += kept[-1].size
-        if held >= 2 * rank:
-            pool = _smallest(kept, rank).copy()  # frees the rest
-            kept, held, bound = [pool], rank, pool[-1]
-    return float(_smallest(kept, rank)[-1])
+        rows = max(1, max(rank, chunk.size // 8) // chunk.shape[1])
+        for t in range(0, chunk.shape[0], rows):
+            part = chunk[t:t + rows]
+            kept = part[part <= bound]
+            while held + kept.size >= pool.size:
+                take = pool.size - held
+                pool[held:] = kept[:take]
+                pool.partition(rank - 1)
+                held, bound = rank, pool[rank - 1]
+                rest = kept[take:]
+                kept = rest[rest <= bound]
+            pool[held:held + kept.size] = kept
+            held += kept.size
+    pool[:held].partition(rank - 1)
+    return float(pool[rank - 1])
 
 
-def _smallest(kept: list, rank: int) -> np.ndarray:
-    # the rank smallest of the arrays in kept, the largest last; partitions
-    # a lone array in place, since every kept array is a fresh copy
-    pool = kept[0] if len(kept) == 1 else np.concatenate(kept)
-    pool.partition(rank - 1)
-    return pool[:rank]
+def _calibrated_rank(target_avg, per: float, total: int, what: str) -> int:
+    # round(target_avg * per), capped first so that no finite target_avg overflows
+    target_avg = _as_real("target_avg", target_avg, 1)
+    rank = round(min(target_avg * per, total + 1))
+    if rank > total:
+        raise ValidationError(f"target_avg must not ask for more than the {total} {what} "
+                              f"that exist, got {target_avg!r}")
+    return rank
 
 
 def calibrate_groundtruth(db: Dataset, queries: Dataset, target_avg: float) -> GroundTruth:
@@ -303,12 +321,7 @@ def calibrate_groundtruth(db: Dataset, queries: Dataset, target_avg: float) -> G
     """
     if db.dim != queries.dim:
         raise ValidationError("database and query dimensions differ")
-    target_avg = _as_real("target_avg", target_avg, 1)
-    rank = int(round(target_avg * queries.n))
-    if rank > queries.n * db.n:
-        raise ValidationError(
-            f"target_avg {target_avg} needs {rank} pooled distances, only {queries.n * db.n} exist"
-        )
+    rank = _calibrated_rank(target_avg, queries.n, queries.n * db.n, "query-to-database distances")
     q_feats, db_feats = queries.features, db.features
     sq_q = (q_feats * q_feats).sum(axis=1)
     sq_db = (db_feats * db_feats).sum(axis=1)
@@ -319,6 +332,7 @@ def calibrate_groundtruth(db: Dataset, queries: Dataset, target_avg: float) -> G
     chunks = (_squared_into(sq[r0:r0 + rows], sq_q[r0:r0 + rows], sq_db, scratch)
               for r0 in range(0, queries.n, rows))
     threshold = math.sqrt(max(_rank_smallest(chunks, rank), 0.0))
+    del scratch  # the lists below read sq alone
     cut = _squared_cutoff(threshold)
     return GroundTruth(tuple(db.ids[row <= cut] for row in sq), threshold)
 
@@ -346,6 +360,14 @@ def _row_blocks(n: int):
         r0 = r1
 
 
+def _fill_non_pairs(chunk: np.ndarray, value) -> np.ndarray:
+    # set, in place, the cells (t, c), c < t, that are no pairs when cell
+    # (t, c) belongs to the pair (i0 + t, i0 + 1 + c)
+    h = chunk.shape[0]
+    np.copyto(chunk[:, :h - 1], value, where=np.tri(h, h - 1, -1, dtype=bool))
+    return chunk
+
+
 def _triangle_chunks(features: np.ndarray):
     """The squared distances of the pairs (i, j), i < j, in row-major order,
     as (i0, chunk): chunk[t, c] belongs to the pair (i0 + t, i0 + 1 + c), and
@@ -367,15 +389,7 @@ def _triangle_chunks(features: np.ndarray):
             h = min(rows, r1 - i0)
             chunk = _squared_into(gram[i0 - r0:i0 - r0 + h, i0 + 1 - r0:],
                                   sq_norms[i0:i0 + h], sq_norms[i0 + 1:], scratch)
-            chunk[:, :h - 1][np.tri(h, h - 1, -1, dtype=bool)] = np.nan
-            yield i0, chunk
-
-
-def _strict_upper(block: np.ndarray, r0: int, r1: int) -> np.ndarray:
-    """Clear the cells (i, j), j <= i, of block [r0:r1, r0:] in place."""
-    h = r1 - r0
-    block[:, :h] &= np.arange(h)[:, None] < np.arange(h)[None, :]
-    return block
+            yield i0, _fill_non_pairs(chunk, np.nan)
 
 
 def calibrate_pair_threshold(data: Dataset, target_avg: float) -> float:
@@ -387,16 +401,10 @@ def calibrate_pair_threshold(data: Dataset, target_avg: float) -> float:
     distance, which `_rank_smallest` finds over `_triangle_chunks`. The
     square root is monotone, so the two order statistics agree.
     """
-    target_avg = _as_real("target_avg", target_avg, 1)
     n = data.n
     if n < 2:
         raise ValidationError("need at least two points")
-    rank = int(round(target_avg * n / 2.0))
-    total = n * (n - 1) // 2
-    if rank > total:
-        raise ValidationError(
-            f"target_avg {target_avg} needs {rank} pair distances, only {total} exist"
-        )
+    rank = _calibrated_rank(target_avg, n / 2.0, n * (n - 1) // 2, "pair distances")
     sq = _rank_smallest((chunk for _, chunk in _triangle_chunks(data.features)), rank)
     return math.sqrt(max(sq, 0.0))
 
@@ -488,7 +496,8 @@ def make_pairs_from_labels(labels, max_pairs: int, pos_fraction: float,
     _check_sampling(max_pairs, pos_fraction)
     n = labels.size
     similar = np.concatenate([
-        _mask_ranks(n, r0, r0, _strict_upper(labels[r0:r1, None] == labels[None, r0:], r0, r1))
+        _mask_ranks(n, r0, r0 + 1,
+                    _fill_non_pairs(labels[r0:r1, None] == labels[None, r0 + 1:], False))
         for r0, r1 in _row_blocks(n)])
     return _sample_pairs(n, similar, max_pairs, pos_fraction, rng)
 

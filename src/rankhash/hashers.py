@@ -63,11 +63,10 @@ def encode_dataset(data: Dataset, model: HashModel) -> np.ndarray:
     return columns.T
 
 
-def check_wta_window(window, d: int) -> None:
-    """Reject a WTA window that is not an integer in [2, d]: each symbol
-    is the argmax over `window` of the d input coordinates."""
-    if not isinstance(window, (int, np.integer)) or not 2 <= window <= d:
-        raise ValidationError("window must satisfy 2 <= window <= d")
+def check_wta_window(window, d: int) -> int:
+    """A WTA window as an int in [2, d]: each symbol is the argmax over
+    `window` of the d input coordinates."""
+    return _as_count("window", window, 2, d)
 
 
 @dataclass(frozen=True)
@@ -86,9 +85,8 @@ class WtaSpec:
         for row in range(perms.shape[0]):
             if not np.array_equal(np.sort(perms[row]), expected):
                 raise ValidationError(f"permutation row {row} is not a bijection on [0, {d})")
-        check_wta_window(self.window, d)
+        object.__setattr__(self, "window", check_wta_window(self.window, d))
         object.__setattr__(self, "permutations", perms)
-        object.__setattr__(self, "window", int(self.window))
 
     @property
     def L(self) -> int:

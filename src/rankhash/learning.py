@@ -51,7 +51,6 @@ __all__ = [
     "objective",
     "boost_step",
     "train_rsh",
-    "train_rsh_bit",
     "train_srsh",
 ]
 
@@ -214,7 +213,7 @@ def _train_bits(X, pi, pj, ps, hyper: Hyperparams, seeds, alpha=None):
     as the one-pair step would see it, decisions past a bit's first update
     are dropped, and bits share buffers but no values.
 
-    A lone bit (srsh, `train_rsh_bit`, or the last bit still training) reads
+    A lone bit (srsh, an L = 1 rsh, or the last bit still training) reads
     its blocks as slices of a window of endpoint rows gathered ahead; a
     stack of bits gathers each round's rows with one take.
     """
@@ -367,15 +366,6 @@ def train_rsh(data: Dataset, pairs: PairSet, hyper: Hyperparams, log: TrainLog |
                 BitTrace(bit=l, objective_trace=surr, empirical_trace=emp, update_fraction=upd)
             )
     return HashModel(np.stack([W for W, *_ in trained]), None, hyper)
-
-
-def train_rsh_bit(data: Dataset, pairs: PairSet, hyper: Hyperparams, bit_seed: int) -> np.ndarray:
-    """Train a single projection matrix from an explicit seed.
-
-    `train_rsh` is exactly this, run once per bit with derived child seeds.
-    """
-    X, pi, pj, ps = _prepare(data, pairs)
-    return _train_bits(X, pi, pj, ps, hyper, [bit_seed])[0][0]
 
 
 def boost_step(alpha, norm_err, eps_min: float):

@@ -492,6 +492,60 @@ def test_benchmark_rerun_identical(tmp_path):
 # ----------------------------------------------------------- error paths
 
 
+def _file_input(tmp_path):
+    """40 rows of 6 features, split 30 / 10."""
+    rows = np.random.default_rng(9).standard_normal((40, 6))
+    save_fvec(Dataset.from_features(rows), tmp_path / "rows.rshv")
+    return (f"input = {tmp_path / 'rows.rshv'}\ntrain_count = 30\nquery_count = 10\n"
+            "methods = rsh\nK = 4\nL = 4\nepochs = 2\nmax_pairs = 200\nseeds = 1\n"
+            "radius_list = 1\nk_list = 5\nneighbor_avg = 3\n")
+
+
+_STAGES = ("preprocess", "train", "eval")
+
+
+@pytest.mark.parametrize(
+    "source, extra, stage, key",
+    [
+        ("synthetic", "pca = 9\n", "preprocess", "pca"),  # min(N, d) = 8
+        ("file", "pca = 7\n", "preprocess", "pca"),  # min(N, d) = 6
+        ("synthetic", "k_list = 5, 91\n", "eval", "k_list"),  # N = 90
+        ("file", "neighbor_avg = 5000\n", "train", "neighbor_avg"),  # 435 pairs
+        ("file", "neighbor_avg = 5000\n", "eval", "neighbor_avg"),  # 300 distances
+        ("file", "neighbor_avg = 1e308\n", "train", "neighbor_avg"),
+        ("file", "neighbor_avg = 1e308\n", "eval", "neighbor_avg"),
+        ("synthetic", "methods = wta\nK = 9\n", "train", "K"),  # d = 8
+        ("file", "methods = wta\nK = 7\n", "benchmark", "K"),  # d = 6
+    ],
+    ids=["pca_synthetic", "pca_file", "k_list", "pairs_5000", "groundtruth_5000",
+         "pairs_1e308", "groundtruth_1e308", "wta_train", "wta_benchmark"],
+)
+def test_data_dependent_bound_exits_2_before_writing(tmp_path, capsys, source, extra, stage, key):
+    # bounds that only the data can decide are the library's rules, named by
+    # the config key they came from; the stage writes nothing
+    base = BASE if source == "synthetic" else _file_input(tmp_path)
+    cfg = write_config(tmp_path, base=base)
+    out = tmp_path / "out"
+    for before in _STAGES[:_STAGES.index(stage)] if stage in _STAGES else ():
+        assert main([before, "--config", str(cfg), "--out", str(out)]) == 0, before
+    written = sorted(out.iterdir()) if out.exists() else []
+    write_config(tmp_path, base=base, extra=extra)  # the same file, now with the bound broken
+    capsys.readouterr()
+    assert main([stage, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error:config: {key}: ")
+    assert (sorted(out.iterdir()) if out.exists() else []) == written
+
+
+def test_row_norm_overflow_exits_5_without_data(tmp_path, capsys):
+    # rows of about 1e200 have norms beyond the float range; dividing by inf
+    # wrote all-zero rows
+    cfg = write_config(tmp_path, extra="noise_sigma = 1e200\n")
+    out = tmp_path / "out"
+    assert main(["preprocess", "--config", str(cfg), "--out", str(out)]) == 5
+    assert capsys.readouterr().err.startswith("error:data: row norms")
+    assert not (out / "train.rshv").exists()
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense = 1\n")
@@ -530,14 +584,15 @@ def test_invalid_split_exits_5(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["train", "benchmark"])
-def test_wta_window_wider_than_dim_exits_5_before_fitting(tmp_path, capsys, command):
+def test_wta_window_wider_than_dim_exits_2_before_fitting(tmp_path, capsys, command):
+    # K is the wta window, so K > d is a config error, found before any model
     cfg = write_config(tmp_path, extra="dim = 3\nmethods = rsh, srsh, wta, lsh\nK = 8\n")
     out = tmp_path / "out"
     if command == "train":
         assert main(["preprocess", "--config", str(cfg), "--out", str(out)]) == 0
     code = main([command, "--config", str(cfg), "--out", str(out)])
-    assert code == 5
-    assert capsys.readouterr().err.endswith("window must satisfy 2 <= window <= d\n")
+    assert code == 2
+    assert capsys.readouterr().err == "error:config: K: must be an integer in [2, 3], got 8\n"
     assert list(out.glob("model_*.rshm")) == []
     assert not (out / "train_log.csv").exists()
     assert not (out / "metrics.csv").exists()

@@ -136,6 +136,15 @@ def test_row_normalize_unit_norms():
     assert np.allclose(np.linalg.norm(out.features, axis=1), 1.0)
 
 
+def test_row_normalize_refuses_an_overflowing_norm():
+    # a norm of inf divided the row to zeros; finite norms divide as before
+    rows = np.array([[3e-5, 4e-5], [1e200, -1e200], [0.0, 0.0]])
+    with pytest.raises(ValidationError, match="^row norms overflow"):
+        row_normalize(Dataset.from_features(rows))
+    out = row_normalize(Dataset.from_features(rows[[0, 2]]))
+    assert out.features.tobytes() == np.array([[3e-5 / 5e-5, 4e-5 / 5e-5], [0.0, 0.0]]).tobytes()
+
+
 def test_pca_line_through_origin():
     ts = np.linspace(-2, 2, 9)
     feats = np.stack([ts, np.zeros_like(ts)], axis=1)
@@ -367,6 +376,21 @@ def test_calibrate_groundtruth_memory(n_q, n_db):
     assert abs(gt.mean_count - 50.0) <= 1.0
     matrix = n_q * n_db * 8
     assert peak < 1.25 * matrix, peak / matrix
+
+
+@pytest.mark.parametrize("pair_avg, gt_avg", [(3.3, 4.2), (1e308, 1e308)])
+def test_calibrations_refuse_a_rank_beyond_the_pool(pair_avg, gt_avg):
+    # 4 points: 6 pair distances at rank round(3.3 * 4 / 2) = 7, and 16
+    # query-to-database distances at rank round(4.2 * 4) = 17. 1e308 raised
+    # a bare OverflowError when its product was rounded
+    data = Dataset.from_features(np.eye(4))
+    with pytest.raises(ValidationError, match="^target_avg must not ask for more than the 6 "):
+        calibrate_pair_threshold(data, pair_avg)
+    with pytest.raises(ValidationError, match="^target_avg must not ask for more than the 16 "):
+        calibrate_groundtruth(data, data, gt_avg)
+    # the largest ranks still pass
+    assert calibrate_pair_threshold(data, 3.0) == math.sqrt(2.0)
+    assert calibrate_groundtruth(data, data, 4.0).threshold == math.sqrt(2.0)
 
 
 def test_calibrate_groundtruth_threshold_is_the_sorted_order_statistic():

@@ -18,7 +18,6 @@ from rankhash import (
     objective,
     seeded_rng,
     train_rsh,
-    train_rsh_bit,
     train_srsh,
 )
 from rankhash import learning
@@ -333,13 +332,19 @@ def test_train_rsh_deterministic():
     assert a.weights is None
 
 
+def lone_bit(data, pairs, hyper, bit_seed):
+    """One bit trained alone from an explicit seed: `_train_bits` with one
+    seed, the lone-bit path srsh takes."""
+    return learning._train_bits(data.features, pairs.i, pairs.j, pairs.s, hyper, [bit_seed])[0][0]
+
+
 def test_train_rsh_bits_are_independent():
     # an L=2 model is exactly the two single-bit runs with the child seeds
     data, pairs = two_cluster_problem()
     hyper = Hyperparams(K=2, L=2, epochs=10, seed=13)
     model = train_rsh(data, pairs, hyper)
     for l in range(2):
-        W = train_rsh_bit(data, pairs, hyper, child_seed(13, l))
+        W = lone_bit(data, pairs, hyper, child_seed(13, l))
         assert np.array_equal(model.projections[l], W)
 
 
@@ -602,7 +607,7 @@ def assert_matches_oracle(problem, K, rho, lam, epochs, tol, seed):
         bit_seed = child_seed(seed, l)
         W, surr, emp, fractions = reference_train_bit(data, pairs, hyper, bit_seed)
         assert np.array_equal(model.projections[l], W)
-        assert np.array_equal(train_rsh_bit(data, pairs, hyper, bit_seed), W)
+        assert np.array_equal(lone_bit(data, pairs, hyper, bit_seed), W)
         assert trace.objective_trace == surr
         assert trace.empirical_trace == emp
         assert trace.update_fraction == fractions

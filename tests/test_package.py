@@ -42,3 +42,60 @@ def test_no_oracle_is_exported():
     assert {"pair_error", "rsh_encode", "objective_arrays", "center_and_normalize"} <= defined
     for module in (rankhash, *MODULES):
         assert not defined & set(vars(module)), module.__name__
+
+
+# numpy names that exist only from numpy 2.0 on, while pyproject.toml
+# accepts numpy 1.24: a use passes on numpy 2 and fails on the floor
+NUMPY2_ONLY = {
+    "bitwise_count", "unstack", "cumulative_sum", "cumulative_prod", "vecdot", "matvec",
+    "vecmat", "astype", "concat", "permute_dims", "isdtype", "trapezoid", "_core",
+}
+
+
+def numpy2_uses(source: str) -> list:
+    """(line, name) of each numpy-2-only name that `source` takes from
+    numpy: an attribute chain from numpy under any alias (`np.concat`,
+    `np.linalg.vecdot`), `from numpy import ...`, and any import of
+    `numpy._core`. Methods such as `ndarray.astype` are not numpy's names."""
+    tree = ast.parse(source)
+    aliases = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names if a.name == "numpy"}
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            uses += [(node.lineno, a.name) for a in node.names if a.name.startswith("numpy._core")]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            if node.module.startswith("numpy._core"):
+                uses.append((node.lineno, node.module))
+            elif node.module == "numpy":
+                uses += [(node.lineno, a.name) for a in node.names if a.name in NUMPY2_ONLY]
+        elif isinstance(node, ast.Attribute) and node.attr in NUMPY2_ONLY:
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in aliases:
+                uses.append((node.lineno, node.attr))
+    return sorted(uses)
+
+
+def test_numpy2_check_sees_every_form():
+    source = (
+        "import numpy as xp\n"
+        "from numpy import concat, zeros\n"
+        "import numpy._core.multiarray\n"
+        "from numpy._core import umath\n"
+        "xp.bitwise_count(a)\n"
+        "xp.linalg.vecdot(a, b)\n"
+        "a.astype(int)\n"
+        "xp.asarray(a).astype(int)\n"
+    )
+    assert numpy2_uses(source) == [(2, "concat"), (3, "numpy._core.multiarray"),
+                                   (4, "numpy._core"), (5, "bitwise_count"), (6, "vecdot")]
+
+
+def test_src_uses_no_numpy2_only_name():
+    # the local stand-in for the CI job at the numpy 1.24 floor
+    src = Path(rankhash.__file__).parent
+    uses = {path.name: numpy2_uses(path.read_text(encoding="utf-8"))
+            for path in sorted(src.glob("*.py"))}
+    assert {name: found for name, found in uses.items() if found} == {}
