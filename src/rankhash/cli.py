@@ -386,6 +386,13 @@ def _check_wta_fits(cfg: ExperimentConfig, train: Dataset) -> None:
         check_wta_window(cfg.K, train.dim)
 
 
+def _check_k_fits(cfg: ExperimentConfig, db: Dataset) -> None:
+    """Reject a kNN depth beyond the database by the rule kNN applies, before
+    any model is fitted or encoded."""
+    if cfg.k_list:
+        _as_count("k", max(cfg.k_list), 1, db.n)
+
+
 def _method_cells(cfg: ExperimentConfig, method: str) -> list:
     """The (rho, lam) cells a method trains on; None for the untrained ones."""
     return _grid_cells(cfg) if method in _TRAINED else [None]
@@ -541,6 +548,7 @@ def _write_results(cfg: ExperimentConfig, out: Path, runs, key: str, summary: di
 
 def cmd_eval(cfg: ExperimentConfig, out: Path) -> None:
     train, query, train_labels, query_labels = _load_stage_data(cfg, out)
+    _check_k_fits(cfg, train)
     models_dir = Path(cfg.models_dir) if cfg.models_dir else out
     gt = _make_groundtruth(cfg, train, query, train_labels, query_labels)
     winners = []
@@ -575,6 +583,7 @@ def cmd_benchmark(cfg: ExperimentConfig, out: Path) -> None:
     train, query, train_labels, query_labels = _source_data(cfg)
     train, query, _ = _transform(cfg, train, query)
     _check_wta_fits(cfg, train)
+    _check_k_fits(cfg, train)
     pairs = _build_pairs(cfg, train, train_labels)
     gt = _make_groundtruth(cfg, train, query, train_labels, query_labels)
     cell = (float(cfg.rho), float(cfg.lam))

@@ -122,15 +122,28 @@ def save_fvec(data: Dataset, path) -> None:
     Path(path).write_bytes(bytes(blob))
 
 
+# below this norm the sum of squares is not a normal float
+_SMALLEST_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
+
+
 def row_normalize(data: Dataset) -> Dataset:
     """Scale every row to unit Euclidean norm; zero rows stay zero, and a
-    norm that overflows (entries near 1e154 and up) is refused."""
+    norm that overflows (entries near 1e154 and up) is refused. A row whose
+    sum of squares falls below the smallest normal float (entries near
+    1e-154 and below) is measured after dividing by its largest entry, so
+    it too comes out at unit norm instead of kept as if it were zero."""
+    X = data.features
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(data.features, axis=1)
+        norms = np.linalg.norm(X, axis=1)
     if not np.isfinite(norms).all():
         raise ValidationError("row norms overflow the float range")
+    tiny = np.flatnonzero(norms < _SMALLEST_NORM)
+    if tiny.size:
+        peak = np.abs(X[tiny]).max(axis=1, keepdims=True)
+        peak[peak == 0] = 1.0
+        norms[tiny] = np.linalg.norm(X[tiny] / peak, axis=1) * peak[:, 0]
     safe = np.where(norms == 0, 1.0, norms)
-    return Dataset(data.features / safe[:, None], data.ids)
+    return Dataset(X / safe[:, None], data.ids)
 
 
 def apply_center_and_normalize(data: Dataset, mean) -> Dataset:
@@ -520,17 +533,34 @@ def synth_clusters(n_clusters: int, per_cluster: int, d: int, separation: float,
     scale = separation / np.sqrt(2.0 * d) if separation > 0 else 1.0
     centers = []
     attempts = 0
-    while len(centers) < n_clusters:
-        attempts += 1
-        if attempts > 1000 * n_clusters:
-            raise RankHashError("could not place cluster centers at the requested separation")
-        cand = rng.standard_normal(d) * scale
-        if all(np.linalg.norm(cand - c) >= separation for c in centers):
-            centers.append(cand)
-    centers = np.stack(centers)
-    labels = np.repeat(np.arange(n_clusters, dtype=np.int64), per_cluster)
-    noise = rng.standard_normal((n_clusters * per_cluster, d)) * noise_sigma
-    return Dataset.from_features(centers[labels] + noise), labels
+    too_far = ValidationError(
+        "separation is too large: distances between cluster centers overflow the float range"
+    )
+    # a scale near the float range overflows the distances between centres,
+    # or the noise, before any value of the data is inf; both are refused
+    with np.errstate(over="ignore"):
+        while len(centers) < n_clusters:
+            attempts += 1
+            if attempts > 1000 * n_clusters:
+                raise RankHashError("could not place cluster centers at the requested separation")
+            cand = rng.standard_normal(d) * scale
+            for c in centers:
+                gap = float(np.linalg.norm(cand - c))
+                if not math.isfinite(gap):
+                    raise too_far
+                if gap < separation:
+                    break
+            else:
+                centers.append(cand)
+        centers = np.stack(centers)
+        if not np.isfinite(centers).all():
+            raise too_far
+        labels = np.repeat(np.arange(n_clusters, dtype=np.int64), per_cluster)
+        noise = rng.standard_normal((n_clusters * per_cluster, d)) * noise_sigma
+        features = centers[labels] + noise
+    if not np.isfinite(features).all():
+        raise ValidationError("noise_sigma is too large: the noisy points overflow the float range")
+    return Dataset.from_features(features), labels
 
 
 def split_dataset(data: Dataset, n_train: int, n_query: int,

@@ -83,7 +83,8 @@ def _objective_arrays(X, pi, pj, ps, W, rho, lam):
     off-diagonal cell is a1 + b1 when the emitted symbols differ; otherwise
     one side gives up its top score for its second. Rounding is monotone, so
     adding rho * s or lam * (1 - s) after the maximum gives the same float
-    as adding it to every cell before.
+    as adding it to every cell before. max is exact in any order, so the
+    diagonal maximum is taken one column at a time over all pairs.
     """
     Y = X @ W.T
     h = Y.argmax(axis=1)
@@ -93,7 +94,13 @@ def _objective_arrays(X, pi, pj, ps, W, rho, lam):
     same = h[pi] == h[pj]
     sf = ps.astype(np.float64)
     off = np.where(same, np.maximum(a1 + b2, a2 + b1), a1 + b1)
-    value = np.maximum(off + rho * sf, (Y[pi] + Y[pj]).max(axis=1) + lam * (1.0 - sf))
+    # a max along the length-K axis runs row by row; one np.maximum per
+    # column spans every pair
+    sums = np.add(Y.take(pi, axis=0), Y.take(pj, axis=0))
+    diag = sums[:, 0].copy()
+    for column in sums.T[1:]:
+        np.maximum(diag, column, out=diag)
+    value = np.maximum(off + rho * sf, diag + lam * (1.0 - sf))
     surrogate = value - (a1 + b1)
     err = np.where(ps == 1, rho * ~same, lam * same)
     return float(surrogate.sum()), float(err.sum()), err
@@ -146,7 +153,8 @@ def _prepare(data: Dataset, pairs: PairSet):
 # the smallest ask for every bit still training, cut so that each of its
 # buffers holds at most _BLOCK_CELLS floats: the A * S * K * K loss-adjusted
 # cells and the A * 2S * d gathered endpoint values (but at least one pair
-# per bit), and rounded down to a power of two.
+# per bit), and rounded down to a power of two. A lone bit's window holds as
+# many pairs as one such buffer.
 _BLOCK_MIN = 4
 _BLOCK_MAX = 256
 _BLOCK_CELLS = 1 << 16
@@ -214,8 +222,11 @@ def _train_bits(X, pi, pj, ps, hyper: Hyperparams, seeds, alpha=None):
     are dropped, and bits share buffers but no values.
 
     A lone bit (srsh, an L = 1 rsh, or the last bit still training) reads
-    its blocks as slices of a window of endpoint rows gathered ahead; a
-    stack of bits gathers each round's rows with one take.
+    its blocks' endpoint columns and offsets e(., ., s) as slices of a
+    window gathered ahead; a stack of bits gathers each round's with one
+    take each. An update's two deltas step * x are one multiply of the
+    round's gathered columns, and each epoch computes its visits' steps once:
+    step * alpha[t] is alpha[t] * step, the same float.
     """
     K, d, n = hyper.K, X.shape[1], pi.size
     L = len(seeds)
@@ -223,17 +234,19 @@ def _train_bits(X, pi, pj, ps, hyper: Hyperparams, seeds, alpha=None):
     # cap[A]: the most pairs per bit in a round of A bits
     cap = [0] + [max(1, min(_BLOCK_MAX, _BLOCK_CELLS // (A * width), n)) for A in range(1, L + 1)]
     span = max(A * cap[A] for A in range(1, L + 1))  # pairs of the largest round
-    window = min(n, max(cap[1], _BLOCK_CELLS // (2 * d)))  # pairs a lone bit's window holds
+    window = min(n, max(1, _BLOCK_CELLS // width))  # pairs a lone bit's window holds
     bits = [_Bit(seed, hyper, X, pi, pj, ps, cap[2] if L > 1 else 0) for seed in seeds]
+    weights = np.ones(n) if alpha is None else alpha
     offsets = _pair_offsets(K, hyper.rho, hyper.lam)
     cols = X[:, :, None]
     col_buf = np.empty((2 * max(window, span), d, 1))
+    offset_buf = np.empty((max(window, span), K, K))
     y_buf = np.empty(2 * span * K)
     cell_buf = np.empty(span * K * K)
-    offset_buf = np.empty(span * K * K)
     sym_buf = np.empty(4 * span, dtype=np.intp)  # emitted symbols, argmax cells, emitted cells
     moved_buf = np.empty(span, dtype=bool)
-    dx = np.empty(d)
+    dx = np.empty((2, d))  # the update's step times its first and second point
+    dxi, dxj = dx
     flat_cell = np.array([K, 1], dtype=np.intp)  # (hi, hj) . flat_cell = hi * K + hj
     win = [0, 0]  # the lone bit's window [lo, hi) of visits; hi = 0 forces a refill
 
@@ -246,15 +259,16 @@ def _train_bits(X, pi, pj, ps, hyper: Hyperparams, seeds, alpha=None):
         g, e = sym_buf[2 * A * S : 4 * A * S].reshape(2, A, S)
         return _Round(
             E, E.reshape(A * S, 2, d, 1), Y, y, y[:, 0::2, :, None], y[:, 1::2, None, :],
-            cells, cells.reshape(A, S, K * K), offset_buf[: A * S * K * K].reshape(A, S, K, K),
+            cells, cells.reshape(A, S, K * K), offset_buf[: A * S].reshape(A, S, K, K),
             h, h.reshape(A, S, 2), g, e, moved_buf[: A * S].reshape(A, S),
         )
 
     shaped = {}  # (A, S) -> _Round
 
     def start_epoch(b):
-        b.step = hyper.eta / (1.0 + b.epoch)
         b.order = b.rng.permutation(n)
+        # per visit, the step eta / (1 + epoch) times the pair's weight
+        b.steps = weights[b.order] * (hyper.eta / (1.0 + b.epoch))
         b.plan[0, :n] = pi[b.order]
         b.plan[1, :n] = pj[b.order]
         b.plan[2, :n] = ps[b.order]
@@ -285,7 +299,6 @@ def _train_bits(X, pi, pj, ps, hyper: Hyperparams, seeds, alpha=None):
         start_epoch(b)
     active = bits
     Ws = stack(active)  # (A, 1, K, d)
-    lone_cols = col_buf[None]
     ask, left = _BLOCK_MIN, n  # the smallest ask and the longest rest of an epoch
     while active:
         A = len(active)
@@ -296,19 +309,21 @@ def _train_bits(X, pi, pj, ps, hyper: Hyperparams, seeds, alpha=None):
             b = active[0]
             if b.pos + S > win[1]:
                 win[:] = b.pos, min(b.pos + window, n)
-                pair_rows = b.plan[:2, win[0] : win[1]].T
-                out = col_buf[: 2 * len(pair_rows)].reshape(-1, 2, d, 1)
-                cols.take(pair_rows, axis=0, out=out, mode="clip")
-            at = 2 * (b.pos - win[0])
-            E = lone_cols[:, at : at + 2 * S]
-            s = b.plan[None, 2, b.pos : b.pos + S]
+                plan = b.plan[:, win[0] : win[1]]
+                cols.take(plan[:2].T, axis=0, out=col_buf[: 2 * plan.shape[1]].reshape(-1, 2, d, 1),
+                          mode="clip")
+                offsets.take(plan[2], axis=0, out=offset_buf[: plan.shape[1]], mode="clip")
+            at = b.pos - win[0]
+            E = col_buf[None, 2 * at : 2 * (at + S)]
+            adjust = offset_buf[None, at : at + S]
         else:
             plan = np.concatenate([b.plan[:, b.pos : b.pos + S] for b in active], axis=1)
             cols.take(plan[:2].T, axis=0, out=v.pair_cols, mode="clip")
-            E, s = v.E, plan[2].reshape(A, S)
+            E = v.E
+            adjust = offsets.take(plan[2].reshape(A, S), axis=0, out=v.offsets, mode="clip")
         np.matmul(Ws, E, out=v.Y)
         np.add(v.yi, v.yj, out=v.cells)
-        np.add(v.cells, offsets.take(s, axis=0, out=v.offsets, mode="clip"), out=v.cells)
+        np.add(v.cells, adjust, out=v.cells)
         v.flat.argmax(axis=2, out=v.g)
         v.y.argmax(axis=2, out=v.h)
         np.dot(v.pairs, flat_cell, out=v.e)
@@ -321,19 +336,15 @@ def _train_bits(X, pi, pj, ps, hyper: Hyperparams, seeds, alpha=None):
                 b.gap = b.quiet + r + 1
                 b.quiet = 0
                 gi, gj = divmod(int(v.g[a, r]), K)
-                hi, hj = int(v.h[a, 2 * r]), int(v.h[a, 2 * r + 1])
-                at = b.pos + r
-                step = b.step if alpha is None else b.step * float(alpha[b.order[at]])
-                b.pos = at + 1
-                xi, xj = b.plan[:2, at].tolist()
+                hi, hj = v.pairs[a, r].tolist()
+                np.multiply(E[a, 2 * r : 2 * r + 2, :, 0], b.steps[b.pos + r], out=dx)
+                b.pos += r + 1
                 if gi != hi:
-                    np.multiply(X[xi], step, out=dx)
-                    b.rows[hi] += dx
-                    b.rows[gi] -= dx
+                    b.rows[hi] += dxi
+                    b.rows[gi] -= dxi
                 if gj != hj:
-                    np.multiply(X[xj], step, out=dx)
-                    b.rows[hj] += dx
-                    b.rows[gj] -= dx
+                    b.rows[hj] += dxj
+                    b.rows[gj] -= dxj
             else:  # no update in b's block, which may end with its epoch
                 taken = min(S, n - b.pos)
                 b.quiet += taken

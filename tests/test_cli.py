@@ -516,9 +516,12 @@ _STAGES = ("preprocess", "train", "eval")
         ("file", "neighbor_avg = 1e308\n", "eval", "neighbor_avg"),
         ("synthetic", "methods = wta\nK = 9\n", "train", "K"),  # d = 8
         ("file", "methods = wta\nK = 7\n", "benchmark", "K"),  # d = 6
+        ("synthetic", "separation = 1e308\ndim = 3\n", "preprocess", "separation"),
+        ("synthetic", "noise_sigma = 1e308\n", "preprocess", "noise_sigma"),
     ],
     ids=["pca_synthetic", "pca_file", "k_list", "pairs_5000", "groundtruth_5000",
-         "pairs_1e308", "groundtruth_1e308", "wta_train", "wta_benchmark"],
+         "pairs_1e308", "groundtruth_1e308", "wta_train", "wta_benchmark",
+         "separation_1e308", "noise_1e308"],
 )
 def test_data_dependent_bound_exits_2_before_writing(tmp_path, capsys, source, extra, stage, key):
     # bounds that only the data can decide are the library's rules, named by
@@ -534,6 +537,28 @@ def test_data_dependent_bound_exits_2_before_writing(tmp_path, capsys, source, e
     assert main([stage, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error:config: {key}: ")
     assert (sorted(out.iterdir()) if out.exists() else []) == written
+
+
+@pytest.mark.parametrize("stage", ["eval", "benchmark"])
+def test_k_list_beyond_n_exits_2_before_fitting(tmp_path, capsys, monkeypatch, stage):
+    # k_list is checked against N once the data is loaded: no model is
+    # trained, loaded or encoded first
+    import rankhash.cli as cli
+
+    cfg = write_config(tmp_path, extra="methods = srsh\n")
+    out = tmp_path / "out"
+    for before in _STAGES[:_STAGES.index(stage)] if stage in _STAGES else ():
+        assert main([before, "--config", str(cfg), "--out", str(out)]) == 0, before
+    write_config(tmp_path, extra="methods = srsh\nepochs = 100\nk_list = 5, 91\n")  # N = 90
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model was fitted or encoded before the k_list check")
+
+    for name in ("train_srsh", "load_model", "encode_dataset"):
+        monkeypatch.setattr(cli, name, refuse)
+    capsys.readouterr()
+    assert main([stage, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:config: k_list: ")
 
 
 def test_row_norm_overflow_exits_5_without_data(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,15 @@ def test_row_normalize_refuses_an_overflowing_norm():
         row_normalize(Dataset.from_features(rows))
     out = row_normalize(Dataset.from_features(rows[[0, 2]]))
     assert out.features.tobytes() == np.array([[3e-5 / 5e-5, 4e-5 / 5e-5], [0.0, 0.0]]).tobytes()
+
+
+def test_row_normalize_scales_rows_whose_squares_underflow():
+    # the squares of 3e-170 and 4e-170 underflow to 0, so the plain norm read
+    # 0 and the row was kept as it was; every other row divides as before
+    rows = np.array([[3e-170, 4e-170], [3.0, 4.0], [0.0, 0.0]])
+    out = row_normalize(Dataset.from_features(rows)).features
+    assert np.allclose(out[0], [0.6, 0.8], rtol=1e-15, atol=0)
+    assert out[1:].tobytes() == np.array([[3.0 / 5.0, 4.0 / 5.0], [0.0, 0.0]]).tobytes()
 
 
 def test_pca_line_through_origin():
@@ -699,6 +709,17 @@ def test_synth_clusters_centers_respect_separation():
     for a in range(5):
         for b in range(a + 1, 5):
             assert np.linalg.norm(centers[a] - centers[b]) >= 4.0
+
+
+@pytest.mark.parametrize("separation, noise_sigma, name", [(1e308, 1.0, "separation"),
+                                                           (1.0, 1e308, "noise_sigma")])
+def test_synth_clusters_refuses_a_scale_that_overflows(separation, noise_sigma, name):
+    # the centres' distances or the noisy points overflowed to inf, with a
+    # RuntimeWarning, and the data failed later as not finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"^{name} is too large"):
+            synth_clusters(3, 10, 3, separation, noise_sigma, seeded_rng(18))
 
 
 def test_synth_clusters_reproducible():

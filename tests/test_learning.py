@@ -643,6 +643,19 @@ def test_training_matches_reference_loop_screening_every_block(case, monkeypatch
     assert_matches_oracle(*case, seed=2)
 
 
+@pytest.mark.parametrize("case", [case for case in ORACLE_CASES if case[0] == "ties"])
+def test_lone_bit_windows_refill_like_the_reference(case, monkeypatch):
+    # a lone bit reads its endpoint columns and its pairs' offsets from a
+    # window gathered ahead. At three pairs per window, against blocks of one
+    # or two pairs, each epoch of 122 pairs refills it over 40 times,
+    # often with the window's last pair left over; srsh's bits and rsh's last
+    # bit still train like the reference, zero rho or lam included
+    problem, K = case[:2]
+    data, _ = oracle_problem(problem, 3)
+    monkeypatch.setattr(learning, "_BLOCK_CELLS", 3 * max(K * K, 2 * data.dim))
+    assert_matches_oracle(*case, seed=3)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32),
