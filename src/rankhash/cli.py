@@ -225,8 +225,12 @@ def validate_config(cfg: ExperimentConfig, command: str) -> None:
     for method in cfg.methods:
         if method not in KNOWN_METHODS:
             bad("methods", f"unknown method {method!r}; choose from {', '.join(KNOWN_METHODS)}")
-        if cfg.methods.count(method) > 1:
-            bad("methods", f"{method!r} is listed more than once")
+    # a list key names each entry once: a repeat would fit, write or score twice
+    for key, (name, _) in _KEY_TABLE.items():
+        entries = getattr(cfg, name)
+        for i, entry in enumerate(entries if isinstance(entries, tuple) else ()):
+            if entry in entries[:i]:
+                bad(key, f"{entry!r} is listed more than once")
     # each value goes through the rule the library applies to it
     with _config_keys():
         _hyperparams(cfg)
@@ -280,24 +284,17 @@ def _load_input(cfg: ExperimentConfig) -> Dataset:
 def _source_data(cfg: ExperimentConfig):
     """Produce (train, query, train_labels, query_labels); labels are None
     for file-backed data."""
+    rng = seeded_rng(child_seed(cfg.seed, _SEED_DATA))
     if cfg.synthetic:
         per = cfg.per_cluster + cfg.query_per_cluster
-        rng = seeded_rng(child_seed(cfg.seed, _SEED_DATA))
-        full, labels = synth_clusters(
-            cfg.clusters, per, cfg.dim, cfg.separation, cfg.noise_sigma, rng
-        )
+        full, labels = synth_clusters(cfg.clusters, per, cfg.dim, cfg.separation,
+                                      cfg.noise_sigma, rng)
         block = np.arange(cfg.clusters)[:, None] * per
         train_rows = (block + np.arange(cfg.per_cluster)).ravel()
         query_rows = (block + cfg.per_cluster + np.arange(cfg.query_per_cluster)).ravel()
-        return (
-            full.subset(train_rows),
-            full.subset(query_rows),
-            labels[train_rows],
-            labels[query_rows],
-        )
-    full = _load_input(cfg)
-    rng = seeded_rng(child_seed(cfg.seed, _SEED_DATA))
-    train, query = split_dataset(full, cfg.train_count, cfg.query_count, rng)
+        return (full.subset(train_rows), full.subset(query_rows),
+                labels[train_rows], labels[query_rows])
+    train, query = split_dataset(_load_input(cfg), cfg.train_count, cfg.query_count, rng)
     return train, query, None, None
 
 
@@ -336,6 +333,10 @@ def _null_nan(value):
 def _write_json(path: Path, payload: dict) -> None:
     text = json.dumps(_null_nan(payload), indent=2, sort_keys=True)
     path.write_text(text + "\n", encoding="utf-8")
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
 
 
 def cmd_preprocess(cfg: ExperimentConfig, out: Path) -> None:
@@ -379,18 +380,22 @@ def _build_pairs(cfg: ExperimentConfig, train: Dataset, train_labels):
     return make_pairs(train, threshold, cfg.max_pairs, cfg.pos_fraction, rng)
 
 
-def _check_wta_fits(cfg: ExperimentConfig, train: Dataset) -> None:
-    """Reject a wta window wider than the training dimension before any
-    model is fitted, so a run that cannot finish writes no model."""
-    if "wta" in cfg.methods:
-        check_wta_window(cfg.K, train.dim)
+def _check_fits(cfg: ExperimentConfig, dim=None, n=None, lengths=()) -> None:
+    """Check the bounds that the data or a code length decides, by the rules
+    the library applies, before any model is fitted or encoded: the wta
+    window against the dimension `dim`, every k against the database size
+    `n`, and every radius against each code length in `lengths`."""
+    if dim is not None and "wta" in cfg.methods:
+        check_wta_window(cfg.K, dim)
+    if n is not None and cfg.k_list:
+        _as_count("k", max(cfg.k_list), 1, n)
+    if lengths:
+        _as_count("radius", max(cfg.radius_list), 0, min(lengths))
 
 
-def _check_k_fits(cfg: ExperimentConfig, db: Dataset) -> None:
-    """Reject a kNN depth beyond the database by the rule kNN applies, before
-    any model is fitted or encoded."""
-    if cfg.k_list:
-        _as_count("k", max(cfg.k_list), 1, db.n)
+def _code_length(cfg: ExperimentConfig, method: str, L: int) -> int:
+    """Symbols per code; lsh spends the L * ceil(log2 K) bits on binary functions."""
+    return L * symbol_bits(cfg.K) if method == "lsh" else L
 
 
 def _method_cells(cfg: ExperimentConfig, method: str) -> list:
@@ -417,15 +422,14 @@ def _fit_model(cfg: ExperimentConfig, method: str, cell, run: int, train: Datase
         spec = make_wta_spec(L, cfg.K, train.dim, seeded_rng(run_seed))
         model = wta_as_rsh(spec)
     else:
-        bits = L * symbol_bits(cfg.K)
-        spec = make_lsh_spec(bits, train.dim, seeded_rng(run_seed))
+        spec = make_lsh_spec(_code_length(cfg, method, L), train.dim, seeded_rng(run_seed))
         model = lsh_as_rsh(spec)
     return HashModel(model.projections, None, replace(model.hyper, seed=run_seed))
 
 
 def cmd_train(cfg: ExperimentConfig, out: Path) -> None:
     train, _, train_labels, _ = _load_stage_data(cfg, out)
-    _check_wta_fits(cfg, train)
+    _check_fits(cfg, dim=train.dim)
     pairs = _build_pairs(cfg, train, train_labels)
     epoch_rows = []
     boost_rows = []
@@ -450,15 +454,11 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> None:
                             f"{method},{rho},{lam},{run},{trace.bit},"
                             f"{trace.eps!r},{trace.theta!r},{trace.alpha_sum!r},{trace.alpha_min!r}"
                         )
-    header = "method,rho,lambda,seed,bit,epoch,surrogate,empirical,update_fraction"
-    (out / "train_log.csv").write_text(
-        "\n".join([header] + epoch_rows) + "\n", encoding="utf-8"
-    )
+    _write_csv(out / "train_log.csv",
+               "method,rho,lambda,seed,bit,epoch,surrogate,empirical,update_fraction", epoch_rows)
     if boost_rows:
-        header = "method,rho,lambda,seed,bit,eps,theta,alpha_sum,alpha_min"
-        (out / "boost_log.csv").write_text(
-            "\n".join([header] + boost_rows) + "\n", encoding="utf-8"
-        )
+        _write_csv(out / "boost_log.csv",
+                   "method,rho,lambda,seed,bit,eps,theta,alpha_sum,alpha_min", boost_rows)
 
 
 def _make_groundtruth(cfg: ExperimentConfig, train, query, train_labels, query_labels):
@@ -470,9 +470,6 @@ def _make_groundtruth(cfg: ExperimentConfig, train, query, train_labels, query_l
 def _evaluate_model(cfg: ExperimentConfig, model: HashModel, db: Dataset,
                     query: Dataset, gt) -> dict:
     """Metric name -> value for one trained model on one query set."""
-    for R in cfg.radius_list:
-        if R > model.L:
-            raise ConfigError(f"radius_list: radius {R} exceeds code length {model.L}")
     table = build_table(encode_dataset(db, model), db.ids, model.K)
     q_codes = encode_dataset(query, model)
     curve = pr_curve_by_radius(table, q_codes, gt)
@@ -501,9 +498,6 @@ def _metric_names(cfg: ExperimentConfig):
         + [f"precision_k{k}" for k in cfg.k_list]
         + ["ap"]
     )
-
-
-_CSV_HEADER = "method,L_bits,K,seed,metric,value"
 
 
 @dataclass(frozen=True)
@@ -541,28 +535,27 @@ def _evaluate_seeds(cfg: ExperimentConfig, method: str, models, db: Dataset,
 
 
 def _write_results(cfg: ExperimentConfig, out: Path, runs, key: str, summary: dict) -> None:
-    rows = [_CSV_HEADER] + [row for r in runs for row in r.rows]
-    (out / "metrics.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _write_csv(out / "metrics.csv", "method,L_bits,K,seed,metric,value",
+               [row for r in runs for row in r.rows])
     _write_json(out / "summary.json", {"config": asdict(cfg), key: summary})
 
 
 def cmd_eval(cfg: ExperimentConfig, out: Path) -> None:
     train, query, train_labels, query_labels = _load_stage_data(cfg, out)
-    _check_k_fits(cfg, train)
+    _check_fits(cfg, n=train.n)
     models_dir = Path(cfg.models_dir) if cfg.models_dir else out
+    # every model is loaded, and its code length checked, before any is encoded
+    models = {(method, cell): [load_model(models_dir / _model_name(method, cell, run))
+                               for run in range(cfg.seeds)]
+              for method in cfg.methods for cell in _method_cells(cfg, method)}
+    _check_fits(cfg, lengths=[model.L for runs in models.values() for model in runs])
     gt = _make_groundtruth(cfg, train, query, train_labels, query_labels)
     winners = []
     summary: dict = {}
     for method in cfg.methods:
         cells = _method_cells(cfg, method)
-        by_cell = {
-            cell: _evaluate_seeds(
-                cfg, method,
-                (load_model(models_dir / _model_name(method, cell, run)) for run in range(cfg.seeds)),
-                train, query, gt,
-            )
-            for cell in cells
-        }
+        by_cell = {cell: _evaluate_seeds(cfg, method, models[method, cell], train, query, gt)
+                   for cell in cells}
         # winner: best mean AP, grid order breaking ties
         best_cell = max(by_cell, key=lambda c: (by_cell[c].summary["ap"][0], -cells.index(c)))
         best = by_cell[best_cell]
@@ -582,14 +575,15 @@ def cmd_benchmark(cfg: ExperimentConfig, out: Path) -> None:
     """Code-length sweep at an equal packed-bit budget for every method."""
     train, query, train_labels, query_labels = _source_data(cfg)
     train, query, _ = _transform(cfg, train, query)
-    _check_wta_fits(cfg, train)
-    _check_k_fits(cfg, train)
+    L_list = cfg.L_list or (cfg.L,)
+    _check_fits(cfg, train.dim, train.n,
+                [_code_length(cfg, method, L) for L in L_list for method in cfg.methods])
     pairs = _build_pairs(cfg, train, train_labels)
     gt = _make_groundtruth(cfg, train, query, train_labels, query_labels)
     cell = (float(cfg.rho), float(cfg.lam))
     all_runs = []
     summary: dict = {}
-    for L in cfg.L_list or (cfg.L,):
+    for L in L_list:
         for method in cfg.methods:
             method_cell = cell if method in _TRAINED else None
             runs = _evaluate_seeds(
@@ -639,8 +633,9 @@ def main(argv=None) -> int:
         validate_config(cfg, args.command)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        # the bounds that depend on the data are the library's own rules
-        with _config_keys(m="pca", k="k_list", target_avg="neighbor_avg", window="K"):
+        # the bounds that the data or a code length decides are the library's own rules
+        with _config_keys(m="pca", k="k_list", radius="radius_list", target_avg="neighbor_avg",
+                          window="K"):
             _COMMANDS[args.command](cfg, out)
         return 0
     except ConfigError as exc:

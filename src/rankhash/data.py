@@ -324,7 +324,8 @@ def calibrate_groundtruth(db: Dataset, queries: Dataset, target_avg: float) -> G
 
     The threshold is the (target_avg * Q)-th smallest of all query-to-database
     distances, so the mean neighbor list length comes out within one of
-    target_avg. Neighbor lists hold database ids at distance <= threshold.
+    target_avg. Neighbor lists hold database ids at distance <= threshold,
+    each in ascending id order.
 
     Holds one Q x N matrix: the single `queries @ db.T` product, which row
     chunks of about GT_BLOCK_CELLS cells turn into squared distances in place
@@ -347,7 +348,7 @@ def calibrate_groundtruth(db: Dataset, queries: Dataset, target_avg: float) -> G
     threshold = math.sqrt(max(_rank_smallest(chunks, rank), 0.0))
     del scratch  # the lists below read sq alone
     cut = _squared_cutoff(threshold)
-    return GroundTruth(tuple(db.ids[row <= cut] for row in sq), threshold)
+    return GroundTruth(tuple(np.sort(db.ids[row <= cut]) for row in sq), threshold)
 
 
 def _row_blocks(n: int):
@@ -424,12 +425,14 @@ def calibrate_pair_threshold(data: Dataset, target_avg: float) -> float:
 
 def groundtruth_from_labels(db_ids, db_labels, query_labels) -> GroundTruth:
     """Class-label groundtruth: a query's neighbors are all database points
-    sharing its label."""
+    sharing its label, listed in ascending id order."""
     db_ids = _as_ints(db_ids, "db_ids")
     db_labels = np.asarray(db_labels)
     query_labels = np.asarray(query_labels)
     if db_ids.shape != db_labels.shape or db_ids.ndim != 1 or query_labels.ndim != 1:
         raise ValidationError("ids and labels must be 1-D arrays of matching length")
+    order = np.argsort(db_ids, kind="stable")
+    db_ids, db_labels = db_ids[order], db_labels[order]
     lists = tuple(db_ids[db_labels == lab] for lab in query_labels)
     return GroundTruth(lists, None)
 

@@ -44,11 +44,22 @@ __all__ = [
 BLOCK_CELLS = 1 << 21
 
 
-def _as_code(code) -> np.ndarray:
-    code = _as_ints(code, "code symbols", None)
-    if code.ndim != 1 or code.size < 1:
-        raise ValidationError("a code must be a non-empty 1-D symbol array")
-    return code
+def _as_codes(codes, ndims=(1, 2), L: int | None = None) -> np.ndarray:
+    """Integer code symbols in the dtype given, as one code (1-D) or a
+    non-empty (B, L) block, each of the `ndims` allowed; a code holds at
+    least one symbol, and L of them when L is given."""
+    codes = _as_ints(codes, "code symbols", None)
+    if codes.ndim not in ndims or codes.size < 1 or (L is not None and codes.shape[-1] != L):
+        forms = " or ".join(("one code", "a (B, L) block")[n - 1] for n in ndims)
+        raise ValidationError(f"codes must be {forms} of integer symbols, non-empty"
+                              + ("" if L is None else f", with L = {L}"))
+    return codes
+
+
+def _row_ids(ids: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    if ids.shape != (codes.shape[0],):
+        raise ValidationError("ids must align with code rows")
+    return ids
 
 
 @dataclass(frozen=True)
@@ -86,12 +97,8 @@ def build_table(codes, ids, K: int) -> HashTable:
     changes no lookup. From `encode_dataset`'s output the copy of the
     columns is one contiguous memcpy.
     """
-    codes = _as_ints(codes, "code symbols", None)
-    ids = _frozen_array(ids, np.int64, "ids")
-    if codes.ndim != 2 or codes.size < 1:
-        raise ValidationError("codes must be a non-empty (N, L) array")
-    if ids.shape != (codes.shape[0],):
-        raise ValidationError("ids must align with code rows")
+    codes = _as_codes(codes, (2,))
+    ids = _row_ids(_frozen_array(ids, np.int64, "ids"), codes)
     K = _as_count("K", K, 1)
     if codes.min() < 0 or codes.max() >= K:
         raise ValidationError(f"symbols must lie in [0, {K})")
@@ -137,9 +144,7 @@ def lookup(table: HashTable, code, radius: int, strategy: str = "auto") -> np.nd
     compatibility and selects nothing: all three run the same scan. Query
     symbols outside [0, K) match no stored symbol.
     """
-    code = _as_code(code)
-    if code.shape != (table.L,):
-        raise ValidationError("query code length does not match the table")
+    code = _as_codes(code, (1,), table.L)
     radius = _as_count("radius", radius, 0, table.L)
     if strategy not in ("auto", "expand", "scan"):
         raise ValidationError("strategy must be auto, expand, or scan")
@@ -147,27 +152,25 @@ def lookup(table: HashTable, code, radius: int, strategy: str = "auto") -> np.nd
     return table.ids[near]
 
 
-def _as_queries(query) -> np.ndarray:
-    """A (B, L) integer block of query codes, in the dtype given; one code
-    is a block of one."""
-    query = _as_ints(query, "code symbols", None)
-    if query.ndim == 1:
-        return _as_code(query)[None, :]
-    if query.ndim != 2 or query.size < 1:
-        raise ValidationError("queries must be one code or a non-empty (B, L) block")
-    return query
-
-
-def _ranking_inputs(codes, ids, query, k):
-    codes = _as_ints(codes, "code symbols", None)
-    ids = _as_ints(ids, "ids")
-    queries = _as_queries(query)
-    if codes.ndim != 2 or codes.shape[1] != queries.shape[1]:
-        raise ValidationError("codes must be (N, L) matching the query length")
-    if ids.shape != (codes.shape[0],):
-        raise ValidationError("ids must align with code rows")
+def _knn(codes, ids, query, k, theta=None) -> np.ndarray:
+    """The kNN functions' one body: Hamming keys, or weighted keys when
+    `theta` is given; (k,) ids for one code, (B, k) for a block."""
+    queries = _as_codes(query)
+    codes = _as_codes(codes, (2,), queries.shape[-1])
+    ids = _row_ids(_as_ints(ids, "ids"), codes)
     k = _as_count("k", k, 1, codes.shape[0])
-    return codes.T, ids, queries, k
+    columns = codes.T
+    if theta is None:
+        key_type = _key_type(columns.shape[0])
+        keys_of = lambda block: _mismatches(columns, block).astype(key_type)
+    else:
+        if theta.shape != (columns.shape[0],):
+            raise ValidationError("theta must match the query length")
+        if not np.isfinite(theta).all():
+            raise ValidationError("theta must be finite")
+        keys_of = _weighted_keys(columns, theta)
+    hits = _ranked(keys_of, ids, queries.reshape(-1, columns.shape[0]), k)
+    return hits[0] if queries.ndim == 1 else hits
 
 
 def _first_k(keys: np.ndarray, k: int, ids=None) -> np.ndarray:
@@ -221,10 +224,7 @@ def knn_hamming(codes, ids, query, k: int) -> np.ndarray:
     of codes, giving (B, k) with row b the answer for query b. Ties break
     by ascending id, so the ordering is total and deterministic.
     """
-    columns, ids, queries, k = _ranking_inputs(codes, ids, query, k)
-    key_type = _key_type(columns.shape[0])
-    hits = _ranked(lambda block: _mismatches(columns, block).astype(key_type), ids, queries, k)
-    return hits[0] if np.ndim(query) == 1 else hits
+    return _knn(codes, ids, query, k)
 
 
 @lru_cache(maxsize=4)
@@ -285,14 +285,7 @@ def knn_weighted(codes, ids, query, theta, k: int) -> np.ndarray:
     Ties break by ascending id. With uniform weights the ranking coincides
     with `knn_hamming`.
     """
-    columns, ids, queries, k = _ranking_inputs(codes, ids, query, k)
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (columns.shape[0],):
-        raise ValidationError("theta must match the query length")
-    if not np.isfinite(theta).all():
-        raise ValidationError("theta must be finite")
-    hits = _ranked(_weighted_keys(columns, theta), ids, queries, k)
-    return hits[0] if np.ndim(query) == 1 else hits
+    return _knn(codes, ids, query, k, np.asarray(theta, dtype=np.float64))
 
 
 def relevant_hits(hits, ids, neighbor_lists) -> np.ndarray:
@@ -338,9 +331,7 @@ def pr_curve_by_radius(table: HashTable, query_codes, gt: GroundTruth):
     retrieved. Returns a list of (R, precision, recall) where the precision
     is NaN if no query retrieved anything at that radius.
     """
-    query_codes = _as_ints(query_codes, "code symbols", None)
-    if query_codes.ndim != 2 or query_codes.shape[1] != table.L:
-        raise ValidationError("query codes must be (Q, L) matching the table")
+    query_codes = _as_codes(query_codes, (2,), table.L)
     if len(gt.neighbor_lists) != query_codes.shape[0]:
         raise ValidationError("groundtruth must have one neighbor list per query")
     sizes = np.array([lst.size for lst in gt.neighbor_lists], dtype=np.int64)

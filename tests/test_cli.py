@@ -141,6 +141,11 @@ def test_validate_config_names_field():
         ("rho_grid = nan, 1", "rho_grid"),
         ("lambda_grid = nan", "lambda_grid"),
         ("methods = rsh, rsh", "methods"),
+        ("sweep = true\nrho_grid = 1, 0.5, 1.0", "rho_grid"),
+        ("lambda_grid = 2, 2", "lambda_grid"),
+        ("radius_list = 1, 1", "radius_list"),
+        ("k_list = 5, 10, 5", "k_list"),
+        ("L_list = 2, 2", "L_list"),
         ("L_list = 2, 0", "L_list"),
         ("neighbor_avg = nan", "neighbor_avg"),
         ("separation = nan", "separation"),
@@ -510,6 +515,9 @@ _STAGES = ("preprocess", "train", "eval")
         ("synthetic", "pca = 9\n", "preprocess", "pca"),  # min(N, d) = 8
         ("file", "pca = 7\n", "preprocess", "pca"),  # min(N, d) = 6
         ("synthetic", "k_list = 5, 91\n", "eval", "k_list"),  # N = 90
+        ("synthetic", "radius_list = 1, 5\n", "eval", "radius_list"),  # L = 4
+        ("file", "methods = srsh, lsh\nL_list = 2\nradius_list = 3\n", "benchmark",
+         "radius_list"),  # srsh L = 2, lsh 4
         ("file", "neighbor_avg = 5000\n", "train", "neighbor_avg"),  # 435 pairs
         ("file", "neighbor_avg = 5000\n", "eval", "neighbor_avg"),  # 300 distances
         ("file", "neighbor_avg = 1e308\n", "train", "neighbor_avg"),
@@ -519,7 +527,7 @@ _STAGES = ("preprocess", "train", "eval")
         ("synthetic", "separation = 1e308\ndim = 3\n", "preprocess", "separation"),
         ("synthetic", "noise_sigma = 1e308\n", "preprocess", "noise_sigma"),
     ],
-    ids=["pca_synthetic", "pca_file", "k_list", "pairs_5000", "groundtruth_5000",
+    ids=["pca_synthetic", "pca_file", "k_list", "radius_eval", "radius_benchmark", "pairs_5000", "groundtruth_5000",
          "pairs_1e308", "groundtruth_1e308", "wta_train", "wta_benchmark",
          "separation_1e308", "noise_1e308"],
 )
@@ -559,6 +567,39 @@ def test_k_list_beyond_n_exits_2_before_fitting(tmp_path, capsys, monkeypatch, s
     capsys.readouterr()
     assert main([stage, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:config: k_list: ")
+
+
+@pytest.mark.parametrize("stage", ["eval", "benchmark"])
+def test_radius_beyond_a_code_length_exits_2_before_fitting(tmp_path, capsys, monkeypatch, stage):
+    # every radius is checked against every code length before any model is
+    # fitted or encoded; lsh codes (L = 8 at K = 4) come first and would fit
+    import rankhash.cli as cli
+
+    cfg = write_config(tmp_path, extra="methods = lsh, srsh\n")
+    out = tmp_path / "out"
+    for before in _STAGES[:_STAGES.index(stage)] if stage in _STAGES else ():
+        assert main([before, "--config", str(cfg), "--out", str(out)]) == 0, before
+    write_config(tmp_path, extra="methods = lsh, srsh\nepochs = 100\nradius_list = 1, 5\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model was fitted or encoded before the radius_list check")
+
+    for name in ("train_srsh", "make_lsh_spec", "encode_dataset"):
+        monkeypatch.setattr(cli, name, refuse)
+    capsys.readouterr()
+    assert main([stage, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error:config: radius_list: must be an integer in [0, 4], got 5")
+
+
+def test_lsh_radius_is_bounded_by_its_binary_code_length(tmp_path):
+    # lsh spends L * ceil(log2 K) = 4 binary symbols at L = 2, K = 4, so
+    # radius 3 lies beyond L but within its codes
+    cfg = write_config(tmp_path, extra="methods = lsh\nL_list = 2\nradius_list = 3\nseeds = 1\n")
+    out = tmp_path / "out"
+    assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
+    metrics = json.loads((out / "summary.json").read_text())["results"]["lsh_L2"]["metrics"]
+    assert set(metrics) == {"precision_r3", "precision_k5", "precision_k10", "ap"}
 
 
 def test_row_norm_overflow_exits_5_without_data(tmp_path, capsys):

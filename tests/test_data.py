@@ -230,6 +230,20 @@ def test_groundtruth_from_labels():
     assert np.array_equal(np.sort(gt.neighbor_lists[1]), [11, 13])
 
 
+def test_groundtruth_builders_list_ascending_ids():
+    # whatever the database order, each list comes out in ascending id
+    # order, so GroundTruth's one-pass check sorts no list
+    rng = seeded_rng(44)
+    ids = rng.permutation(400)[:60]
+    db = Dataset(rng.standard_normal((60, 3)), ids)
+    queries = Dataset.from_features(rng.standard_normal((20, 3)))
+    by_distance = calibrate_groundtruth(db, queries, 10.0)
+    by_label = groundtruth_from_labels(ids, rng.integers(0, 3, 60), rng.integers(0, 3, 20))
+    for gt in (by_distance, by_label):
+        assert sum(lst.size > 1 for lst in gt.neighbor_lists) > 10
+        assert all((np.diff(lst) > 0).all() for lst in gt.neighbor_lists)
+
+
 # -------------------------------------------------------------------- pairs
 
 
@@ -336,8 +350,9 @@ def _assert_same_groundtruth(gt, reference):
     lists, threshold = reference
     assert _bits(gt.threshold) == _bits(threshold)
     assert len(gt.neighbor_lists) == len(lists)
+    # the reference lists follow database order, calibrate_groundtruth's ascending ids
     for got, want in zip(gt.neighbor_lists, lists):
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, np.sort(want))
 
 
 @settings(max_examples=80, deadline=None)

@@ -23,7 +23,7 @@ from rankhash import (
     seeded_rng,
 )
 from rankhash import evaluation
-from rankhash.evaluation import _as_code
+from rankhash.evaluation import _as_codes
 
 # ------------------------------------------------------ reference oracles
 #
@@ -33,8 +33,8 @@ from rankhash.evaluation import _as_code
 
 def symbol_hamming(a, b) -> int:
     """Number of positions where two equal-length codes disagree."""
-    a = _as_code(a)
-    b = _as_code(b)
+    a = _as_codes(a, (1,))
+    b = _as_codes(b, (1,))
     if a.shape != b.shape:
         raise ValidationError("codes must have equal length")
     return int(np.count_nonzero(a != b))
@@ -42,8 +42,8 @@ def symbol_hamming(a, b) -> int:
 
 def weighted_similarity(a, b, theta) -> float:
     """Sum of per-position weights over agreeing positions."""
-    a = _as_code(a)
-    b = _as_code(b)
+    a = _as_codes(a, (1,))
+    b = _as_codes(b, (1,))
     theta = np.asarray(theta, dtype=np.float64)
     if a.shape != b.shape or theta.shape != a.shape:
         raise ValidationError("codes and weights must have equal length")

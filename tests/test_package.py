@@ -99,3 +99,43 @@ def test_src_uses_no_numpy2_only_name():
     uses = {path.name: numpy2_uses(path.read_text(encoding="utf-8"))
             for path in sorted(src.glob("*.py"))}
     assert {name: found for name, found in uses.items() if found} == {}
+
+
+# the command line raises a ConfigError of its own only where it parses and
+# validates the config, names the key behind a library rule's refusal, and
+# picks the input loader; every other bound is a library rule
+CONFIG_ERROR_HOMES = {"parse_config", "validate_config", "_config_keys", "_load_input"}
+
+
+def config_error_sites(source: str) -> list:
+    """(line, top-level definition) of each `ConfigError(...)` call in
+    `source`, nested definitions counted with the one that holds them."""
+    return sorted(
+        (node.lineno, getattr(top, "name", None))
+        for top in ast.parse(source).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "ConfigError"
+    )
+
+
+def test_config_error_check_sees_every_form():
+    source = (
+        "def validate_config(cfg):\n"
+        "    def bad(key):\n"
+        "        raise ConfigError(key)\n"
+        "def _evaluate_model(cfg):\n"
+        "    raise ConfigError('radius')\n"
+        "class Runner:\n"
+        "    def run(self):\n"
+        "        return [ConfigError(k) for k in 'ab']\n"
+        "ERROR = ConfigError('x')\n"
+    )
+    assert config_error_sites(source) == [(3, "validate_config"), (5, "_evaluate_model"),
+                                          (8, "Runner"), (9, None)]
+
+
+def test_cli_raises_config_error_only_in_its_config_code():
+    cli = Path(rankhash.__file__).with_name("cli.py")
+    sites = config_error_sites(cli.read_text(encoding="utf-8"))
+    assert sites and [site for site in sites if site[1] not in CONFIG_ERROR_HOMES] == []
