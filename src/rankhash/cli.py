@@ -429,7 +429,8 @@ def _fit_model(cfg: ExperimentConfig, method: str, cell, run: int, train: Datase
 
 def cmd_train(cfg: ExperimentConfig, out: Path) -> None:
     train, _, train_labels, _ = _load_stage_data(cfg, out)
-    _check_fits(cfg, dim=train.dim)
+    _check_fits(cfg, train.dim, train.n,
+                [_code_length(cfg, method, cfg.L) for method in cfg.methods])
     pairs = _build_pairs(cfg, train, train_labels)
     epoch_rows = []
     boost_rows = []
@@ -477,14 +478,14 @@ def _evaluate_model(cfg: ExperimentConfig, model: HashModel, db: Dataset,
     for R in cfg.radius_list:
         metrics[f"precision_r{R}"] = curve[R][1]
     if cfg.k_list:
-        asked = [q for q, relevant in enumerate(gt.neighbor_lists) if relevant.size]
+        asked = np.flatnonzero(np.diff(gt.offsets))
         # ties break by id, so each shorter top-k list is a prefix of the longest
         k_top = max(cfg.k_list)
         if model.weights is not None:
             hits = knn_weighted(table.columns.T, db.ids, q_codes[asked], model.weights, k_top)
         else:
             hits = knn_hamming(table.columns.T, db.ids, q_codes[asked], k_top)
-        relevant = relevant_hits(hits, db.ids, [gt.neighbor_lists[q] for q in asked])
+        relevant = relevant_hits(hits, db.ids, gt, asked)
         for k in cfg.k_list:
             # one value per query, averaged in query order
             metrics[f"precision_k{k}"] = float(np.mean(relevant[:, :k].sum(axis=1) / k))

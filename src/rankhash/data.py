@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -208,32 +208,107 @@ def apply_pca(basis: PcaBasis, data: Dataset) -> Dataset:
 
 
 @dataclass(frozen=True)
+class RelevantRows:
+    """A groundtruth resolved against one database's ids: for each query in
+    turn, the database rows whose id it lists. Query q's rows are
+    rows[starts[q]:starts[q + 1]]; a listed id that the database lacks adds
+    no row, and an id on several rows adds each of them. `ids` is a
+    read-only copy of the database ids it was resolved against, `order`
+    their stable ascending argsort and `sorted_ids` ids[order]."""
+
+    ids: np.ndarray
+    order: np.ndarray
+    sorted_ids: np.ndarray
+    starts: np.ndarray
+    rows: np.ndarray
+
+    def find(self, keys: np.ndarray):
+        """(found, rows) for the ids in `keys`: whether a database row holds
+        each, and one that does (the first in id order; any row if none)."""
+        at = np.minimum(np.searchsorted(self.sorted_ids, keys), self.order.size - 1)
+        return self.sorted_ids[at] == keys, self.order[at]
+
+    def pairs(self, queries: np.ndarray):
+        """(owner, rows) of the relevant rows of the queries `queries`, query
+        after query: rows[i] is relevant to query queries[owner[i]]."""
+        first, end = self.starts[queries], self.starts[queries + 1]
+        counts = end - first
+        owner = np.repeat(np.arange(queries.size), counts)
+        at = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(owner.size)
+        return owner, self.rows[at]
+
+
+@dataclass(frozen=True)
 class GroundTruth:
-    """Per-query neighbor id lists, each kept as a read-only int64 copy;
-    threshold is None for label-derived truth."""
+    """Per-query neighbor id lists; threshold is None for label-derived truth.
+
+    The lists are held as one read-only int64 array, `flat`, in which list q
+    is flat[offsets[q]:offsets[q + 1]]; `neighbor_lists` is the tuple of
+    those views.
+    """
 
     neighbor_lists: tuple
     threshold: float | None
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    # the last `rows_in` result, reused while the database ids are equal
+    _rows: RelevantRows | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Both builders emit sorted lists, so one pass over the concatenated
-        # lists checks that each rises strictly; only a list that does not
-        # is sorted to look for a repeated id.
-        lists = tuple(_frozen_array(lst, np.int64, "neighbor lists") for lst in self.neighbor_lists)
+        lists = [_as_ints(lst, "neighbor lists") for lst in self.neighbor_lists]
         if any(lst.ndim != 1 for lst in lists):
             raise ValidationError("neighbor lists must be 1-D and duplicate-free")
-        if lists:
-            ends = np.cumsum([lst.size for lst in lists])
-            rises = np.diff(np.concatenate(lists)) > 0
-            rises[ends[(ends > 0) & (ends < ends[-1])] - 1] = True  # across a list boundary
-            for q in np.unique(np.searchsorted(ends, np.flatnonzero(~rises), side="right")):
-                if not (np.diff(np.sort(lists[q])) > 0).all():
-                    raise ValidationError("neighbor lists must be 1-D and duplicate-free")
-        object.__setattr__(self, "neighbor_lists", lists)
+        offsets = np.zeros(len(lists) + 1, dtype=np.int64)
+        np.cumsum(np.array([lst.size for lst in lists], dtype=np.int64), out=offsets[1:])
+        flat = np.concatenate(lists) if lists else np.zeros(0, dtype=np.int64)
+        # Both builders emit sorted lists, so one pass over the flat array
+        # checks that each rises strictly; only a list that does not is
+        # sorted to look for a repeated id.
+        rises = np.diff(flat) > 0
+        ends = offsets[1:-1]
+        rises[ends[(ends > 0) & (ends < flat.size)] - 1] = True  # across a list boundary
+        for q in np.unique(np.searchsorted(offsets, np.flatnonzero(~rises), side="right")) - 1:
+            if not (np.diff(np.sort(lists[q])) > 0).all():
+                raise ValidationError("neighbor lists must be 1-D and duplicate-free")
+        flat.setflags(write=False)
+        offsets.setflags(write=False)
+        bounds = offsets.tolist()
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "neighbor_lists",
+                           tuple(flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])))
 
     @property
     def mean_count(self) -> float:
-        return float(np.mean([len(lst) for lst in self.neighbor_lists]))
+        return float(np.mean(np.diff(self.offsets)))
+
+    def rows_in(self, ids) -> RelevantRows:
+        """The lists resolved against the database ids `ids` (row n holds
+        ids[n]). The last result is kept and returned again while `ids` holds
+        the same values, so models evaluated on one database resolve the
+        groundtruth once."""
+        ids = _as_ints(ids, "ids")
+        kept = self._rows
+        if kept is not None and np.array_equal(kept.ids, ids):
+            return kept
+        ids = _frozen_array(ids, np.int64, "ids")
+        if ids.ndim != 1 or ids.size == 0:
+            raise ValidationError("the database ids must be a non-empty 1-D array")
+        order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[order]
+        # each listed id's run of equal ids in sorted_ids: where it starts
+        # and its length (0 for an id the database lacks)
+        lo = np.searchsorted(sorted_ids, self.flat, "left")
+        matches = np.searchsorted(sorted_ids, self.flat, "right") - lo
+        ends = np.cumsum(matches)
+        run_start = np.repeat(lo - (ends - matches), matches)
+        starts = np.concatenate([[0], ends])[self.offsets]
+        resolved = (order, sorted_ids, starts, order[run_start + np.arange(run_start.size)])
+        for array in resolved:
+            array.setflags(write=False)
+        rows = RelevantRows(ids, *resolved)
+        object.__setattr__(self, "_rows", rows)
+        return rows
 
 
 # Pair calibration and sampling visit the strict upper triangle of the N x N

@@ -8,6 +8,12 @@ integer dtype it is given, so no code is widened to int64 on the way.
 `lookup` answers with an int64 array of ids in table row order, and
 weighted kNN keeps the rank tables of its last few weight vectors, so a
 stream of single queries against one model rebuilds neither per call.
+The PR curve and `relevant_hits` read a groundtruth's relevant rows from
+`GroundTruth.rows_in`, which resolves the lists against the database ids
+once and keeps the result while the ids are the same, so the models of one
+eval share one resolution. kNN, the PR curve and `relevant_hits` work in
+blocks of queries and write every block's large arrays into buffers
+allocated once per call.
 All distances here are symbol-level Hamming distances (count of positions
 where two codes disagree), never distances between packed bit strings. A
 query that retrieves nothing has no defined precision; it is excluded from
@@ -36,12 +42,18 @@ __all__ = [
     "aggregate_runs",
 ]
 
-# kNN compares blocks of queries whose (L, B, N) comparison mask holds at
-# most about this many cells, the PR curve blocks whose mask, counts and
-# bincount keys hold about this many bytes, and `relevant_hits` marks
-# blocks of (B, N) cells, so their transient arrays stay at a few MB (16 MB
-# for the float terms of kNN's direct weighted sum) whatever the table size.
+# The PR curve works in blocks of queries whose mask, counts and bincount
+# keys hold about BLOCK_CELLS bytes, and `relevant_hits` marks blocks of
+# (B, N) cells. kNN compares blocks whose (L, B, N) comparison mask holds
+# about KNN_BLOCK_CELLS cells, so that a block's mask and keys stay in a
+# 2 MB L2 cache while it is ranked (its direct weighted sum adds 8 bytes of
+# float terms per cell). Each pass allocates its large block arrays (kNN's
+# (L, B, N) ones, the PR curve's mask, counts and keys, `relevant_hits`'
+# mask) once per call and writes every block into them, so transient memory
+# stays at a few MB whatever the table size, and a pass faults in its pages
+# once.
 BLOCK_CELLS = 1 << 21
+KNN_BLOCK_CELLS = 1 << 19
 
 
 def _as_codes(codes, ndims=(1, 2), L: int | None = None) -> np.ndarray:
@@ -129,10 +141,11 @@ def _mismatches(columns: np.ndarray, queries: np.ndarray, mask=None, out=None) -
 
     Compares every position at once (into the (L, B, N) `mask` when given)
     and sums the mask over positions, one whole-row vector add per
-    position, into `out` when given.
+    position, into `out` when given. The mask's bytes are 0 or 1, so they
+    are summed as uint8, which spares numpy's cast from bool.
     """
-    return _differ(columns, queries, mask).sum(
-        axis=0, dtype=np.min_scalar_type(columns.shape[0]), out=out)
+    return np.add.reduce(_differ(columns, queries, mask).view(np.uint8), axis=0,
+                         dtype=np.min_scalar_type(columns.shape[0]), out=out)
 
 
 def lookup(table: HashTable, code, radius: int, strategy: str = "auto") -> np.ndarray:
@@ -154,23 +167,30 @@ def lookup(table: HashTable, code, radius: int, strategy: str = "auto") -> np.nd
 
 def _knn(codes, ids, query, k, theta=None) -> np.ndarray:
     """The kNN functions' one body: Hamming keys, or weighted keys when
-    `theta` is given; (k,) ids for one code, (B, k) for a block."""
+    `theta` is given; (k,) ids for one code, (B, k) for a block.
+
+    Queries go in blocks whose (L, B, N) comparison mask holds about
+    KNN_BLOCK_CELLS cells; the key function writes every block's (L, B, N)
+    arrays into buffers allocated once per call."""
     queries = _as_codes(query)
     codes = _as_codes(codes, (2,), queries.shape[-1])
     ids = _row_ids(_as_ints(ids, "ids"), codes)
     k = _as_count("k", k, 1, codes.shape[0])
     columns = codes.T
+    L, n = columns.shape
+    one = queries.ndim == 1
+    queries = queries.reshape(-1, L)
+    block = min(queries.shape[0], max(1, KNN_BLOCK_CELLS // (L * n)))
     if theta is None:
-        key_type = _key_type(columns.shape[0])
-        keys_of = lambda block: _mismatches(columns, block).astype(key_type)
+        keys_of = _hamming_keys(columns, block)
     else:
-        if theta.shape != (columns.shape[0],):
+        if theta.shape != (L,):
             raise ValidationError("theta must match the query length")
         if not np.isfinite(theta).all():
             raise ValidationError("theta must be finite")
-        keys_of = _weighted_keys(columns, theta)
-    hits = _ranked(keys_of, ids, queries.reshape(-1, columns.shape[0]), k)
-    return hits[0] if queries.ndim == 1 else hits
+        keys_of = _weighted_keys(columns, theta, block)
+    hits = _ranked(keys_of, ids, queries, k, block)
+    return hits[0] if one else hits
 
 
 def _first_k(keys: np.ndarray, k: int, ids=None) -> np.ndarray:
@@ -194,17 +214,26 @@ def _first_k(keys: np.ndarray, k: int, ids=None) -> np.ndarray:
     return cols[order[first[:, None] + np.arange(k)]]
 
 
-def _ranked(keys_of, ids: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
+def _ranked(keys_of, ids: np.ndarray, queries: np.ndarray, k: int, block: int) -> np.ndarray:
     """(B, k) ids of the k smallest (key, id) pairs for each query, where
-    keys_of(block) gives a (B, N) key block. Queries go in blocks whose
-    (L, B, N) comparisons hold about BLOCK_CELLS cells."""
-    block = max(1, BLOCK_CELLS // (queries.shape[1] * ids.size))
+    keys_of(block) gives a (B, N) key block for up to `block` queries."""
     # ascending ids (the common case) need no id key in the sort; for a
     # single query the check costs more than the key does
     batch = queries.shape[0] > 1
     ties = None if batch and (ids[1:] >= ids[:-1]).all() else ids
     return np.concatenate([ids[_first_k(keys_of(queries[start:start + block]), k, ties)]
                            for start in range(0, queries.shape[0], block)])
+
+
+def _hamming_keys(columns: np.ndarray, block: int):
+    """A function from a block of up to `block` (B, L) queries to (B, N)
+    mismatch counts against the (L, N) `columns`, as ranking keys; every
+    block's comparison mask is written into the same buffer."""
+    L, n = columns.shape
+    mask = np.empty((L, block, n), dtype=bool)
+    key_type = _key_type(L)
+    return lambda queries: _mismatches(
+        columns, queries, mask[:, :queries.shape[0]]).astype(key_type)
 
 
 def _key_type(largest: int) -> np.dtype:
@@ -248,10 +277,12 @@ def _pattern_ranks(theta_bytes: bytes):
     return bit, rank
 
 
-def _weighted_keys(columns: np.ndarray, theta: np.ndarray):
-    """A function from a (B, L) query block to (B, N) ranking keys for the
-    codes in the (L, N) `columns`: minus each row's weighted similarity,
-    the sum of `theta` over the positions where it agrees with the query.
+def _weighted_keys(columns: np.ndarray, theta: np.ndarray, block: int):
+    """A function from a block of up to `block` (B, L) queries to (B, N)
+    ranking keys for the codes in the (L, N) `columns`: minus each row's
+    weighted similarity, the sum of `theta` over the positions where it
+    agrees with the query. Every block's (L, B, N) arrays are written into
+    the same buffers.
 
     Each row's sum is the same float whatever the block: an (N, L) sum
     over a row-major array. When 2^L <= N the 2^L agreement patterns are
@@ -261,20 +292,32 @@ def _weighted_keys(columns: np.ndarray, theta: np.ndarray):
     the positions where it differs, as a small integer key.
     """
     L, n = columns.shape
+    mask = np.empty((L, block, n), dtype=bool)
     if (1 << L) <= n:
         bit, rank = _pattern_ranks(theta.tobytes())
+        # one-byte bits scale the mask's own bytes in place
+        terms = mask.view(np.uint8) if bit.dtype == np.uint8 else np.empty(mask.shape, bit.dtype)
 
-        def keys(queries):
-            differ = _differ(columns, queries) * bit[:, None, None]
+        def keys_of(queries):
+            b = queries.shape[0]
+            differ = _differ(columns, queries, mask[:, :b]).view(np.uint8)
+            np.multiply(differ, bit[:, None, None], out=terms[:, :b])
             # take: indexing with a small unsigned index array is ~3x slower
-            return rank.take(differ.sum(axis=0, dtype=bit.dtype))
+            return rank.take(np.add.reduce(terms[:, :b], axis=0, dtype=bit.dtype))
     else:
-        def keys(queries):
-            # row-major (B, N, L): the sum's order follows the memory layout
-            differ = np.ascontiguousarray(_differ(columns, queries).transpose(1, 2, 0))
-            sums = np.where(differ, 0.0, theta).sum(axis=2)
-            return np.negative(sums, out=sums)
-    return keys
+        agree = np.empty((block, n, L), dtype=bool)
+        terms = np.empty((block, n, L))
+        sums = np.empty((block, n))
+
+        def keys_of(queries):
+            b = queries.shape[0]
+            # row-major (B, N, L): the sum's order follows the memory layout;
+            # a position that differs adds theta * 0, a zero
+            differ = _differ(columns, queries, mask[:, :b])
+            np.logical_not(differ.transpose(1, 2, 0), out=agree[:b])
+            np.sum(np.multiply(agree[:b], theta, out=terms[:b]), axis=2, out=sums[:b])
+            return np.negative(sums[:b], out=sums[:b])
+    return keys_of
 
 
 def knn_weighted(codes, ids, query, theta, k: int) -> np.ndarray:
@@ -288,36 +331,41 @@ def knn_weighted(codes, ids, query, theta, k: int) -> np.ndarray:
     return _knn(codes, ids, query, k, np.asarray(theta, dtype=np.float64))
 
 
-def relevant_hits(hits, ids, neighbor_lists) -> np.ndarray:
-    """(B, k) mask of the ids in row b of `hits` that neighbor_lists[b] holds.
+def relevant_hits(hits, ids, neighbor_lists, queries=None) -> np.ndarray:
+    """(B, k) mask of the ids in row b of `hits` that the groundtruth lists
+    for query queries[b] (query b when `queries` is None).
 
     `hits` holds database ids (a kNN result for a block of B queries) and
-    `ids` the database ids. Ids are mapped to their positions among the
-    sorted database ids; each block of queries marks its relevant
-    positions in a dense (queries, N) mask of about BLOCK_CELLS cells and
-    reads its hits from it. An id absent from the database, listed or hit,
-    matches nothing.
+    `ids` the database ids, row n holding ids[n]. `neighbor_lists` is a
+    `GroundTruth`, or a sequence of neighbor lists made into one. Its lists
+    are resolved to database rows once per database (`GroundTruth.rows_in`)
+    and each hit id to the row of its first occurrence; each block of
+    queries marks its relevant (query, row) cells in one mask of about
+    BLOCK_CELLS cells, reads its hits from it and clears the cells it set.
+    An id absent from the database, listed or hit, matches nothing.
     """
     hits = _as_ints(hits, "hits")
-    sorted_ids = np.sort(_as_ints(ids, "ids"))
-    if hits.ndim != 2 or hits.shape[0] != len(neighbor_lists):
-        raise ValidationError("hits must be (B, k), one row per neighbor list")
-    n = sorted_ids.size
-    if n == 0:
-        raise ValidationError("the database holds no ids")
-    hit_at = np.minimum(np.searchsorted(sorted_ids, hits), n - 1)
-    found = sorted_ids[hit_at] == hits
+    gt = neighbor_lists if isinstance(neighbor_lists, GroundTruth) else GroundTruth(
+        tuple(neighbor_lists), None)
+    if queries is None:
+        queries = np.arange(len(gt.neighbor_lists))
+    queries = _as_ints(queries, "queries")
+    if queries.ndim != 1 or not ((queries >= 0) & (queries < len(gt.neighbor_lists))).all():
+        raise ValidationError("queries must be a 1-D array of groundtruth query indices")
+    if hits.ndim != 2 or hits.shape[0] != queries.size:
+        raise ValidationError("hits must be (B, k), one row per query")
+    rows = gt.rows_in(ids)
+    n = rows.ids.size
+    found, hit_rows = rows.find(hits)
     block = max(1, BLOCK_CELLS // n)
-    for start in range(0, hits.shape[0], block):
-        lists = neighbor_lists[start:start + block]
-        wanted = np.concatenate([_as_ints(lst, "neighbor lists") for lst in lists])
-        at = np.searchsorted(sorted_ids, wanted)
-        present = sorted_ids[np.minimum(at, n - 1)] == wanted
-        owner = np.repeat(np.arange(len(lists)), [len(lst) for lst in lists])
-        relevant = np.zeros((len(lists), n), dtype=bool)
-        relevant[owner[present], at[present]] = True
-        found[start:start + len(lists)] &= np.take_along_axis(
-            relevant, hit_at[start:start + len(lists)], axis=1)
+    relevant = np.zeros(min(block, queries.size) * n, dtype=bool)
+    for start in range(0, queries.size, block):
+        owner, marked = rows.pairs(queries[start:start + block])
+        cells = owner * n + marked
+        at = hit_rows[start:start + block]
+        relevant[cells] = True
+        found[start:start + block] &= relevant[np.arange(at.shape[0])[:, None] * n + at]
+        relevant[cells] = False
     return found
 
 
@@ -334,25 +382,24 @@ def pr_curve_by_radius(table: HashTable, query_codes, gt: GroundTruth):
     query_codes = _as_codes(query_codes, (2,), table.L)
     if len(gt.neighbor_lists) != query_codes.shape[0]:
         raise ValidationError("groundtruth must have one neighbor list per query")
-    sizes = np.array([lst.size for lst in gt.neighbor_lists], dtype=np.int64)
+    sizes = np.diff(gt.offsets)
     asked = np.flatnonzero(sizes)
     if asked.size == 0:
         raise ValidationError("no query has a non-empty relevant set")
     L = table.L
-    by_id = np.argsort(table.ids, kind="stable")
-    sorted_ids = table.ids[by_id]
+    # every (query, row) whose row id is relevant to the query: an id
+    # absent from the table matches no row, a repeated id several
+    relevant = gt.rows_in(table.ids)
     # running sums, carried across blocks and added to in query order
     prec_sum = np.zeros(L + 1)
     prec_count = np.zeros(L + 1, dtype=np.int64)
     recall_sum = np.zeros(L + 1)
     # one mask, one count buffer and one bincount key buffer serve every
-    # block, so the pass faults in its pages once, whatever the allocator
-    # holds from earlier work; the three together hold about BLOCK_CELLS
-    # bytes
+    # block; the three together hold about BLOCK_CELLS bytes
+    n = table.ids.size
     count_type, key_type = np.min_scalar_type(L), np.dtype(np.intp)
-    row_bytes = (L + count_type.itemsize + key_type.itemsize) * table.ids.size
-    block = max(1, BLOCK_CELLS // row_bytes)
-    mask = np.empty((L, min(block, asked.size), table.ids.size), dtype=bool)
+    block = max(1, BLOCK_CELLS // ((L + count_type.itemsize + key_type.itemsize) * n))
+    mask = np.empty((L, min(block, asked.size), n), dtype=bool)
     counts = np.empty(mask.shape[1:], dtype=count_type)
     keys = np.empty(mask.shape[1:], dtype=key_type)
     for start in range(0, asked.size, block):
@@ -360,15 +407,8 @@ def pr_curve_by_radius(table: HashTable, query_codes, gt: GroundTruth):
         dists = _mismatches(table.columns, query_codes[qs], mask[:, :qs.size], counts[:qs.size])
         offsets = np.arange(qs.size)[:, None] * (L + 1)
         total = _cumulative_counts(np.add(dists, offsets, out=keys[:qs.size]), qs.size, L)
-        # every (query, row) whose row id is relevant to the query: an id
-        # absent from the table matches no row, a repeated id several
-        wanted = np.concatenate([gt.neighbor_lists[q] for q in qs])
-        lo = np.searchsorted(sorted_ids, wanted, "left")
-        matches = np.searchsorted(sorted_ids, wanted, "right") - lo
-        owner = np.repeat(np.repeat(np.arange(qs.size), sizes[qs]), matches)
-        run_start = np.repeat(lo - (np.cumsum(matches) - matches), matches)
-        rows = by_id[run_start + np.arange(run_start.size)]
-        rel = _cumulative_counts(dists[owner, rows] + offsets[owner, 0], qs.size, L)
+        owner, rows = relevant.pairs(qs)
+        rel = _cumulative_counts(dists.ravel()[owner * n + rows] + owner * (L + 1), qs.size, L)
         answered = total > 0
         prec = np.divide(rel, total, out=np.zeros(total.shape), where=answered)
         # cumsum adds row after row, the same order as a per-query loop

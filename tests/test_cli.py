@@ -515,7 +515,9 @@ _STAGES = ("preprocess", "train", "eval")
         ("synthetic", "pca = 9\n", "preprocess", "pca"),  # min(N, d) = 8
         ("file", "pca = 7\n", "preprocess", "pca"),  # min(N, d) = 6
         ("synthetic", "k_list = 5, 91\n", "eval", "k_list"),  # N = 90
+        ("synthetic", "k_list = 5, 91\n", "train", "k_list"),
         ("synthetic", "radius_list = 1, 5\n", "eval", "radius_list"),  # L = 4
+        ("synthetic", "radius_list = 1, 9\n", "train", "radius_list"),
         ("file", "methods = srsh, lsh\nL_list = 2\nradius_list = 3\n", "benchmark",
          "radius_list"),  # srsh L = 2, lsh 4
         ("file", "neighbor_avg = 5000\n", "train", "neighbor_avg"),  # 435 pairs
@@ -527,7 +529,8 @@ _STAGES = ("preprocess", "train", "eval")
         ("synthetic", "separation = 1e308\ndim = 3\n", "preprocess", "separation"),
         ("synthetic", "noise_sigma = 1e308\n", "preprocess", "noise_sigma"),
     ],
-    ids=["pca_synthetic", "pca_file", "k_list", "radius_eval", "radius_benchmark", "pairs_5000", "groundtruth_5000",
+    ids=["pca_synthetic", "pca_file", "k_list", "k_list_train", "radius_eval", "radius_train",
+         "radius_benchmark", "pairs_5000", "groundtruth_5000",
          "pairs_1e308", "groundtruth_1e308", "wta_train", "wta_benchmark",
          "separation_1e308", "noise_1e308"],
 )
@@ -547,7 +550,7 @@ def test_data_dependent_bound_exits_2_before_writing(tmp_path, capsys, source, e
     assert (sorted(out.iterdir()) if out.exists() else []) == written
 
 
-@pytest.mark.parametrize("stage", ["eval", "benchmark"])
+@pytest.mark.parametrize("stage", ["train", "eval", "benchmark"])
 def test_k_list_beyond_n_exits_2_before_fitting(tmp_path, capsys, monkeypatch, stage):
     # k_list is checked against N once the data is loaded: no model is
     # trained, loaded or encoded first
@@ -569,7 +572,7 @@ def test_k_list_beyond_n_exits_2_before_fitting(tmp_path, capsys, monkeypatch, s
     assert capsys.readouterr().err.startswith("error:config: k_list: ")
 
 
-@pytest.mark.parametrize("stage", ["eval", "benchmark"])
+@pytest.mark.parametrize("stage", ["train", "eval", "benchmark"])
 def test_radius_beyond_a_code_length_exits_2_before_fitting(tmp_path, capsys, monkeypatch, stage):
     # every radius is checked against every code length before any model is
     # fitted or encoded; lsh codes (L = 8 at K = 4) come first and would fit

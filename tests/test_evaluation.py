@@ -578,7 +578,7 @@ def test_weighted_keys_are_small_integer_ranks_on_the_pattern_table(L):
     columns = rng.integers(0, 3, size=(L, n)).astype(np.uint8)
     theta = rng.choice(TIE_THETA, size=L)
     queries = columns[:, :3].T
-    keys = evaluation._weighted_keys(columns, theta)(queries)
+    keys = evaluation._weighted_keys(columns, theta, 3)(queries)
     assert keys.dtype == np.int16 and keys.shape == (3, n)
     for b in range(3):
         # the row-major (N, L) sums of reference_knn_weighted
@@ -639,11 +639,15 @@ def test_knn_block_rows_equal_single_queries(seed, n, L, K, distinct, B, data):
         assert np.array_equal(weighted[b], reference_knn_weighted(codes, ids, queries[b], theta, k))
 
 
-@pytest.mark.parametrize("L", [6, 9])  # 2^L <= N and 2^L > N for the weighted keys
+# weighted keys: 2^L <= N with one-byte agreement patterns, 2^L > N (a
+# direct sum), and 2^L <= N with two-byte patterns
+@pytest.mark.parametrize("L", [6, 9, 10])
 @pytest.mark.parametrize("rows", [1, 4])  # one query per block; 4, which does not divide 23
 def test_knn_query_blocks_cover_every_query(monkeypatch, L, rows):
+    # every block is written into the same buffers; each block's answers
+    # must come from its own queries, not from what an earlier one left
     rng = seeded_rng(32)
-    n, Q, k = 300, 23, 40
+    n, Q, k = (300 if L < 10 else 1100), 23, 40
     codes = rng.integers(0, 3, size=(n, L))
     ids = rng.permutation(n) * 2 + 1
     queries = rng.integers(0, 3, size=(Q, L))
@@ -658,7 +662,7 @@ def test_knn_query_blocks_cover_every_query(monkeypatch, L, rows):
         blocks.append(keys.shape[0])
         return first_k(keys, k, ids)
 
-    monkeypatch.setattr(evaluation, "BLOCK_CELLS", rows * L * n + L * n - 1)
+    monkeypatch.setattr(evaluation, "KNN_BLOCK_CELLS", rows * L * n + L * n - 1)
     monkeypatch.setattr(evaluation, "_first_k", counting_first_k)
     assert np.array_equal(knn_hamming(codes, ids, queries, k), want_h)
     assert blocks == [rows] * (Q // rows) + ([Q % rows] if Q % rows else [])
@@ -681,6 +685,62 @@ def test_relevant_hits_marks_listed_ids(monkeypatch, rows):
         [False, True, True], [False, False, False], [True, True, False], [False, False, False]]
     with pytest.raises(ValidationError):
         relevant_hits(hits, db_ids, lists[:2])
+
+
+def reference_hit_marks(hits, ids, lists):
+    """Per hit: the database holds its id and the query's list names it."""
+    return np.array([np.isin(row, lst) & np.isin(row, ids) for row, lst in zip(hits, lists)])
+
+
+@pytest.mark.parametrize("spread", [1, 7])  # ids dense in their range, spaced apart
+def test_one_groundtruth_resolves_against_each_table(spread):
+    # one groundtruth, two tables with the same codes: ascending ids, and
+    # permuted ids with repeats (an id on two rows) and with listed ids the
+    # table lacks. Each table gets its own rows, however often the
+    # groundtruth switches between them, and a rewritten ids array is
+    # resolved again.
+    rng = seeded_rng(41)
+    n, L, K, Q, k = 400, 6, 3, 30, 25
+    codes = rng.integers(0, K, size=(n, L))
+    queries = rng.integers(0, K, size=(Q, L))
+    queries[::3] = codes[:Q:3]
+    ascending = np.arange(n) * spread + 5
+    permuted = rng.permutation(ascending)
+    permuted[3::40] = permuted[4::40]  # 10 ids on two rows, 10 ids gone
+    absent = np.array([-spread, 5 - spread, n * spread + 5, 10 ** 12])
+    lists = []
+    for q in range(Q):
+        members = rng.choice(ascending, size=int(rng.integers(0, 40)), replace=False)
+        if q % 3 == 1:
+            members = np.concatenate([members, rng.choice(absent, size=2, replace=False)])
+        lists.append(rng.permutation(members))
+    gt = make_gt(lists)
+    other = make_gt(lists[::-1])
+    asked = np.flatnonzero([len(lst) for lst in lists])
+    curves = []
+    for ids in (ascending, permuted, ascending.copy(), permuted):
+        table = build_table(codes, ids, K)
+        curve = pr_curve_by_radius(table, queries, gt)
+        assert_same_curve(curve, reference_pr_curve(codes, ids, queries, gt))
+        curves.append(curve)
+        assert_same_curve(pr_curve_by_radius(table, queries[::-1], other),
+                          reference_pr_curve(codes, ids, queries[::-1], other))
+        hits = knn_hamming(codes, ids, queries[asked], k)
+        marks = relevant_hits(hits, ids, gt, asked)
+        assert marks.tolist() == reference_hit_marks(hits, ids, [lists[q] for q in asked]).tolist()
+        # queries in any order, one of them twice
+        mixed = np.concatenate([asked[::-1], asked[:1]])
+        mixed_hits = hits[np.searchsorted(asked, mixed)]
+        assert relevant_hits(mixed_hits, ids, gt, mixed).tolist() == reference_hit_marks(
+            mixed_hits, ids, [lists[q] for q in mixed]).tolist()
+    assert [c[2] for c in curves[0]] != [c[2] for c in curves[1]]  # a stale resolution would show
+    # equal ids in another array reuse the resolution; rewritten ids do not
+    ids = ascending.copy()
+    assert gt.rows_in(ids) is gt.rows_in(ascending)
+    ids[:40] = ids[40:80]
+    table = build_table(codes, ids, K)
+    assert_same_curve(pr_curve_by_radius(table, queries, gt),
+                      reference_pr_curve(codes, ids, queries, gt))
 
 
 # ----------------------------------------------------------------- metrics
