@@ -13,7 +13,10 @@ The PR curve and `relevant_hits` read a groundtruth's relevant rows from
 once and keeps the result while the ids are the same, so the models of one
 eval share one resolution. kNN, the PR curve and `relevant_hits` work in
 blocks of queries and write every block's large arrays into buffers
-allocated once per call.
+allocated once per call. Short codes send many queries to one code, so a
+batch of kNN queries ranks each distinct code once and the PR curve counts
+each distinct code's distances once (`_distinct`); a single kNN query is
+ranked as it is.
 All distances here are symbol-level Hamming distances (count of positions
 where two codes disagree), never distances between packed bit strings. A
 query that retrieves nothing has no defined precision; it is excluded from
@@ -42,16 +45,16 @@ __all__ = [
     "aggregate_runs",
 ]
 
-# The PR curve works in blocks of queries whose mask, counts and bincount
-# keys hold about BLOCK_CELLS bytes, and `relevant_hits` marks blocks of
-# (B, N) cells. kNN compares blocks whose (L, B, N) comparison mask holds
-# about KNN_BLOCK_CELLS cells, so that a block's mask and keys stay in a
-# 2 MB L2 cache while it is ranked (its direct weighted sum adds 8 bytes of
-# float terms per cell). Each pass allocates its large block arrays (kNN's
-# (L, B, N) ones, the PR curve's mask, counts and keys, `relevant_hits`'
-# mask) once per call and writes every block into them, so transient memory
-# stays at a few MB whatever the table size, and a pass faults in its pages
-# once.
+# The PR curve works in blocks of distinct query codes whose mask, counts
+# and bincount keys hold about BLOCK_CELLS bytes, and `relevant_hits` marks
+# blocks of (B, N) cells. kNN compares blocks of a batch's distinct codes
+# whose (L, B, N) comparison mask holds about KNN_BLOCK_CELLS cells, so that
+# a block's mask and keys stay in a 2 MB L2 cache while it is ranked (its
+# direct weighted sum adds 8 bytes of float terms per cell). Each pass
+# allocates its large block arrays (kNN's (L, B, N) ones, the PR curve's
+# mask, counts and keys, `relevant_hits`' mask) once per call and writes
+# every block into them, so transient memory stays at a few MB whatever the
+# table size, and a pass faults in its pages once.
 BLOCK_CELLS = 1 << 21
 KNN_BLOCK_CELLS = 1 << 19
 
@@ -165,21 +168,40 @@ def lookup(table: HashTable, code, radius: int, strategy: str = "auto") -> np.nd
     return table.ids[near]
 
 
+def _distinct(codes: np.ndarray):
+    """(distinct, which) for a (B, L) block of codes: its distinct rows, and
+    for each row the index of its row in `distinct`, so that
+    distinct[which] equals `codes`.
+
+    Each row is viewed as one opaque scalar of its bytes, which np.unique
+    sorts many times faster than rows compared with axis=0; the order of
+    the distinct rows is that byte order, not a numeric one."""
+    codes = np.ascontiguousarray(codes)
+    rows = codes.view(np.dtype((np.void, codes.dtype.itemsize * codes.shape[1]))).ravel()
+    _, first, which = np.unique(rows, return_index=True, return_inverse=True)
+    return codes[first], which
+
+
 def _knn(codes, ids, query, k, theta=None) -> np.ndarray:
     """The kNN functions' one body: Hamming keys, or weighted keys when
     `theta` is given; (k,) ids for one code, (B, k) for a block.
 
-    Queries go in blocks whose (L, B, N) comparison mask holds about
-    KNN_BLOCK_CELLS cells; the key function writes every block's (L, B, N)
-    arrays into buffers allocated once per call."""
+    A batch ranks each of its distinct codes once, and each query takes
+    its code's row; a single query is ranked as it is. Codes go in blocks
+    whose (L, B, N) comparison mask holds about KNN_BLOCK_CELLS cells; the
+    key function writes every block's (L, B, N) arrays into buffers
+    allocated once per call."""
     queries = _as_codes(query)
     codes = _as_codes(codes, (2,), queries.shape[-1])
     ids = _row_ids(_as_ints(ids, "ids"), codes)
     k = _as_count("k", k, 1, codes.shape[0])
     columns = codes.T
     L, n = columns.shape
-    one = queries.ndim == 1
+    which = 0 if queries.ndim == 1 else slice(None)
     queries = queries.reshape(-1, L)
+    batch = queries.shape[0] > 1
+    if batch:
+        queries, which = _distinct(queries)
     block = min(queries.shape[0], max(1, KNN_BLOCK_CELLS // (L * n)))
     if theta is None:
         keys_of = _hamming_keys(columns, block)
@@ -189,8 +211,7 @@ def _knn(codes, ids, query, k, theta=None) -> np.ndarray:
         if not np.isfinite(theta).all():
             raise ValidationError("theta must be finite")
         keys_of = _weighted_keys(columns, theta, block)
-    hits = _ranked(keys_of, ids, queries, k, block)
-    return hits[0] if one else hits
+    return _ranked(keys_of, ids, queries, k, block, batch)[which]
 
 
 def _first_k(keys: np.ndarray, k: int, ids=None) -> np.ndarray:
@@ -214,12 +235,13 @@ def _first_k(keys: np.ndarray, k: int, ids=None) -> np.ndarray:
     return cols[order[first[:, None] + np.arange(k)]]
 
 
-def _ranked(keys_of, ids: np.ndarray, queries: np.ndarray, k: int, block: int) -> np.ndarray:
+def _ranked(keys_of, ids: np.ndarray, queries: np.ndarray, k: int, block: int,
+            batch: bool) -> np.ndarray:
     """(B, k) ids of the k smallest (key, id) pairs for each query, where
     keys_of(block) gives a (B, N) key block for up to `block` queries."""
     # ascending ids (the common case) need no id key in the sort; for a
-    # single query the check costs more than the key does
-    batch = queries.shape[0] > 1
+    # single query the check costs more than the key does, but a batch
+    # whose queries share one code keeps the check
     ties = None if batch and (ids[1:] >= ids[:-1]).all() else ids
     return np.concatenate([ids[_first_k(keys_of(queries[start:start + block]), k, ties)]
                            for start in range(0, queries.shape[0], block)])
@@ -378,6 +400,11 @@ def pr_curve_by_radius(table: HashTable, query_codes, gt: GroundTruth):
     contribute recall 0. Relevant ids absent from the table are never
     retrieved. Returns a list of (R, precision, recall) where the precision
     is NaN if no query retrieved anything at that radius.
+
+    The distances of each distinct query code are counted once, in blocks
+    of distinct codes; each query reads its relevant rows' distances from
+    its code's row, and the per-query precision and recall are summed in
+    query order.
     """
     query_codes = _as_codes(query_codes, (2,), table.L)
     if len(gt.neighbor_lists) != query_codes.shape[0]:
@@ -390,31 +417,40 @@ def pr_curve_by_radius(table: HashTable, query_codes, gt: GroundTruth):
     # every (query, row) whose row id is relevant to the query: an id
     # absent from the table matches no row, a repeated id several
     relevant = gt.rows_in(table.ids)
-    # running sums, carried across blocks and added to in query order
-    prec_sum = np.zeros(L + 1)
-    prec_count = np.zeros(L + 1, dtype=np.int64)
-    recall_sum = np.zeros(L + 1)
+    codes, which = _distinct(query_codes[asked])
     # one mask, one count buffer and one bincount key buffer serve every
-    # block; the three together hold about BLOCK_CELLS bytes
+    # block of codes; the three together hold about BLOCK_CELLS bytes
     n = table.ids.size
     count_type, key_type = np.min_scalar_type(L), np.dtype(np.intp)
     block = max(1, BLOCK_CELLS // ((L + count_type.itemsize + key_type.itemsize) * n))
-    mask = np.empty((L, min(block, asked.size), n), dtype=bool)
+    mask = np.empty((L, min(block, codes.shape[0]), n), dtype=bool)
     counts = np.empty(mask.shape[1:], dtype=count_type)
     keys = np.empty(mask.shape[1:], dtype=key_type)
-    for start in range(0, asked.size, block):
-        qs = asked[start:start + block]
-        dists = _mismatches(table.columns, query_codes[qs], mask[:, :qs.size], counts[:qs.size])
-        offsets = np.arange(qs.size)[:, None] * (L + 1)
-        total = _cumulative_counts(np.add(dists, offsets, out=keys[:qs.size]), qs.size, L)
+    # the asked queries grouped by code, each code's in query order, and
+    # where each block of codes starts among them
+    holders = np.argsort(which, kind="stable")
+    bounds = np.searchsorted(which[holders], np.arange(0, codes.shape[0] + block, block))
+    # each asked query's precision and recall rows, after a row of zeros
+    terms = np.zeros((asked.size + 1, 2, L + 1))
+    prec_count = np.zeros(L + 1, dtype=np.int64)
+    for start, lo, hi in zip(range(0, codes.shape[0], block), bounds, bounds[1:]):
+        b = min(block, codes.shape[0] - start)
+        dists = _mismatches(table.columns, codes[start:start + b], mask[:, :b], counts[:b])
+        offsets = np.arange(b)[:, None] * (L + 1)
+        total = _cumulative_counts(np.add(dists, offsets, out=keys[:b]), b, L)
+        at = holders[lo:hi]
+        code = which[at] - start
+        qs = asked[at]
         owner, rows = relevant.pairs(qs)
-        rel = _cumulative_counts(dists.ravel()[owner * n + rows] + owner * (L + 1), qs.size, L)
+        rel = _cumulative_counts(dists.ravel()[code[owner] * n + rows] + owner * (L + 1),
+                                 qs.size, L)
+        total = total[code]
         answered = total > 0
-        prec = np.divide(rel, total, out=np.zeros(total.shape), where=answered)
-        # cumsum adds row after row, the same order as a per-query loop
-        prec_sum = np.cumsum(np.vstack([prec_sum, prec]), axis=0)[-1]
+        terms[1 + at, 0] = np.divide(rel, total, out=np.zeros(total.shape), where=answered)
+        terms[1 + at, 1] = rel / sizes[qs, None]
         prec_count += answered.sum(axis=0)
-        recall_sum = np.cumsum(np.vstack([recall_sum, rel / sizes[qs, None]]), axis=0)[-1]
+    # cumsum adds row after row, the same order as a per-query loop
+    prec_sum, recall_sum = np.cumsum(terms, axis=0)[-1]
     curve = []
     for R in range(L + 1):
         p = prec_sum[R] / prec_count[R] if prec_count[R] else float("nan")

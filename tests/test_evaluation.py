@@ -642,16 +642,20 @@ def test_knn_block_rows_equal_single_queries(seed, n, L, K, distinct, B, data):
 # weighted keys: 2^L <= N with one-byte agreement patterns, 2^L > N (a
 # direct sum), and 2^L <= N with two-byte patterns
 @pytest.mark.parametrize("L", [6, 9, 10])
-@pytest.mark.parametrize("rows", [1, 4])  # one query per block; 4, which does not divide 23
+@pytest.mark.parametrize("rows", [1, 4])  # one code per block; 4, which does not divide 23
 def test_knn_query_blocks_cover_every_query(monkeypatch, L, rows):
-    # every block is written into the same buffers; each block's answers
-    # must come from its own queries, not from what an earlier one left
+    # a batch is ranked in blocks of its distinct codes, every block
+    # written into the same buffers; each query's answer must come from its
+    # own code, not from what an earlier block left
     rng = seeded_rng(32)
     n, Q, k = (300 if L < 10 else 1100), 23, 40
     codes = rng.integers(0, 3, size=(n, L))
     ids = rng.permutation(n) * 2 + 1
-    queries = rng.integers(0, 3, size=(Q, L))
-    queries[::2] = codes[:Q:2]
+    distinct = rng.integers(0, 3, size=(Q, L))
+    distinct[::2] = codes[:Q:2]
+    assert len(np.unique(distinct, axis=0)) == Q
+    # every code once, 12 of them twice or more, in shuffled order
+    queries = distinct[rng.permutation(np.concatenate([np.arange(Q), rng.integers(0, Q, size=12)]))]
     theta = rng.choice(TIE_THETA, size=L)
     want_h = np.array([reference_knn_hamming(codes, ids, q, k) for q in queries])
     want_w = np.array([reference_knn_weighted(codes, ids, q, theta, k) for q in queries])
@@ -669,6 +673,93 @@ def test_knn_query_blocks_cover_every_query(monkeypatch, L, rows):
     blocks.clear()
     assert np.array_equal(knn_weighted(codes, ids, queries, theta, k), want_w)
     assert sum(blocks) == Q and max(blocks) == rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    pattern_table=st.booleans(),
+    L=st.integers(min_value=1, max_value=8),
+    K=st.integers(min_value=2, max_value=4),
+    n_codes=st.integers(min_value=1, max_value=3),
+    B=st.integers(min_value=2, max_value=12),
+    id_kind=st.sampled_from(["ascending", "permuted", "repeated"]),
+    data=st.data(),
+)
+def test_batches_of_few_distinct_codes(seed, pattern_table, L, K, n_codes, B, id_kind, data):
+    # Query blocks drawn from 1-3 codes (one code: every query equal), so
+    # a batch ranks and counts a few codes for many queries. Each query's
+    # kNN row must equal its single-query answer and the full ranking, and
+    # the PR curve the per-query reference, whatever the ids (ascending,
+    # permuted and gapped, or ascending with repeats) and on both sides of
+    # the weighted pattern table's switch (2^L <= N).
+    rng = seeded_rng(seed)
+    if pattern_table:
+        L = min(L, 6)
+        n = (1 << L) + data.draw(st.integers(0, 20))
+    else:
+        L = max(L, 2)
+        n = data.draw(st.integers(1, min(70, (1 << L) - 1)))
+    codes = rng.integers(0, K, size=(4, L))[rng.integers(0, 4, size=n)]
+    ids = {"ascending": np.arange(n) * 3 - n,
+           "permuted": rng.permutation(20 * n)[:n] * 3 - 5 * n,
+           "repeated": np.sort(rng.integers(-n, n, size=n))}[id_kind]
+    pool = rng.integers(0, K, size=(n_codes, L))
+    from_db = rng.random(n_codes) < 0.5
+    pool[from_db] = codes[rng.integers(0, n, size=from_db.sum())]
+    queries = pool[rng.integers(0, n_codes, size=B)]
+    theta = data.draw(st.sampled_from([
+        rng.choice(TIE_THETA, size=L), rng.choice([0.25, 0.5], size=L), rng.random(L)]))
+    k = data.draw(st.sampled_from([1, n, data.draw(st.integers(1, n))]))
+    hamming = knn_hamming(codes, ids, queries, k)
+    weighted = knn_weighted(codes, ids, queries, theta, k)
+    assert hamming.shape == weighted.shape == (B, k)
+    for b in range(B):
+        assert np.array_equal(hamming[b], knn_hamming(codes, ids, queries[b], k))
+        assert np.array_equal(hamming[b], reference_knn_hamming(codes, ids, queries[b], k))
+        assert np.array_equal(weighted[b], knn_weighted(codes, ids, queries[b], theta, k))
+        assert np.array_equal(weighted[b], reference_knn_weighted(codes, ids, queries[b], theta, k))
+    # listed ids: some the table holds, some it lacks; some lists empty
+    members = np.unique(np.concatenate([ids, [-100 * n - 1, 100 * n + 7]]))
+    lists = [rng.choice(members, size=int(rng.integers(0, min(8, members.size) + 1)),
+                        replace=False) for _ in range(B - 1)]
+    gt = make_gt([ids[:1]] + lists)
+    assert_same_curve(pr_curve_by_radius(build_table(codes, ids, K), queries, gt),
+                      reference_pr_curve(codes, ids, queries, gt))
+
+
+def test_single_queries_skip_the_distinct_pass(monkeypatch):
+    # a served single query pays for no distinct pass; a batch makes one,
+    # and a batch of one code keeps the ascending-id shortcut
+    rng = seeded_rng(33)
+    n, L, k = 200, 6, 15
+    codes = rng.integers(0, 3, size=(n, L))
+    ids = np.arange(n) + 4
+    theta = rng.choice(TIE_THETA, size=L)
+    calls, tie_ids = [], []
+    distinct, first_k = evaluation._distinct, evaluation._first_k
+
+    def counting_distinct(codes):
+        calls.append(codes.shape[0])
+        return distinct(codes)
+
+    def recording_first_k(keys, k, ids=None):
+        tie_ids.append(ids)
+        return first_k(keys, k, ids)
+
+    monkeypatch.setattr(evaluation, "_distinct", counting_distinct)
+    monkeypatch.setattr(evaluation, "_first_k", recording_first_k)
+    for knn in (lambda q: knn_hamming(codes, ids, q, k),
+                lambda q: knn_weighted(codes, ids, q, theta, k)):
+        calls.clear()
+        assert knn(codes[0]).shape == (k,)
+        assert knn(codes[:1]).shape == (1, k)
+        assert calls == []
+        tie_ids.clear()
+        assert knn(np.repeat(codes[:1], 9, axis=0)).shape == (9, k)
+        assert calls == [9] and tie_ids == [None]
+        assert knn(codes[:7]).shape == (7, k)
+        assert calls == [9, 7]
 
 
 @pytest.mark.parametrize("rows", [1, 2, None])  # queries per relevance block
@@ -833,13 +924,17 @@ def assert_same_curve(got, want):
 
 
 def block_rows(n, L):
-    """Queries per PR-curve block: each holds a mask, a count and a key row."""
+    """Distinct query codes per PR-curve block: each holds a mask, a count
+    and a key row."""
     row_bytes = L + np.min_scalar_type(L).itemsize + np.dtype(np.intp).itemsize
     return max(1, evaluation.BLOCK_CELLS // (n * row_bytes))
 
 
 @pytest.mark.parametrize("which", ["one", "block-1", "block+1", "many"])
 def test_pr_curve_matches_per_query_reference(which):
+    # `which` counts the distinct codes of the queries with a relevant set,
+    # the unit the PR curve blocks by; each code is asked at least once,
+    # some several times, and queries with an empty list come in between
     rng = seeded_rng(21)
     n, L, K = 2000, 8, 3
     codes = rng.integers(0, K, size=(n, L))
@@ -848,22 +943,28 @@ def test_pr_curve_matches_per_query_reference(which):
     table = build_table(codes, ids, K)
     block = block_rows(n, L)
     Q = {"one": 1, "block-1": block - 1, "block+1": block + 1, "many": 2 * block + 5}[which]
-    queries = rng.integers(0, K, size=(Q, L))
-    queries[::3] = codes[rng.integers(0, n, size=len(queries[::3]))]
+    pool = np.unique(np.vstack([codes[rng.integers(0, n, size=Q)],
+                                rng.integers(0, K, size=(2 * Q, L))]), axis=0)
+    distinct = pool[rng.permutation(len(pool))[:Q]]
+    asked = distinct[rng.permutation(np.concatenate([np.arange(Q),
+                                                     rng.integers(0, Q, size=Q // 2 + 1)]))]
     absent = np.arange(-50, 0)  # ids the table does not hold
     lists = []
-    for q in range(Q):
-        if q % 7 == 3:
-            lists.append([])
-            continue
+    for q in range(len(asked)):
         size = int(rng.integers(1, 60))
         members = rng.choice(ids, size=size, replace=False)
         if q % 4 == 1:
             members = np.concatenate([members, rng.choice(absent, size=3, replace=False)])
         lists.append(rng.permutation(members))
     if Q == 1:
-        lists = [lists[0] if len(lists[0]) else [ids[5], -7]]
-    gt = make_gt(lists)
+        lists[0] = [ids[5], -7]  # one list holding an absent id
+    # queries with no relevant id do not count, whatever their codes
+    skipped = rng.integers(0, K, size=(len(asked) // 7 + 1, L))
+    order = rng.permutation(len(asked) + len(skipped))
+    queries = np.vstack([asked, skipped])[order]
+    gt = make_gt([(lists + [[]] * len(skipped))[i] for i in order])
+    held = np.flatnonzero([len(lst) for lst in gt.neighbor_lists])
+    assert len(np.unique(queries[held], axis=0)) == Q
     assert_same_curve(pr_curve_by_radius(table, queries, gt),
                       reference_pr_curve(codes, ids, queries, gt))
 

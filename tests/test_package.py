@@ -49,6 +49,10 @@ def test_no_oracle_is_exported():
 NUMPY2_ONLY = {
     "bitwise_count", "unstack", "cumulative_sum", "cumulative_prod", "vecdot", "matvec",
     "vecmat", "astype", "concat", "permute_dims", "isdtype", "trapezoid", "_core",
+    # the array-API set functions and aliases that numpy 2.0 added
+    "unique_all", "unique_counts", "unique_inverse", "unique_values",
+    "acos", "acosh", "asin", "asinh", "atan", "atan2", "atanh", "pow",
+    "bitwise_invert", "bitwise_left_shift", "bitwise_right_shift",
 }
 
 
@@ -88,9 +92,11 @@ def test_numpy2_check_sees_every_form():
         "xp.linalg.vecdot(a, b)\n"
         "a.astype(int)\n"
         "xp.asarray(a).astype(int)\n"
+        "_, which = xp.unique_inverse(a)\n"
     )
     assert numpy2_uses(source) == [(2, "concat"), (3, "numpy._core.multiarray"),
-                                   (4, "numpy._core"), (5, "bitwise_count"), (6, "vecdot")]
+                                   (4, "numpy._core"), (5, "bitwise_count"), (6, "vecdot"),
+                                   (9, "unique_inverse")]
 
 
 def test_src_uses_no_numpy2_only_name():
