@@ -315,10 +315,32 @@ class GroundTruth:
 # pair matrix in row blocks of about this many cells, so their transient
 # arrays stay at a few MB whatever N is.
 PAIR_BLOCK_CELLS = 1 << 20
-# Each pair block's product, and distance groundtruth's Q x N product, is
-# finished into squared distances in row chunks of about this many cells
-# (1 MB), so that a chunk's elementwise passes run on data held in cache.
+# Each pair block's product, and each query block's product in distance
+# groundtruth, is finished into squared distances in row chunks of about
+# this many cells (1 MB), so that a chunk's elementwise passes run on data
+# held in cache.
 GT_BLOCK_CELLS = 1 << 17
+# Distance groundtruth takes `queries @ db.T` in query blocks of a multiple
+# of GT_ROW_ALIGN rows, the fewest that hold GT_MIN_BLOCK_CELLS cells (4 MB);
+# see `_query_blocks` for why these sizes keep every product bit-identical.
+GT_ROW_ALIGN = 96
+GT_MIN_BLOCK_CELLS = 1 << 19
+
+
+def _squared_norms(*features: np.ndarray) -> list:
+    """The squared row norms of each array, once they are known not to
+    overflow any squared distance between the rows of the first and those of
+    the last (the same array for pairs within one set).
+
+    With sq_a and sq_b the two arrays' squared norms, |a . b| <= (sq_a +
+    sq_b) / 2, so while 2 (max sq_a + max sq_b) is finite no sum, product or
+    difference in `_squared_into` overflows."""
+    with np.errstate(over="ignore"):
+        sq = [(f * f).sum(axis=1) for f in features]
+        peak = 2.0 * (sq[0].max() + sq[-1].max())
+    if not math.isfinite(peak):
+        raise ValidationError("squared distances overflow the float range")
+    return sq
 
 
 def _squared_into(gram: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray,
@@ -355,18 +377,25 @@ def _squared_cutoff(t: float) -> float:
     return c
 
 
-def _rank_smallest(chunks, rank: int) -> float:
-    """The rank-th smallest value in an iterable of 2-D arrays; NaN never
-    counts.
+class _RankSmallest:
+    """The rank-th smallest value in a run of 2-D arrays; NaN never counts.
 
-    The values at or below the bound fill a pool of 2 * rank, which is cut
-    back to its rank smallest, whose largest then bounds what is kept, each
-    time it is full. Chunks are read about rank cells (or an eighth of the
-    chunk) at a time, so that a loose bound copies few values.
+    The values at or below `bound` fill a pool of 2 * rank, which is cut
+    back to its rank smallest, whose largest then becomes the bound, each
+    time it is full. The bound is therefore never below the rank-th smallest
+    value of the whole run. Arrays are read about rank cells (or an eighth
+    of the array) at a time, so that a loose bound copies few values.
     """
-    pool = np.empty(2 * rank)
-    held, bound = 0, math.inf
-    for chunk in chunks:
+
+    def __init__(self, rank: int):
+        self.rank = rank
+        self.pool = np.empty(2 * rank)
+        self.held = 0
+        self.bound = math.inf
+
+    def add(self, chunk: np.ndarray) -> None:
+        rank, pool = self.rank, self.pool
+        held, bound = self.held, self.bound
         rows = max(1, max(rank, chunk.size // 8) // chunk.shape[1])
         for t in range(0, chunk.shape[0], rows):
             part = chunk[t:t + rows]
@@ -380,8 +409,45 @@ def _rank_smallest(chunks, rank: int) -> float:
                 kept = rest[rest <= bound]
             pool[held:held + kept.size] = kept
             held += kept.size
-    pool[:held].partition(rank - 1)
-    return float(pool[rank - 1])
+        self.held, self.bound = held, bound
+
+    def value(self) -> float:
+        self.pool[:self.held].partition(self.rank - 1)
+        return float(self.pool[self.rank - 1])
+
+
+class _Candidates:
+    """The value and flat position of every cell at or below a cut that
+    only falls, chunk after chunk. Before the arrays would grow, they are
+    compacted in place to the cells at or below the cut of that time."""
+
+    def __init__(self, size: int):
+        self.values = np.empty(size)
+        self.at = np.empty(size, dtype=np.int64)
+        self.held = 0
+
+    def add(self, chunk: np.ndarray, first: int, cut: float) -> None:
+        """Keep the cells of the C-contiguous `chunk` at or below `cut`; its
+        flat cell k has position first + k."""
+        flat = chunk.reshape(-1)
+        hit = np.flatnonzero(flat <= cut)
+        if self.held + hit.size > self.values.size:
+            keep = np.flatnonzero(self.values[:self.held] <= cut)
+            self.values[:keep.size] = self.values[keep]
+            self.at[:keep.size] = self.at[keep]
+            self.held = keep.size
+        end = self.held + hit.size
+        if end > self.values.size:
+            size = max(end, 2 * self.values.size)
+            self.values = np.concatenate([self.values[:self.held], np.empty(size - self.held)])
+            self.at = np.concatenate([self.at[:self.held], np.empty(size - self.held, np.int64)])
+        self.values[self.held:end] = flat[hit]
+        np.add(hit, first, out=self.at[self.held:end])
+        self.held = end
+
+    def positions(self, cut: float) -> np.ndarray:
+        """The positions of the cells at or below `cut`, in the order added."""
+        return self.at[:self.held][self.values[:self.held] <= cut]
 
 
 def _calibrated_rank(target_avg, per: float, total: int, what: str) -> int:
@@ -394,6 +460,71 @@ def _calibrated_rank(target_avg, per: float, total: int, what: str) -> int:
     return rank
 
 
+def _block_products(a: np.ndarray, b: np.ndarray, blocks):
+    """a[r0:r1] @ b[c0:].T for each block (r0, r1, c0) in turn, each written
+    by np.matmul into one buffer sized to the largest block, so it is the
+    same BLAS call as `@` and valid until the next product is drawn."""
+    n = b.shape[0]
+    buffer = np.empty(max((r1 - r0) * (n - c0) for r0, r1, c0 in blocks))
+    for r0, r1, c0 in blocks:
+        out = buffer[:(r1 - r0) * (n - c0)].reshape(r1 - r0, n - c0)
+        yield np.matmul(a[r0:r1], b[c0:].T, out=out)
+
+
+def _query_blocks(n_q: int, n_db: int) -> list:
+    """Query row ranges [r0, r1) that cover 0..n_q-1, in order, for the
+    products queries[r0:r1] @ db.T of distance groundtruth.
+
+    A block holds the fewest multiple of GT_ROW_ALIGN rows with at least
+    GT_MIN_BLOCK_CELLS cells, capped at n_q, and a rest shorter than that
+    joins the last block. So a product that fits one block is the single
+    Q x N call, and every block of a larger one starts on a multiple of 96
+    rows and holds at least 2^19 cells. With single-threaded OpenBLAS such
+    blocks match the single call's rows bit for bit on every kernel family
+    checked. Other blocks did not: unaligned starts tile the rows
+    differently (26- and 7-row blocks differed on several kernels), numpy
+    sends a 1-row product to gemv, and AVX-512 kernels send a few rows of a
+    small database (rows x N up to 1200, d >= 32) to their small-matrix
+    kernel.
+    """
+    rows = min(n_q, GT_ROW_ALIGN * -(-GT_MIN_BLOCK_CELLS // (GT_ROW_ALIGN * n_db)))
+    starts = list(range(0, n_q - rows + 1, rows))
+    return list(zip(starts, starts[1:] + [n_q]))
+
+
+def _cells_within_threshold(queries: np.ndarray, db: np.ndarray, rank: int):
+    """(threshold, at) for `calibrate_groundtruth`: the square root of the
+    rank-th smallest squared distance of queries @ db.T, and the flat
+    positions q * N + n, ascending, of the cells at or below
+    `_squared_cutoff(threshold)`.
+
+    One pass over `_query_blocks` products that share one buffer, turned
+    into squared distances in place by row chunks of about GT_BLOCK_CELLS
+    cells (`_squared_into`). Beside the running bound of `_RankSmallest`,
+    every cell at or below `_squared_cutoff` of the bound's square root is
+    kept. That cutoff is monotone, and the bound never falls below the final
+    order statistic, so the kept cells hold every cell within the threshold.
+    The pass has its own frame so that its buffers are freed before the
+    lists are built.
+    """
+    n = db.shape[0]
+    sq_q, sq_db = _squared_norms(queries, db)
+    rows = max(1, GT_BLOCK_CELLS // n)
+    scratch = np.empty(rows * n)
+    smallest = _RankSmallest(rank)
+    candidates = _Candidates(min(2 * rank, queries.shape[0] * n))
+    blocks = _query_blocks(queries.shape[0], n)
+    products = _block_products(queries, db, [(r0, r1, 0) for r0, r1 in blocks])
+    for (r0, r1), gram in zip(blocks, products):
+        for q0 in range(r0, r1, rows):
+            q1 = min(q0 + rows, r1)
+            chunk = _squared_into(gram[q0 - r0:q1 - r0], sq_q[q0:q1], sq_db, scratch)
+            smallest.add(chunk)
+            candidates.add(chunk, q0 * n, _squared_cutoff(math.sqrt(max(smallest.bound, 0.0))))
+    threshold = math.sqrt(max(smallest.value(), 0.0))
+    return threshold, candidates.positions(_squared_cutoff(threshold))
+
+
 def calibrate_groundtruth(db: Dataset, queries: Dataset, target_avg: float) -> GroundTruth:
     """Distance-threshold groundtruth with a calibrated neighbor budget.
 
@@ -402,28 +533,20 @@ def calibrate_groundtruth(db: Dataset, queries: Dataset, target_avg: float) -> G
     target_avg. Neighbor lists hold database ids at distance <= threshold,
     each in ascending id order.
 
-    Holds one Q x N matrix: the single `queries @ db.T` product, which row
-    chunks of about GT_BLOCK_CELLS cells turn into squared distances in place
-    (`_squared_into`). The threshold is the square root of the rank-th
-    smallest squared value, and the lists compare squared values with
-    `_squared_cutoff(threshold)`; no other square root is taken.
+    Memory is O(block + rank + lists): `_cells_within_threshold` takes the
+    threshold and the cells within it in one blocked pass, and squared
+    values are compared with `_squared_cutoff(threshold)`; no other square
+    root is taken. Rows whose squared distances overflow are refused.
     """
     if db.dim != queries.dim:
         raise ValidationError("database and query dimensions differ")
     rank = _calibrated_rank(target_avg, queries.n, queries.n * db.n, "query-to-database distances")
-    q_feats, db_feats = queries.features, db.features
-    sq_q = (q_feats * q_feats).sum(axis=1)
-    sq_db = (db_feats * db_feats).sum(axis=1)
-    # one product: split by rows, the BLAS may round it differently
-    sq = q_feats @ db_feats.T
-    rows = max(1, GT_BLOCK_CELLS // db.n)
-    scratch = np.empty(rows * db.n)
-    chunks = (_squared_into(sq[r0:r0 + rows], sq_q[r0:r0 + rows], sq_db, scratch)
-              for r0 in range(0, queries.n, rows))
-    threshold = math.sqrt(max(_rank_smallest(chunks, rank), 0.0))
-    del scratch  # the lists below read sq alone
-    cut = _squared_cutoff(threshold)
-    return GroundTruth(tuple(np.sort(db.ids[row <= cut]) for row in sq), threshold)
+    threshold, at = _cells_within_threshold(queries.features, db.features, rank)
+    query, row = np.divmod(at, db.n)
+    ids = db.ids[row]
+    order = np.lexsort((ids, query))
+    ends = np.cumsum(np.bincount(query, minlength=queries.n))
+    return GroundTruth(tuple(np.split(ids[order], ends[:-1])), threshold)
 
 
 def _row_blocks(n: int):
@@ -463,16 +586,19 @@ def _triangle_chunks(features: np.ndarray):
     its cells with c < t, which are no pairs, hold NaN.
 
     Each `_row_blocks` block is one product, features[r0:r1] @
-    features[r0:].T, which row chunks of about GT_BLOCK_CELLS cells turn
+    features[r0:].T, written into one buffer for the whole pass
+    (`_block_products`). Row chunks of about GT_BLOCK_CELLS cells turn it
     into squared distances in place (`_squared_into`), each chunk from the
     column after its first row's diagonal on. A chunk is a view of the
-    block, valid until the next one is drawn.
+    buffer, valid until the next one is drawn. Rows whose squared distances
+    overflow are refused before the first product.
     """
     n = features.shape[0]
-    sq_norms = (features * features).sum(axis=1)
+    sq_norms, = _squared_norms(features)
     scratch = np.empty(max(GT_BLOCK_CELLS, n))
-    for r0, r1 in _row_blocks(n):
-        gram = features[r0:r1] @ features[r0:].T
+    blocks = list(_row_blocks(n))
+    products = _block_products(features, features, [(r0, r1, r0) for r0, r1 in blocks])
+    for (r0, r1), gram in zip(blocks, products):
         rows = max(1, GT_BLOCK_CELLS // (n - r0))
         for i0 in range(r0, min(r1, n - 1), rows):
             h = min(rows, r1 - i0)
@@ -487,15 +613,17 @@ def calibrate_pair_threshold(data: Dataset, target_avg: float) -> float:
 
     The threshold is the rank-th smallest pair distance, rank = round(
     target_avg * N / 2): the square root of the rank-th smallest squared
-    distance, which `_rank_smallest` finds over `_triangle_chunks`. The
+    distance, which `_RankSmallest` finds over `_triangle_chunks`. The
     square root is monotone, so the two order statistics agree.
     """
     n = data.n
     if n < 2:
         raise ValidationError("need at least two points")
     rank = _calibrated_rank(target_avg, n / 2.0, n * (n - 1) // 2, "pair distances")
-    sq = _rank_smallest((chunk for _, chunk in _triangle_chunks(data.features)), rank)
-    return math.sqrt(max(sq, 0.0))
+    smallest = _RankSmallest(rank)
+    for _, chunk in _triangle_chunks(data.features):
+        smallest.add(chunk)
+    return math.sqrt(max(smallest.value(), 0.0))
 
 
 def groundtruth_from_labels(db_ids, db_labels, query_labels) -> GroundTruth:

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -613,6 +614,22 @@ def test_row_norm_overflow_exits_5_without_data(tmp_path, capsys):
     assert main(["preprocess", "--config", str(cfg), "--out", str(out)]) == 5
     assert capsys.readouterr().err.startswith("error:data: row norms")
     assert not (out / "train.rshv").exists()
+
+
+def test_squared_distance_overflow_exits_5(tmp_path, capsys):
+    # uncentred rows near 1e200 overflow their squared distances: benchmark
+    # exited 0 on an infinite pair threshold, printing only RuntimeWarnings
+    rows = np.random.default_rng(12).uniform(0.5, 1.5, (60, 4)) * 1e200
+    csv = tmp_path / "big.csv"
+    csv.write_text("\n".join(",".join(repr(float(x)) for x in row) for row in rows) + "\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"input = {csv}\ntrain_count = 40\nquery_count = 20\ncenter = false\n"
+                   "methods = rsh\nK = 4\nL = 4\nepochs = 2\nmax_pairs = 200\nseeds = 1\n"
+                   "radius_list = 1\nk_list = 5\nneighbor_avg = 3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 5
+    assert capsys.readouterr().err == "error:data: squared distances overflow the float range\n"
 
 
 def test_bad_config_exits_2(tmp_path, capsys):

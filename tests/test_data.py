@@ -367,9 +367,10 @@ def _assert_same_groundtruth(gt, reference):
 )
 def test_calibrate_groundtruth_matches_full_matrix_reference(
         n_db, n_q, d, integer, avg_fraction, cells_per_row, seed):
-    # Both take the same single queries @ db.T product, so real features
-    # match bit for bit too; integer ones add ties at the threshold. Blocks
-    # run from one query row to the whole matrix.
+    # Up to 60 x 25 is one product block, the reference's single queries @
+    # db.T, so real features match bit for bit too; integer ones add ties at
+    # the threshold. Chunks run from one query row to the whole matrix, so
+    # the running bound, and with it the candidate cut, falls chunk by chunk.
     rng = seeded_rng(seed)
     if integer:
         feats = rng.integers(-2, 3, (n_db + n_q, d)).astype(np.float64)
@@ -385,22 +386,21 @@ def test_calibrate_groundtruth_matches_full_matrix_reference(
     _assert_same_groundtruth(gt, reference_calibrate_groundtruth(db, queries, target))
 
 
-@pytest.mark.parametrize("n_q, n_db", [(1000, 6000), (600, 2000)])
-def test_calibrate_groundtruth_memory(n_q, n_db):
-    # one Q x N matrix plus block-sized temporaries; the whole-matrix version
-    # held two Q x N arrays at once (92 MB and 18 MB here)
+@pytest.mark.parametrize("n_q, target", [(1000, 50.0), (4000, 10.0)])
+def test_calibrate_groundtruth_memory(n_q, target):
+    # one product block and the candidates, no Q x N array: the single
+    # product took 48 and 185 MiB here
     rng = seeded_rng(41)
-    db = Dataset.from_features(rng.standard_normal((n_db, 16)))
+    db = Dataset.from_features(rng.standard_normal((6000, 16)))
     queries = Dataset.from_features(rng.standard_normal((n_q, 16)))
     tracemalloc.start()
     try:
-        gt = calibrate_groundtruth(db, queries, 50.0)
+        gt = calibrate_groundtruth(db, queries, target)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert abs(gt.mean_count - 50.0) <= 1.0
-    matrix = n_q * n_db * 8
-    assert peak < 1.25 * matrix, peak / matrix
+    assert abs(gt.mean_count - target) <= 1.0
+    assert peak < 20 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("pair_avg, gt_avg", [(3.3, 4.2), (1e308, 1e308)])
@@ -416,6 +416,42 @@ def test_calibrations_refuse_a_rank_beyond_the_pool(pair_avg, gt_avg):
     # the largest ranks still pass
     assert calibrate_pair_threshold(data, 3.0) == math.sqrt(2.0)
     assert calibrate_groundtruth(data, data, 4.0).threshold == math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("scale", [1e200, 6e153])
+def test_distance_passes_refuse_squared_distances_beyond_the_float_range(scale):
+    # rows of +-1e200 overflow their squared norms, rows of +-6e153 (squared
+    # norms 1.44e308) only the squared distances between them. The pair
+    # threshold came out inf, and the groundtruth threshold inf with lists of
+    # about 25 where 3 were asked for
+    data = Dataset.from_features(seeded_rng(43).choice([-scale, scale], (50, 4)))
+    queries = Dataset.from_features(data.features[:5])
+    calls = [lambda: calibrate_pair_threshold(data, 3.0),
+             lambda: make_pairs(data, 1.0, 100, 0.5, seeded_rng(44)),
+             lambda: calibrate_groundtruth(data, queries, 3.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValidationError, match="^squared distances overflow the float range$"):
+                call()
+        # rows of +-1e150 are in range
+        small = Dataset.from_features(data.features * (1e150 / scale))
+        assert math.isfinite(calibrate_pair_threshold(small, 3.0))
+        assert math.isfinite(calibrate_groundtruth(small, small, 3.0).threshold)
+
+
+def test_calibrate_groundtruth_lists_every_square_with_the_threshold_root():
+    # From the origin, the squared distances 2^52 + 1 and 2^52 are exact and
+    # share one square root, 2^26 (the root of 2^52 + 1 rounds to even), so
+    # the list holds both rows though the rank-th smallest square is 2^52.
+    # Candidates cut at the running bound itself lost row 0.
+    db = Dataset(np.array([[2.0**26, 1.0], [2.0**26, 0.0], [2.0**26, 3.0], [0.0, 2.0**26 + 1]]),
+                 np.arange(4))
+    queries = Dataset(np.zeros((1, 2)), np.array([0]))
+    gt = calibrate_groundtruth(db, queries, 1.0)
+    assert gt.threshold == 2.0**26
+    assert gt.neighbor_lists[0].tolist() == [0, 1]
+    _assert_same_groundtruth(gt, reference_calibrate_groundtruth(db, queries, 1.0))
 
 
 def test_calibrate_groundtruth_threshold_is_the_sorted_order_statistic():
@@ -666,13 +702,48 @@ def test_squared_cutoff_is_the_largest_square_within_the_threshold(t):
 
 @pytest.mark.parametrize("target", [1.0, 17.5, 60.0])
 def test_calibrate_groundtruth_matches_reference_on_real_features(chunk_cells, target):
-    # many chunks of a real-valued 150 x 700 product, whose distances
-    # round differently from any integer grid
+    # a real-valued 289 x 6000 product, whose distances round differently
+    # from any integer grid, in three product blocks (96, 96 and 97 query
+    # rows) cut into many chunks
     rng = seeded_rng(40)
-    db = Dataset.from_features(rng.standard_normal((700, 12)) * 2.0)
-    queries = Dataset.from_features(rng.standard_normal((150, 12)) * 2.0)
+    db = Dataset.from_features(rng.standard_normal((6000, 12)) * 2.0)
+    queries = Dataset.from_features(rng.standard_normal((289, 12)) * 2.0)
+    assert len(data_module._query_blocks(queries.n, db.n)) == 3
     gt = calibrate_groundtruth(db, queries, target)
     _assert_same_groundtruth(gt, reference_calibrate_groundtruth(db, queries, target))
+
+
+@pytest.mark.parametrize(
+    "n_q, n_db, d, blocks",
+    [
+        (577, 1000, 16, 1),  # 576 rows and a 1-row rest, which numpy would
+                             # send to gemv, in one block
+        (578, 1000, 3, 1),  # a 2-row rest joins the block as well
+        (1154, 1000, 2, 2),  # 576 rows, then 578
+        (576, 1000, 1, 1),  # exactly one block
+        (192, 6000, 5, 2),  # two whole blocks of 96 rows
+        (290, 6000, 33, 3),  # 96, 96, then 98
+        (5000, 100, 65, 1),  # a small database: one block holds all of Q
+        (21890, 48, 33, 2),  # 10944 rows, then 10946: a 2-row block of a small
+                             # database fell into OpenBLAS's small-matrix kernel
+    ],
+)
+def test_query_blocks_match_the_single_product(n_q, n_db, d, blocks):
+    # The blocked product equals the single Q x N one bit for bit: blocks
+    # start on multiples of GT_ROW_ALIGN rows, and each holds at least
+    # GT_MIN_BLOCK_CELLS cells unless it is the whole product.
+    rng = seeded_rng(42)
+    a = rng.standard_normal((n_q, d)) * 2.0
+    b = rng.standard_normal((n_db, d)) * 2.0
+    ranges = data_module._query_blocks(n_q, n_db)
+    assert len(ranges) == blocks
+    assert [r0 for r0, _ in ranges] == list(range(0, n_q, ranges[0][1]))[:blocks]
+    assert ranges[-1][1] == n_q and all(r0 % data_module.GT_ROW_ALIGN == 0 for r0, _ in ranges)
+    assert blocks == 1 or min(r1 - r0 for r0, r1 in ranges) * n_db >= data_module.GT_MIN_BLOCK_CELLS
+    products = data_module._block_products(a, b, [(r0, r1, 0) for r0, r1 in ranges])
+    single = a @ b.T
+    for (r0, r1), product in zip(ranges, products):
+        assert product.tobytes() == single[r0:r1].tobytes(), (r0, r1)
 
 
 @pytest.mark.parametrize("max_pairs", [100, 30_000])
@@ -687,7 +758,8 @@ def test_pair_draws_match_references_on_large_populations(max_pairs):
 
 
 def test_pair_calibration_and_sampling_memory():
-    # the N x N distance matrix alone would take 512 MB at N = 8000
+    # the N x N distance matrix alone would take 512 MB at N = 8000; the
+    # blocks share one 8 MB product buffer
     data = Dataset.from_features(seeded_rng(36).standard_normal((8000, 16)))
     tracemalloc.start()
     try:
@@ -697,7 +769,7 @@ def test_pair_calibration_and_sampling_memory():
     finally:
         tracemalloc.stop()
     assert len(pairs) == 20_000
-    assert peak < 64 * 2**20
+    assert peak < 24 * 2**20, peak / 2**20
 
 
 # ---------------------------------------------------------------- synthetic
