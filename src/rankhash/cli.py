@@ -37,6 +37,7 @@ from .core import (
     seeded_rng,
 )
 from .data import (
+    _check_float32,
     apply_pca,
     calibrate_groundtruth,
     calibrate_pair_threshold,
@@ -342,6 +343,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
 def cmd_preprocess(cfg: ExperimentConfig, out: Path) -> None:
     train, query, train_labels, query_labels = _source_data(cfg)
     train, query, artifacts = _transform(cfg, train, query)
+    _check_float32(train, query)  # before either file is written
     save_fvec(train, out / "train.rshv")
     save_fvec(query, out / "query.rshv")
     written = {"train": "train.rshv", "query": "query.rshv"}

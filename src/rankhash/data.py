@@ -113,8 +113,17 @@ def load_fvec(path) -> Dataset:
     return Dataset.from_features(feats.astype(np.float64))
 
 
+def _check_float32(*datasets: Dataset) -> None:
+    """Refuse features that float32 rounds to inf: from half a unit above its
+    largest value, 2^128 - 2^104, up (that tie rounds to even, up)."""
+    if any(np.abs(data.features).max() >= 2.0**128 - 2.0**103 for data in datasets):
+        raise ValidationError("features beyond the float32 range cannot be written")
+
+
 def save_fvec(data: Dataset, path) -> None:
-    """Write a dataset in RSHV1 form (values rounded to float32)."""
+    """Write a dataset in RSHV1 form (values rounded to float32); features
+    that float32 rounds to inf are refused and nothing is written."""
+    _check_float32(data)
     blob = bytearray()
     blob += _VEC_MAGIC
     blob += struct.pack("<QQ", data.n, data.dim)
@@ -242,45 +251,33 @@ class RelevantRows:
 class GroundTruth:
     """Per-query neighbor id lists; threshold is None for label-derived truth.
 
-    The lists are held as one read-only int64 array, `flat`, in which list q
-    is flat[offsets[q]:offsets[q + 1]]; `neighbor_lists` is the tuple of
-    those views.
+    List q is flat[offsets[q]:offsets[q + 1]], strictly ascending, for the
+    offsets.size - 1 queries; `flat` and `offsets` are read-only int64
+    copies, and offsets rise from 0 to flat.size.
     """
 
-    neighbor_lists: tuple
-    threshold: float | None
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
-    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    flat: np.ndarray
+    offsets: np.ndarray
+    threshold: float | None = None
     # the last `rows_in` result, reused while the database ids are equal
     _rows: RelevantRows | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lists = [_as_ints(lst, "neighbor lists") for lst in self.neighbor_lists]
-        if any(lst.ndim != 1 for lst in lists):
-            raise ValidationError("neighbor lists must be 1-D and duplicate-free")
-        offsets = np.zeros(len(lists) + 1, dtype=np.int64)
-        np.cumsum(np.array([lst.size for lst in lists], dtype=np.int64), out=offsets[1:])
-        flat = np.concatenate(lists) if lists else np.zeros(0, dtype=np.int64)
-        # Both builders emit sorted lists, so one pass over the flat array
-        # checks that each rises strictly; only a list that does not is
-        # sorted to look for a repeated id.
+        flat = _frozen_array(self.flat, np.int64, "neighbor ids")
+        offsets = _frozen_array(self.offsets, np.int64, "offsets")
+        if (offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0
+                or offsets[-1] != flat.size or (np.diff(offsets) < 0).any()):
+            raise ValidationError("offsets must rise from 0 to the number of neighbor ids")
+        if flat.ndim != 1:
+            raise ValidationError("neighbor lists must be 1-D, ascending and duplicate-free")
+        # every step within a list rises; a step across a list boundary may not
         rises = np.diff(flat) > 0
         ends = offsets[1:-1]
-        rises[ends[(ends > 0) & (ends < flat.size)] - 1] = True  # across a list boundary
-        for q in np.unique(np.searchsorted(offsets, np.flatnonzero(~rises), side="right")) - 1:
-            if not (np.diff(np.sort(lists[q])) > 0).all():
-                raise ValidationError("neighbor lists must be 1-D and duplicate-free")
-        flat.setflags(write=False)
-        offsets.setflags(write=False)
-        bounds = offsets.tolist()
+        rises[ends[(ends > 0) & (ends < flat.size)] - 1] = True
+        if not rises.all():
+            raise ValidationError("neighbor lists must be 1-D, ascending and duplicate-free")
         object.__setattr__(self, "flat", flat)
         object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "neighbor_lists",
-                           tuple(flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])))
-
-    @property
-    def mean_count(self) -> float:
-        return float(np.mean(np.diff(self.offsets)))
 
     def rows_in(self, ids) -> RelevantRows:
         """The lists resolved against the database ids `ids` (row n holds
@@ -546,7 +543,7 @@ def calibrate_groundtruth(db: Dataset, queries: Dataset, target_avg: float) -> G
     ids = db.ids[row]
     order = np.lexsort((ids, query))
     ends = np.cumsum(np.bincount(query, minlength=queries.n))
-    return GroundTruth(tuple(np.split(ids[order], ends[:-1])), threshold)
+    return GroundTruth(ids[order], np.concatenate([[0], ends]), threshold)
 
 
 def _row_blocks(n: int):
@@ -636,8 +633,9 @@ def groundtruth_from_labels(db_ids, db_labels, query_labels) -> GroundTruth:
         raise ValidationError("ids and labels must be 1-D arrays of matching length")
     order = np.argsort(db_ids, kind="stable")
     db_ids, db_labels = db_ids[order], db_labels[order]
-    lists = tuple(db_ids[db_labels == lab] for lab in query_labels)
-    return GroundTruth(lists, None)
+    lists = [db_ids[db_labels == lab] for lab in query_labels]
+    ends = np.cumsum([lst.size for lst in lists], dtype=np.int64)
+    return GroundTruth(np.concatenate([db_ids[:0], *lists]), np.concatenate([[0], ends]))
 
 
 def _check_sampling(max_pairs, pos_fraction) -> None:

@@ -8,7 +8,8 @@ integer dtype it is given, so no code is widened to int64 on the way.
 `lookup` answers with an int64 array of ids in table row order, and
 weighted kNN keeps the rank tables of its last few weight vectors, so a
 stream of single queries against one model rebuilds neither per call.
-The PR curve and `relevant_hits` read a groundtruth's relevant rows from
+The PR curve and `relevant_hits` take a `GroundTruth`, whose lists are
+one flat id array cut by offsets, and read its relevant rows from
 `GroundTruth.rows_in`, which resolves the lists against the database ids
 once and keeps the result while the ids are the same, so the models of one
 eval share one resolution. kNN, the PR curve and `relevant_hits` work in
@@ -353,26 +354,21 @@ def knn_weighted(codes, ids, query, theta, k: int) -> np.ndarray:
     return _knn(codes, ids, query, k, np.asarray(theta, dtype=np.float64))
 
 
-def relevant_hits(hits, ids, neighbor_lists, queries=None) -> np.ndarray:
-    """(B, k) mask of the ids in row b of `hits` that the groundtruth lists
-    for query queries[b] (query b when `queries` is None).
+def relevant_hits(hits, ids, gt: GroundTruth, queries) -> np.ndarray:
+    """(B, k) mask of the ids in row b of `hits` that the groundtruth `gt`
+    lists for its query queries[b].
 
     `hits` holds database ids (a kNN result for a block of B queries) and
-    `ids` the database ids, row n holding ids[n]. `neighbor_lists` is a
-    `GroundTruth`, or a sequence of neighbor lists made into one. Its lists
-    are resolved to database rows once per database (`GroundTruth.rows_in`)
-    and each hit id to the row of its first occurrence; each block of
-    queries marks its relevant (query, row) cells in one mask of about
-    BLOCK_CELLS cells, reads its hits from it and clears the cells it set.
-    An id absent from the database, listed or hit, matches nothing.
+    `ids` the database ids, row n holding ids[n]. The lists are resolved to
+    database rows once per database (`GroundTruth.rows_in`) and each hit id
+    to the row of its first occurrence; each block of queries marks its
+    relevant (query, row) cells in one mask of about BLOCK_CELLS cells,
+    reads its hits from it and clears the cells it set. An id absent from
+    the database, listed or hit, matches nothing.
     """
     hits = _as_ints(hits, "hits")
-    gt = neighbor_lists if isinstance(neighbor_lists, GroundTruth) else GroundTruth(
-        tuple(neighbor_lists), None)
-    if queries is None:
-        queries = np.arange(len(gt.neighbor_lists))
     queries = _as_ints(queries, "queries")
-    if queries.ndim != 1 or not ((queries >= 0) & (queries < len(gt.neighbor_lists))).all():
+    if queries.ndim != 1 or not ((queries >= 0) & (queries < gt.offsets.size - 1)).all():
         raise ValidationError("queries must be a 1-D array of groundtruth query indices")
     if hits.ndim != 2 or hits.shape[0] != queries.size:
         raise ValidationError("hits must be (B, k), one row per query")
@@ -407,9 +403,9 @@ def pr_curve_by_radius(table: HashTable, query_codes, gt: GroundTruth):
     query order.
     """
     query_codes = _as_codes(query_codes, (2,), table.L)
-    if len(gt.neighbor_lists) != query_codes.shape[0]:
-        raise ValidationError("groundtruth must have one neighbor list per query")
     sizes = np.diff(gt.offsets)
+    if sizes.size != query_codes.shape[0]:
+        raise ValidationError("groundtruth must have one neighbor list per query")
     asked = np.flatnonzero(sizes)
     if asked.size == 0:
         raise ValidationError("no query has a non-empty relevant set")

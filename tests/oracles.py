@@ -9,7 +9,9 @@ package code calls it:
   and `objective_arrays` (the objective over an (n, K, K) cell tensor);
 * hashers: `rsh_encode`, `wta_encode` and `lsh_encode` for one vector, and
   `pack_code`/`unpack_code`/`code_bit_length`, the big-endian bit packing;
-* data: `center_and_normalize`, which fits the mean it applies.
+* data: `center_and_normalize`, which fits the mean it applies, and
+  `groundtruth_from_lists` with its reader `neighbor_list`, the per-query
+  list form of a `GroundTruth`.
 
 The K x K offsets are built here, not taken from `rankhash.learning`, so an
 oracle shares no code with the step it checks.
@@ -22,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from rankhash.core import Dataset, FormatError, Hyperparams, ValidationError
-from rankhash.data import apply_center_and_normalize
+from rankhash.data import GroundTruth, apply_center_and_normalize
 from rankhash.hashers import LshSpec, WtaSpec, symbol_bits
 
 # ----------------------------------------------------------------- learning
@@ -281,3 +283,17 @@ def center_and_normalize(data: Dataset) -> tuple[Dataset, np.ndarray]:
     """
     mean = data.features.mean(axis=0)
     return apply_center_and_normalize(data, mean), mean
+
+
+def groundtruth_from_lists(lists, threshold=None) -> GroundTruth:
+    """The `GroundTruth` of per-query integer id lists, each sorted
+    ascending; a repeated id stays, and so does a list that is not 1-D,
+    for the constructor to refuse."""
+    lists = [np.sort(np.asarray(lst, dtype=np.int64)) for lst in lists]
+    flat = np.concatenate(lists) if lists else np.zeros(0, dtype=np.int64)
+    return GroundTruth(flat, np.cumsum([0] + [lst.size for lst in lists]), threshold)
+
+
+def neighbor_list(gt: GroundTruth, q: int) -> np.ndarray:
+    """Query q's id list, a view of `gt.flat`."""
+    return gt.flat[gt.offsets[q]:gt.offsets[q + 1]]

@@ -14,7 +14,10 @@ from rankhash import (
     load_model,
     save_fvec,
 )
+from rankhash import cli
 from rankhash.cli import ConfigError, ExperimentConfig, main, parse_config, validate_config
+
+from oracles import neighbor_list
 
 BASE = """
 synthetic = true
@@ -416,7 +419,7 @@ def per_query_precision_at_k(model, db, query, gt, k):
     q_codes = encode_dataset(query, model)
     per_query = []
     for q in range(query.n):
-        relevant = gt.neighbor_lists[q]
+        relevant = neighbor_list(gt, q)
         if relevant.size == 0:
             continue
         if model.weights is not None:
@@ -614,6 +617,27 @@ def test_row_norm_overflow_exits_5_without_data(tmp_path, capsys):
     assert main(["preprocess", "--config", str(cfg), "--out", str(out)]) == 5
     assert capsys.readouterr().err.startswith("error:data: row norms")
     assert not (out / "train.rshv").exists()
+
+
+def test_float32_overflow_exits_5_before_writing(tmp_path, capsys):
+    # uncentred rows near 1e200 were cast to float32 unchecked: preprocess
+    # exited 0 after writing train.rshv and query.rshv full of inf. Only
+    # the query split's rows overflow here, and neither file is written
+    rows = np.random.default_rng(13).uniform(0.5, 1.5, (60, 4))
+    csv = tmp_path / "big.csv"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"input = {csv}\ntrain_count = 40\nquery_count = 20\ncenter = false\n"
+                   "methods = rsh\nK = 4\nL = 4\nseeds = 1\n")
+    csv.write_text("1,2,3,4\n" * 60)  # the split depends only on the row count and seed
+    rows[cli._source_data(parse_config(cfg.read_text()))[1].ids] *= 1e200
+    csv.write_text("\n".join(",".join(repr(float(x)) for x in row) for row in rows) + "\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["preprocess", "--config", str(cfg), "--out", str(out)]) == 5
+    assert capsys.readouterr().err == (
+        "error:data: features beyond the float32 range cannot be written\n")
+    assert not list(out.glob("*.rshv"))
 
 
 def test_squared_distance_overflow_exits_5(tmp_path, capsys):

@@ -283,7 +283,8 @@ def test_model_round_trip_property(K, L, d, with_weights, seed):
         lambda: PairSet([0.0], [1.0], [1]),
         lambda: PairSet([0], [1], [True]),
         lambda: Dataset(np.zeros((2, 3)), [0.2, 1.7]),  # cast, stored as ids [0, 1]
-        lambda: GroundTruth(([0.5],), None),
+        lambda: GroundTruth([0.5], [0, 1]),
+        lambda: GroundTruth([0], [0.0, 1.0]),
         lambda: build_table(np.zeros((2, 3), dtype=int), [0.0, 1.5], 2),
         # the calls below cast their ids: rows [0 2], lists of ids [0, 1],
         # kNN ids [0 1], and a hit read as id 0 and marked relevant
@@ -291,12 +292,12 @@ def test_model_round_trip_property(K, L, d, with_weights, seed):
         lambda: Dataset.from_features(np.eye(3)).subset([True, False, True]),
         lambda: groundtruth_from_labels([0.5, 1.5, 2.5], [0, 0, 1], [0]),
         lambda: knn_hamming(np.zeros((3, 2), dtype=np.uint8), [0.5, 1.7, 2.2], [0, 0], 2),
-        lambda: relevant_hits([[0.9]], [0, 1], [[0]]),
-        lambda: relevant_hits([[0]], [0.0, 1.0], [[0]]),
-        lambda: relevant_hits([[0]], [0, 1], [[0.0]]),
+        lambda: relevant_hits([[0.9]], [0, 1], GroundTruth([0], [0, 1]), [0]),
+        lambda: relevant_hits([[0]], [0.0, 1.0], GroundTruth([0], [0, 1]), [0]),
+        lambda: relevant_hits([[0]], [0, 1], GroundTruth([0], [0, 1]), [0.0]),
     ],
-    ids=["s", "i_j", "bool_s", "dataset_ids", "neighbor_lists", "table_ids", "subset",
-         "subset_bool", "label_groundtruth_ids", "knn_ids", "hits", "hits_ids", "hits_lists"],
+    ids=["s", "i_j", "bool_s", "dataset_ids", "gt_flat", "gt_offsets", "table_ids", "subset",
+         "subset_bool", "label_groundtruth_ids", "knn_ids", "hits", "hits_ids", "hits_queries"],
 )
 def test_integer_arrays_refuse_non_integers(make):
     with pytest.raises(ValidationError, match="must be integers"):
@@ -305,9 +306,31 @@ def test_integer_arrays_refuse_non_integers(make):
 
 def test_empty_id_lists_stay_allowed():
     # an empty list has a float dtype, and holds no non-integer
-    assert relevant_hits([[1, 0]], [0, 1], [[]]).tolist() == [[False, False]]
+    assert relevant_hits([[1, 0]], [0, 1], GroundTruth([], [0, 0]), [0]).tolist() == [
+        [False, False]]
     gt = groundtruth_from_labels([], [], [3])
-    assert gt.neighbor_lists[0].dtype == np.int64 and gt.neighbor_lists[0].size == 0
+    assert gt.flat.dtype == np.int64 and gt.flat.size == 0 and gt.offsets.tolist() == [0, 0]
+
+
+@pytest.mark.parametrize(
+    "flat,offsets,message",
+    [
+        ([1, 2], [1, 2], "offsets must rise"),  # not from 0
+        ([1, 2, 3], [0, 2, 1, 3], "offsets must rise"),  # falling
+        ([1, 2], [0, 1], "offsets must rise"),  # not to flat.size
+        ([], [], "offsets must rise"),  # no start
+        ([[1, 2]], [0, 2], "must be 1-D"),
+        ([2, 1], [0, 2], "ascending"),
+        ([1, 1], [0, 2], "duplicate-free"),
+    ],
+    ids=["offsets_start", "offsets_fall", "offsets_end", "offsets_empty", "flat_2d",
+         "descending", "repeated"],
+)
+def test_groundtruth_refuses_malformed_lists(flat, offsets, message):
+    with pytest.raises(ValidationError, match=message):
+        GroundTruth(flat, offsets)
+    # a list may end above where the next starts, or on the same id
+    assert GroundTruth([5, 1, 4, 4], [0, 1, 1, 3, 4]).flat.tolist() == [5, 1, 4, 4]
 
 
 @pytest.mark.parametrize(
@@ -323,9 +346,9 @@ def test_empty_id_lists_stay_allowed():
         (PcaBasis, lambda: (np.zeros(2), np.eye(2)), lambda v: (v.mean, v.components)),
         (WtaSpec, lambda: (np.array([[2, 0, 1]]), 2), lambda v: (v.permutations,)),
         (LshSpec, lambda: (np.ones((2, 3)),), lambda v: (v.hyperplanes,)),
-        # the caller's write would leave a validated list holding a duplicate
-        (lambda *lists: GroundTruth(lists, None), lambda: (np.array([1, 2]), np.array([0])),
-         lambda v: v.neighbor_lists),
+        # the caller's writes would leave a validated list holding a
+        # duplicate, cut by offsets that no longer start at 0
+        (GroundTruth, lambda: (np.array([1, 2]), np.array([0, 2])), lambda v: (v.flat, v.offsets)),
         (  # an aliased ids array would change what lookup returns
             lambda codes, ids: build_table(codes, ids, 3),
             lambda: (np.array([[0, 2], [1, 1], [2, 0]]), np.array([9, 4, 6])),

@@ -29,7 +29,7 @@ from rankhash import (
     synth_clusters,
 )
 
-from oracles import center_and_normalize
+from oracles import center_and_normalize, groundtruth_from_lists, neighbor_list
 
 
 def test_load_csv_plain(tmp_path):
@@ -69,6 +69,22 @@ def test_fvec_round_trip(tmp_path):
     back = load_fvec(path)
     # storage is float32, so equality holds at float32 resolution
     assert np.array_equal(back.features, data.features.astype(np.float32).astype(np.float64))
+
+
+def test_fvec_refuses_features_that_float32_rounds_to_inf(tmp_path):
+    # the float32 cast wrote inf with only a RuntimeWarning. From the
+    # midpoint between float32's largest value and 2^128 up, values round to
+    # inf; the float64 just below it rounds down to that largest value
+    midpoint = 2.0**128 - 2.0**103
+    path = tmp_path / "d.rshv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in (midpoint, -midpoint, 1e200):
+            with pytest.raises(ValidationError, match="float32 range"):
+                save_fvec(Dataset.from_features([[1.0, 0.0], [2.0, value]]), path)
+            assert not path.exists()
+        save_fvec(Dataset.from_features([[1.0, -np.nextafter(midpoint, 0.0)]]), path)
+    assert load_fvec(path).features[0, 1] == -float(np.finfo(np.float32).max)
 
 
 def test_fvec_truncation_names_offset(tmp_path):
@@ -200,14 +216,14 @@ def test_calibrate_groundtruth_hits_target():
     db = Dataset(rng.standard_normal((200, 6)), np.arange(200))
     queries = Dataset(rng.standard_normal((40, 6)), np.arange(40))
     gt = calibrate_groundtruth(db, queries, 50.0)
-    assert abs(gt.mean_count - 50.0) <= 1.0
+    assert abs(np.diff(gt.offsets).mean() - 50.0) <= 1.0
 
 
 def test_calibrate_groundtruth_single_nearest():
     db = Dataset(np.array([[0.0], [1.0], [5.0]]), np.arange(3))
     queries = Dataset(np.array([[0.9]]), np.array([0]))
     gt = calibrate_groundtruth(db, queries, 1.0)
-    assert np.array_equal(gt.neighbor_lists[0], [1])
+    assert np.array_equal(neighbor_list(gt, 0), [1])
 
 
 def test_calibrate_groundtruth_scale_equivariant():
@@ -219,15 +235,15 @@ def test_calibrate_groundtruth_scale_equivariant():
         Dataset(db.features * 2, db.ids), Dataset(queries.features * 2, queries.ids), 20.0
     )
     assert gt2.threshold == pytest.approx(2 * gt1.threshold)
-    for a, b in zip(gt1.neighbor_lists, gt2.neighbor_lists):
-        assert np.array_equal(np.sort(a), np.sort(b))
+    for q in range(queries.n):
+        assert np.array_equal(np.sort(neighbor_list(gt1, q)), np.sort(neighbor_list(gt2, q)))
 
 
 def test_groundtruth_from_labels():
     db_ids = np.array([10, 11, 12, 13])
     gt = groundtruth_from_labels(db_ids, np.array([0, 1, 0, 1]), np.array([0, 1]))
-    assert np.array_equal(np.sort(gt.neighbor_lists[0]), [10, 12])
-    assert np.array_equal(np.sort(gt.neighbor_lists[1]), [11, 13])
+    assert np.array_equal(np.sort(neighbor_list(gt, 0)), [10, 12])
+    assert np.array_equal(np.sort(neighbor_list(gt, 1)), [11, 13])
 
 
 def test_groundtruth_builders_list_ascending_ids():
@@ -240,8 +256,53 @@ def test_groundtruth_builders_list_ascending_ids():
     by_distance = calibrate_groundtruth(db, queries, 10.0)
     by_label = groundtruth_from_labels(ids, rng.integers(0, 3, 60), rng.integers(0, 3, 20))
     for gt in (by_distance, by_label):
-        assert sum(lst.size > 1 for lst in gt.neighbor_lists) > 10
-        assert all((np.diff(lst) > 0).all() for lst in gt.neighbor_lists)
+        lists = [neighbor_list(gt, q) for q in range(queries.n)]
+        assert sum(lst.size > 1 for lst in lists) > 10
+        assert all((np.diff(lst) > 0).all() for lst in lists)
+
+
+_DB_LABELS = np.array([1, 0, 1, 2, 0, 1])
+
+
+def _by_labels(db_ids, query_labels):
+    db_ids = np.array(db_ids)
+    return (lambda: groundtruth_from_labels(db_ids, _DB_LABELS, query_labels),
+            [db_ids[_DB_LABELS == lab] for lab in query_labels])
+
+
+def _by_distance():
+    # four neighbors in all: the query at 100 lists none, the other two
+    # their two nearest (distances 0.25 and 0.75)
+    db = Dataset(np.arange(4.0)[:, None], np.array([30, 10, 20, 0]))
+    queries = Dataset.from_features([[0.25], [100.0], [2.75]])
+    lists, _ = reference_calibrate_groundtruth(db, queries, 4 / 3)
+    assert [len(lst) for lst in lists] == [2, 0, 2]
+    return lambda: calibrate_groundtruth(db, queries, 4 / 3), lists
+
+
+@pytest.mark.parametrize(
+    "case, refused",
+    [
+        (lambda: _by_labels([12, 3, 40, 7, 25, 9], [1, 0, 5, 2, 1]), False),  # 5 in no row
+        (lambda: _by_labels([12, 3, 40, 7, 25, 9], []), False),
+        (lambda: _by_labels([12, 3, 12, 7, 25, 9], [0, 1]), True),  # 12 on two rows of label 1
+        (_by_distance, False),
+    ],
+    ids=["absent_label", "no_query", "repeated_ids", "distance"],
+)
+def test_groundtruth_builders_match_the_list_builder(case, refused):
+    # both builders hand GroundTruth the flat ids and offsets that the
+    # per-query lists give; a repeated id is refused on either path
+    build, lists = case()
+    if refused:
+        for make in (build, lambda: groundtruth_from_lists(lists)):
+            with pytest.raises(ValidationError, match="duplicate-free"):
+                make()
+        return
+    got, want = build(), groundtruth_from_lists(lists)
+    assert got.flat.dtype == got.offsets.dtype == np.int64
+    assert got.flat.tolist() == want.flat.tolist()
+    assert got.offsets.tolist() == want.offsets.tolist()
 
 
 # -------------------------------------------------------------------- pairs
@@ -264,12 +325,15 @@ def test_groundtruth_builders_list_ascending_ids():
     ],
 )
 def test_groundtruth_rejects_duplicates_in_any_list(lists, ok):
+    # the builder sorts each list, so the constructor sees every repeat side
+    # by side
     if ok:
-        gt = data_module.GroundTruth(tuple(lists), None)
-        assert [lst.tolist() for lst in gt.neighbor_lists] == lists
+        gt = groundtruth_from_lists(lists)
+        assert [neighbor_list(gt, q).tolist() for q in range(len(lists))] == [
+            sorted(lst) for lst in lists]
     else:
         with pytest.raises(ValidationError, match="duplicate-free"):
-            data_module.GroundTruth(tuple(lists), None)
+            groundtruth_from_lists(lists)
 
 
 def test_make_pairs_two_points():
@@ -349,10 +413,10 @@ def reference_calibrate_groundtruth(db, queries, target_avg):
 def _assert_same_groundtruth(gt, reference):
     lists, threshold = reference
     assert _bits(gt.threshold) == _bits(threshold)
-    assert len(gt.neighbor_lists) == len(lists)
+    assert gt.offsets.size - 1 == len(lists)
     # the reference lists follow database order, calibrate_groundtruth's ascending ids
-    for got, want in zip(gt.neighbor_lists, lists):
-        assert np.array_equal(got, np.sort(want))
+    for q, want in enumerate(lists):
+        assert np.array_equal(neighbor_list(gt, q), np.sort(want))
 
 
 @settings(max_examples=80, deadline=None)
@@ -399,7 +463,7 @@ def test_calibrate_groundtruth_memory(n_q, target):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert abs(gt.mean_count - target) <= 1.0
+    assert abs(np.diff(gt.offsets).mean() - target) <= 1.0
     assert peak < 20 * 2**20, peak / 2**20
 
 
@@ -450,7 +514,7 @@ def test_calibrate_groundtruth_lists_every_square_with_the_threshold_root():
     queries = Dataset(np.zeros((1, 2)), np.array([0]))
     gt = calibrate_groundtruth(db, queries, 1.0)
     assert gt.threshold == 2.0**26
-    assert gt.neighbor_lists[0].tolist() == [0, 1]
+    assert neighbor_list(gt, 0).tolist() == [0, 1]
     _assert_same_groundtruth(gt, reference_calibrate_groundtruth(db, queries, 1.0))
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from rankhash import (
     Dataset,
-    GroundTruth,
     HashModel,
     Hyperparams,
     ValidationError,
@@ -24,6 +23,8 @@ from rankhash import (
 )
 from rankhash import evaluation
 from rankhash.evaluation import _as_codes
+
+from oracles import groundtruth_from_lists, neighbor_list
 
 # ------------------------------------------------------ reference oracles
 #
@@ -86,7 +87,7 @@ def reference_pr_curve(codes, ids, query_codes, gt):
     recall_sum = np.zeros(L + 1)
     evaluated = 0
     for q in range(query_codes.shape[0]):
-        relevant = gt.neighbor_lists[q]
+        relevant = neighbor_list(gt, q)
         if relevant.size == 0:
             continue
         evaluated += 1
@@ -514,8 +515,9 @@ def test_store_layout_codes_rank_like_int64_codes(seed, pattern_table, L, K, dis
     for q, wide_q in zip(queries, wide_queries):
         for radius in range(L + 1):
             assert_ids(lookup(table, q, radius), lookup(wide_table, wide_q, radius))
-    gt = make_gt([rng.choice(ids, size=int(rng.integers(0, n + 1)), replace=False)
-                  for _ in range(len(queries) - 1)] + [ids[:1]])
+    gt = groundtruth_from_lists(
+        [rng.choice(ids, size=int(rng.integers(0, n + 1)), replace=False)
+         for _ in range(len(queries) - 1)] + [ids[:1]])
     assert_same_curve(pr_curve_by_radius(table, queries, gt),
                       pr_curve_by_radius(wide_table, wide_queries, gt))
 
@@ -548,7 +550,7 @@ def test_build_table_owns_its_store():
 
 def test_readers_reject_non_integer_codes():
     table, codes, ids = random_table(33, n=20, L=4)
-    gt = make_gt([ids[:3]] * 2)
+    gt = groundtruth_from_lists([ids[:3]] * 2)
     for bad in (codes * 0.5, codes.astype(bool)):
         with pytest.raises(ValidationError):
             build_table(bad, ids, 3)
@@ -723,7 +725,7 @@ def test_batches_of_few_distinct_codes(seed, pattern_table, L, K, n_codes, B, id
     members = np.unique(np.concatenate([ids, [-100 * n - 1, 100 * n + 7]]))
     lists = [rng.choice(members, size=int(rng.integers(0, min(8, members.size) + 1)),
                         replace=False) for _ in range(B - 1)]
-    gt = make_gt([ids[:1]] + lists)
+    gt = groundtruth_from_lists([ids[:1]] + lists)
     assert_same_curve(pr_curve_by_radius(build_table(codes, ids, K), queries, gt),
                       reference_pr_curve(codes, ids, queries, gt))
 
@@ -772,10 +774,11 @@ def test_relevant_hits_marks_listed_ids(monkeypatch, rows):
              np.array([], dtype=np.int64)]
     # -5, 8, 99 and 1000 are in no database row (they sort next to 3, 12 and
     # 40); 99 is no valid hit either, though it sorts next to the listed 40
-    assert relevant_hits(hits, db_ids, lists).tolist() == [
+    queries = np.arange(len(lists))
+    assert relevant_hits(hits, db_ids, groundtruth_from_lists(lists), queries).tolist() == [
         [False, True, True], [False, False, False], [True, True, False], [False, False, False]]
     with pytest.raises(ValidationError):
-        relevant_hits(hits, db_ids, lists[:2])
+        relevant_hits(hits, db_ids, groundtruth_from_lists(lists[:2]), queries)
 
 
 def reference_hit_marks(hits, ids, lists):
@@ -805,8 +808,8 @@ def test_one_groundtruth_resolves_against_each_table(spread):
         if q % 3 == 1:
             members = np.concatenate([members, rng.choice(absent, size=2, replace=False)])
         lists.append(rng.permutation(members))
-    gt = make_gt(lists)
-    other = make_gt(lists[::-1])
+    gt = groundtruth_from_lists(lists)
+    other = groundtruth_from_lists(lists[::-1])
     asked = np.flatnonzero([len(lst) for lst in lists])
     curves = []
     for ids in (ascending, permuted, ascending.copy(), permuted):
@@ -845,17 +848,11 @@ def test_precision_recall_examples():
     assert recall({1}, set()) is None
 
 
-def make_gt(neighbor_lists, threshold=None):
-    return GroundTruth(
-        tuple(np.asarray(lst, dtype=np.int64) for lst in neighbor_lists), threshold
-    )
-
-
 def test_pr_curve_perfect_retrieval():
     codes = np.array([[0, 0], [0, 0], [1, 1]])
     ids = np.array([0, 1, 2])
     table = build_table(codes, ids, 2)
-    gt = make_gt([[0, 1]])
+    gt = groundtruth_from_lists([[0, 1]])
     curve = pr_curve_by_radius(table, np.array([[0, 0]]), gt)
     assert curve[0] == (0, 1.0, 1.0)
     assert average_precision(curve) == 1.0
@@ -864,7 +861,7 @@ def test_pr_curve_perfect_retrieval():
 def test_pr_curve_skips_empty_relevant_queries():
     codes = np.array([[0], [1]])
     table = build_table(codes, np.array([0, 1]), 2)
-    gt = make_gt([[0], []])
+    gt = groundtruth_from_lists([[0], []])
     curve = pr_curve_by_radius(table, np.array([[0], [1]]), gt)
     # only the first query counts; it retrieves its neighbor at R=0
     assert curve[0][1] == 1.0 and curve[0][2] == 1.0
@@ -874,7 +871,7 @@ def test_pr_curve_rejects_all_empty():
     codes = np.array([[0]])
     table = build_table(codes, np.array([0]), 2)
     with pytest.raises(ValidationError):
-        pr_curve_by_radius(table, np.array([[0]]), make_gt([[]]))
+        pr_curve_by_radius(table, np.array([[0]]), groundtruth_from_lists([[]]))
 
 
 def test_pr_curve_and_ap_match_brute_force():
@@ -884,7 +881,8 @@ def test_pr_curve_and_ap_match_brute_force():
     ids = np.arange(n)
     table = build_table(codes, ids, K)
     queries = rng.integers(0, K, size=(Q, L))
-    gt = make_gt([rng.choice(n, size=rng.integers(1, 6), replace=False) for _ in range(Q)])
+    gt = groundtruth_from_lists(
+        [rng.choice(n, size=rng.integers(1, 6), replace=False) for _ in range(Q)])
     curve = pr_curve_by_radius(table, queries, gt)
 
     # independent recomputation through lookup()
@@ -892,7 +890,7 @@ def test_pr_curve_and_ap_match_brute_force():
         precisions, recalls = [], []
         for q in range(Q):
             got = set(lookup(table, queries[q], R).tolist())
-            relevant = set(gt.neighbor_lists[q].tolist())
+            relevant = set(neighbor_list(gt, q).tolist())
             p = precision(got, relevant)
             if p is not None:
                 precisions.append(p)
@@ -962,8 +960,8 @@ def test_pr_curve_matches_per_query_reference(which):
     skipped = rng.integers(0, K, size=(len(asked) // 7 + 1, L))
     order = rng.permutation(len(asked) + len(skipped))
     queries = np.vstack([asked, skipped])[order]
-    gt = make_gt([(lists + [[]] * len(skipped))[i] for i in order])
-    held = np.flatnonzero([len(lst) for lst in gt.neighbor_lists])
+    gt = groundtruth_from_lists([(lists + [[]] * len(skipped))[i] for i in order])
+    held = np.flatnonzero(np.diff(gt.offsets))
     assert len(np.unique(queries[held], axis=0)) == Q
     assert_same_curve(pr_curve_by_radius(table, queries, gt),
                       reference_pr_curve(codes, ids, queries, gt))
@@ -974,7 +972,7 @@ def test_pr_curve_nothing_retrieved_at_small_radii():
     ids = np.array([9, 4, 6])
     table = build_table(codes, ids, 3)
     queries = np.array([[2, 2, 2], [2, 2, 1], [2, 2, 2]])
-    gt = make_gt([[4], [9, 6, 12], []])
+    gt = groundtruth_from_lists([[4], [9, 6, 12], []])
     curve = pr_curve_by_radius(table, queries, gt)
     assert math.isnan(curve[0][1]) and math.isnan(curve[1][1])
     assert curve[0][2] == 0.0
@@ -987,7 +985,7 @@ def test_pr_curve_counts_duplicate_table_ids_like_the_reference():
     ids = rng.integers(0, 20, size=50)  # every id on several rows
     table = build_table(codes, ids, 2)
     queries = rng.integers(0, 2, size=(9, 4))
-    gt = make_gt([rng.choice(25, size=4, replace=False) for _ in range(9)])
+    gt = groundtruth_from_lists([rng.choice(25, size=4, replace=False) for _ in range(9)])
     assert_same_curve(pr_curve_by_radius(table, queries, gt),
                       reference_pr_curve(codes, ids, queries, gt))
 
@@ -1003,7 +1001,7 @@ def test_pr_curve_wide_alphabet_and_foreign_query_symbols():
     queries[2, 1] = K
     queries[3, 2] = 65536 + 60  # wraps to 60 in a uint16 store
     queries[4] = [256 + 60, 60, 60, 60]
-    gt = make_gt([rng.choice(n, size=10, replace=False) for _ in range(12)])
+    gt = groundtruth_from_lists([rng.choice(n, size=10, replace=False) for _ in range(12)])
     assert_same_curve(pr_curve_by_radius(table, queries, gt),
                       reference_pr_curve(codes, ids, queries, gt))
 
