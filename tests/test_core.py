@@ -310,6 +310,9 @@ def test_empty_id_lists_stay_allowed():
         [False, False]]
     gt = groundtruth_from_labels([], [], [3])
     assert gt.flat.dtype == np.int64 and gt.flat.size == 0 and gt.offsets.tolist() == [0, 0]
+    # a list may end above where the next starts, or on the same id, with an
+    # empty list between
+    assert GroundTruth([5, 1, 4, 4], [0, 1, 1, 3, 4]).flat.tolist() == [5, 1, 4, 4]
 
 
 @pytest.mark.parametrize(
@@ -329,8 +332,6 @@ def test_empty_id_lists_stay_allowed():
 def test_groundtruth_refuses_malformed_lists(flat, offsets, message):
     with pytest.raises(ValidationError, match=message):
         GroundTruth(flat, offsets)
-    # a list may end above where the next starts, or on the same id
-    assert GroundTruth([5, 1, 4, 4], [0, 1, 1, 3, 4]).flat.tolist() == [5, 1, 4, 4]
 
 
 @pytest.mark.parametrize(
