@@ -5,7 +5,11 @@ parent checkout and in a change checkout, pairs the runs by workload, seed
 and trace mode, and writes one JSON file with, per workload and metric, the
 median and interquartile range of each side, how many pairs the change won
 (by the metric's direction in `BENCHMARK.json`), each run's seed and
-`speed_factor`, and the machine the runs came from.
+`speed_factor`, and the machine the runs came from. Per workload and side it
+also records the median `speed_factor` and the median of the runs' raw
+(unscaled) CPU means, `info.raw_cpu`, and prints both beside the scaled
+medians: a side whose calibration loop ran faster reads slower when scaled,
+though its raw CPU time may have fallen.
 
 Usage:
     python3 scripts/bench_trajectory.py PARENT_CHECKOUT CHANGE_CHECKOUT --out BENCH_<n>.json
@@ -22,6 +26,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+# the raw_cpu sample each scaled mean is taken from, where the names differ
+RAW_NAMES = {"range_mean_us": "range_us", "knn_mean_us": "knn_us"}
 
 
 def load_runs(checkout: Path) -> dict:
@@ -70,16 +76,24 @@ def trajectory(parent: dict, change: dict, spec: dict) -> dict:
         workload, trace, seed = key
         sides = {"parent": parent[key], "change": change[key]}
         entry = workloads.setdefault(workload if trace == 0 else f"{workload} (traced)", {
-            "trace": trace, "runs": [], "metrics": {}})
+            "trace": trace, "runs": [], "metrics": {}, "raw_cpu": {side: {} for side in SIDES}})
         entry["runs"].append({"seed": seed, "seconds": sides["change"][0]["seconds"], **{
             f"{side}_speed_factor": sides[side][0]["calibration"]["speed_factor"]
             for side in SIDES}})
+        for side in SIDES:
+            for name, raw in sides[side][0]["raw_cpu"].items():
+                entry["raw_cpu"][side].setdefault(name, []).append(raw["mean"])
         for name, value in sides["change"][1].items():
             if name in sides["parent"][1]:
                 metric = entry["metrics"].setdefault(name, {"parent": [], "change": []})
                 metric["parent"].append(sides["parent"][1][name])
                 metric["change"].append(value)
     for entry in workloads.values():
+        entry["speed_factor"] = {side: statistics.median(run[f"{side}_speed_factor"]
+                                                         for run in entry["runs"])
+                                 for side in SIDES}
+        entry["raw_cpu"] = {side: {name: statistics.median(v) for name, v in raw.items()}
+                            for side, raw in entry["raw_cpu"].items()}
         for name, metric in entry["metrics"].items():
             unit, direction = better.get(name, (None, None))
             pairs = list(zip(metric["parent"], metric["change"]))
@@ -102,10 +116,17 @@ def main(argv=None) -> int:
     report = trajectory(load_runs(args.parent), load_runs(args.change), spec)
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for name, entry in report["workloads"].items():
-        print(f"{name}: {len(entry['runs'])} pairs")
+        factor = entry["speed_factor"]
+        print(f"{name}: {len(entry['runs'])} pairs, median speed factor"
+              f" {factor['parent']:.3f} -> {factor['change']:.3f}")
+        raw = entry["raw_cpu"]
         for metric, m in entry["metrics"].items():
-            print(f"  {metric:14s} {m['parent']['median']:12.6g} -> {m['change']['median']:12.6g}"
-                  f"  (change better in {m['change_better_pairs']})")
+            line = (f"  {metric:14s} {m['parent']['median']:12.6g} -> {m['change']['median']:12.6g}"
+                    f"  (change better in {m['change_better_pairs']})")
+            sample = RAW_NAMES.get(metric, metric)
+            if all(sample in raw[side] for side in SIDES):
+                line += f"  raw CPU {raw['parent'][sample]:.6g} -> {raw['change'][sample]:.6g}"
+            print(line)
     return 0
 
 

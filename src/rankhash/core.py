@@ -125,12 +125,22 @@ def _as_ints(values, name: str, dtype=np.int64) -> np.ndarray:
     return given if dtype is None else given.astype(dtype, copy=False)
 
 
+def _as_reals(values, name: str, dtype=np.float64) -> np.ndarray:
+    """`values` as an array of `dtype` (None keeps the given dtype), copied
+    only if needed: integers or floats, or none at all. A string, complex,
+    object or bool array is refused by its dtype, as `_as_ints` does."""
+    given = np.asarray(values)
+    if given.dtype.kind not in "iuf" and given.size:
+        raise ValidationError(f"{name} must be real numbers")
+    return given if dtype is None else given.astype(dtype, copy=False)
+
+
 def _frozen_array(values, dtype, name: str) -> np.ndarray:
     """A read-only C-contiguous copy of `values` as `dtype`, owned by the
-    value type that holds it. For an integer dtype, `_as_ints` decides what
-    it accepts."""
-    given = _as_ints(values, name, None) if np.dtype(dtype).kind in "iu" else values
-    out = np.array(given, dtype=dtype, order="C")
+    value type that holds it. `_as_ints` (for an integer dtype) or
+    `_as_reals` decides what it accepts."""
+    check = _as_ints if np.dtype(dtype).kind in "iu" else _as_reals
+    out = np.array(check(values, name, None), dtype=dtype, order="C")
     out.setflags(write=False)
     return out
 

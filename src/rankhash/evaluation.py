@@ -12,12 +12,13 @@ The PR curve and `relevant_hits` take a `GroundTruth`, whose lists are
 one flat id array cut by offsets, and read its relevant rows from
 `GroundTruth.rows_in`, which resolves the lists against the database ids
 once and keeps the result while the ids are the same, so the models of one
-eval share one resolution. kNN, the PR curve and `relevant_hits` work in
-blocks of queries and write every block's large arrays into buffers
-allocated once per call. Short codes send many queries to one code, so a
-batch of kNN queries ranks each distinct code once and the PR curve counts
-each distinct code's distances once (`_distinct`); a single kNN query is
-ranked as it is.
+eval share one resolution. A single range or kNN query is one (L, N)
+mismatch pass over the store, plus one select of the k nearest for kNN.
+Batched kNN, the PR curve and `relevant_hits` work in blocks of queries and
+write every block's large arrays into buffers allocated once per call.
+Short codes send many queries to one code, so a batch of kNN queries ranks
+each distinct code once and the PR curve counts each distinct code's
+distances once (`_distinct`).
 All distances here are symbol-level Hamming distances (count of positions
 where two codes disagree), never distances between packed bit strings. A
 query that retrieves nothing has no defined precision; it is excluded from
@@ -31,7 +32,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import ValidationError, _as_count, _as_ints, _frozen_array
+from .core import ValidationError, _as_count, _as_ints, _as_reals, _frozen_array
 from .data import GroundTruth
 
 __all__ = [
@@ -125,23 +126,24 @@ def build_table(codes, ids, K: int) -> HashTable:
 def _differ(columns: np.ndarray, queries: np.ndarray, out=None) -> np.ndarray:
     """(L, B, N) mask of the positions where each of B query codes differs
     from each of the N stored codes in the (L, N) `columns`, written into
-    `out` when given.
+    `out` when given; one 1-D query code gives an (L, N) mask.
 
     A query symbol that the store's dtype cannot hold (negative, say)
     matches nothing.
     """
     symbols = queries.astype(columns.dtype, copy=False)
-    differ = np.not_equal(columns[:, None, :], symbols.T[:, :, None], out=out, order="C")
+    store = columns if queries.ndim == 1 else columns[:, None, :]
+    differ = np.not_equal(store, symbols.T[..., None], out=out, order="C")
     if symbols is not queries:
         beyond = symbols != queries  # the cast wrapped these
         if beyond.any():
-            differ |= beyond.T[:, :, None]
+            differ |= beyond.T[..., None]
     return differ
 
 
 def _mismatches(columns: np.ndarray, queries: np.ndarray, mask=None, out=None) -> np.ndarray:
     """(B, N) count of positions where each of B query codes differs from
-    each of the N stored codes in the (L, N) `columns`.
+    each of the N stored codes in the (L, N) `columns`; (N,) for one code.
 
     Compares every position at once (into the (L, B, N) `mask` when given)
     and sums the mask over positions, one whole-row vector add per
@@ -165,7 +167,7 @@ def lookup(table: HashTable, code, radius: int, strategy: str = "auto") -> np.nd
     radius = _as_count("radius", radius, 0, table.L)
     if strategy not in ("auto", "expand", "scan"):
         raise ValidationError("strategy must be auto, expand, or scan")
-    near = _mismatches(table.columns, code[None, :])[0] <= radius
+    near = _mismatches(table.columns, code) <= radius
     return table.ids[near]
 
 
@@ -187,32 +189,46 @@ def _knn(codes, ids, query, k, theta=None) -> np.ndarray:
     """The kNN functions' one body: Hamming keys, or weighted keys when
     `theta` is given; (k,) ids for one code, (B, k) for a block.
 
-    A batch ranks each of its distinct codes once, and each query takes
-    its code's row; a single query is ranked as it is. Codes go in blocks
-    whose (L, B, N) comparison mask holds about KNN_BLOCK_CELLS cells; the
-    key function writes every block's (L, B, N) arrays into buffers
-    allocated once per call."""
+    One code (or a block of one) is one key row and one select. A larger
+    batch ranks each of its distinct codes once, each query taking its
+    code's row, in blocks whose (L, B, N) comparison mask holds about
+    KNN_BLOCK_CELLS cells; the key function writes every block's arrays
+    into buffers allocated once per call."""
     queries = _as_codes(query)
     codes = _as_codes(codes, (2,), queries.shape[-1])
     ids = _row_ids(_as_ints(ids, "ids"), codes)
     k = _as_count("k", k, 1, codes.shape[0])
     columns = codes.T
     L, n = columns.shape
-    which = 0 if queries.ndim == 1 else slice(None)
-    queries = queries.reshape(-1, L)
-    batch = queries.shape[0] > 1
-    if batch:
-        queries, which = _distinct(queries)
-    block = min(queries.shape[0], max(1, KNN_BLOCK_CELLS // (L * n)))
-    if theta is None:
-        keys_of = _hamming_keys(columns, block)
-    else:
+    if theta is not None:
         if theta.shape != (L,):
             raise ValidationError("theta must match the query length")
         if not np.isfinite(theta).all():
             raise ValidationError("theta must be finite")
-        keys_of = _weighted_keys(columns, theta, block)
-    return _ranked(keys_of, ids, queries, k, block, batch)[which]
+    if queries.size == L:
+        keys = _key_row(columns, queries.reshape(L), theta)
+        cand = np.flatnonzero(keys <= np.partition(keys, k - 1)[k - 1])
+        found = ids[cand]
+        return found[np.lexsort((found, keys[cand]))[:k]].reshape(queries.shape[:-1] + (k,))
+    queries, which = _distinct(queries)
+    block = min(queries.shape[0], max(1, KNN_BLOCK_CELLS // (L * n)))
+    keys_of = (_hamming_keys(columns, block) if theta is None
+               else _weighted_keys(columns, theta, block))
+    return _ranked(keys_of, ids, queries, k, block)[which]
+
+
+def _key_row(columns: np.ndarray, code: np.ndarray, theta) -> np.ndarray:
+    """(N,) ranking keys of one code against the (L, N) `columns`, equal
+    to its row of `_hamming_keys` (theta None) or `_weighted_keys`."""
+    L, n = columns.shape
+    if theta is None:
+        return _mismatches(columns, code).astype(_key_type(L))
+    differ = _differ(columns, code)
+    if (1 << L) <= n:
+        bit, rank = _pattern_ranks(theta.tobytes())
+        return rank.take(np.add.reduce(differ.view(np.uint8) * bit[:, None], 0, bit.dtype))
+    # the blocks' row-major (N, L) sum, so each row's key is the same float
+    return -(np.logical_not(differ.T, order="C") * theta).sum(axis=1)
 
 
 def _first_k(keys: np.ndarray, k: int, ids=None) -> np.ndarray:
@@ -236,14 +252,11 @@ def _first_k(keys: np.ndarray, k: int, ids=None) -> np.ndarray:
     return cols[order[first[:, None] + np.arange(k)]]
 
 
-def _ranked(keys_of, ids: np.ndarray, queries: np.ndarray, k: int, block: int,
-            batch: bool) -> np.ndarray:
+def _ranked(keys_of, ids: np.ndarray, queries: np.ndarray, k: int, block: int) -> np.ndarray:
     """(B, k) ids of the k smallest (key, id) pairs for each query, where
     keys_of(block) gives a (B, N) key block for up to `block` queries."""
-    # ascending ids (the common case) need no id key in the sort; for a
-    # single query the check costs more than the key does, but a batch
-    # whose queries share one code keeps the check
-    ties = None if batch and (ids[1:] >= ids[:-1]).all() else ids
+    # ascending ids (the common case) need no id key in the sort
+    ties = None if (ids[1:] >= ids[:-1]).all() else ids
     return np.concatenate([ids[_first_k(keys_of(queries[start:start + block]), k, ties)]
                            for start in range(0, queries.shape[0], block)])
 
@@ -351,7 +364,7 @@ def knn_weighted(codes, ids, query, theta, k: int) -> np.ndarray:
     Ties break by ascending id. With uniform weights the ranking coincides
     with `knn_hamming`.
     """
-    return _knn(codes, ids, query, k, np.asarray(theta, dtype=np.float64))
+    return _knn(codes, ids, query, k, _as_reals(theta, "theta"))
 
 
 def relevant_hits(hits, ids, gt: GroundTruth, queries) -> np.ndarray:

@@ -17,10 +17,14 @@ def load_script():
 
 
 def write_result(checkout: Path, seed: int, knn_us: float, ap: float, speed: float, ok=True):
+    """One run's result file; its raw CPU mean is the scaled value over the
+    speed factor, as perfbench's scaling makes it."""
     results = checkout / "perfbench" / "out" / "results"
     results.mkdir(parents=True, exist_ok=True)
     info = {"workload": "query_stream", "seed": seed, "trace": 0, "seconds": 30.0,
             "nproc": 2, "python": "3.11", "numpy": "2.0",
+            "raw_cpu": {"knn_us": {"mean": knn_us / speed, "median": 1.0},
+                        "train_s": {"mean": 0.5 / speed, "median": 1.0}},
             "calibration": {"speed_factor": speed}}
     result = {"correct": ok, "attempted": 10, "failed": 0 if ok else 1, "metrics": {
         "knn_mean_us": {"value": knn_us, "unit": "us"},
@@ -30,12 +34,13 @@ def write_result(checkout: Path, seed: int, knn_us: float, ap: float, speed: flo
     (results / f"query_stream-seed{seed}-trace0.spans.json").write_text("{}", encoding="utf-8")
 
 
-def test_pairs_runs_by_seed_and_reports_medians_iqr_and_wins(tmp_path):
+def test_pairs_runs_by_seed_and_reports_medians_iqr_and_wins(tmp_path, capsys):
     parent, change = tmp_path / "parent", tmp_path / "change"
-    for seed, before, after in ((1, 400.0, 260.0), (2, 420.0, 270.0), (3, 410.0, 430.0),
-                                (4, 390.0, 250.0), (5, 430.0, 280.0)):
-        write_result(parent, seed, before, 0.5, 0.7)
-        write_result(change, seed, after, 0.5, 0.8)
+    for seed, before, after, speed in ((1, 400.0, 260.0, 0.75), (2, 420.0, 270.0, 0.8),
+                                       (3, 410.0, 430.0, 0.8), (4, 390.0, 250.0, 0.85),
+                                       (5, 430.0, 280.0, 1.0)):
+        write_result(parent, seed, before, 0.5, 0.5)
+        write_result(change, seed, after, 0.5, speed)
     write_result(change, 9, 100.0, 0.5, 0.8)  # no parent run: left out
     out = tmp_path / "BENCH.json"
     assert load_script().main([str(parent), str(change), "--out", str(out)]) == 0
@@ -44,7 +49,17 @@ def test_pairs_runs_by_seed_and_reports_medians_iqr_and_wins(tmp_path):
     entry = report["workloads"]["query_stream"]
     assert [run["seed"] for run in entry["runs"]] == [1, 2, 3, 4, 5]
     assert entry["runs"][0] == {"seed": 1, "seconds": 30.0,
-                                "parent_speed_factor": 0.7, "change_speed_factor": 0.8}
+                                "parent_speed_factor": 0.5, "change_speed_factor": 0.75}
+    # per side, the median speed factor and the median of the runs' raw CPU
+    # means, which the scaled medians alone would hide
+    assert entry["speed_factor"] == {"parent": 0.5, "change": 0.8}
+    assert entry["raw_cpu"]["parent"] == {"knn_us": 820.0, "train_s": 1.0}
+    assert entry["raw_cpu"]["change"] == pytest.approx({"knn_us": 337.5, "train_s": 0.625})
+    printed = capsys.readouterr().out
+    assert "median speed factor 0.500 -> 0.800" in printed
+    assert [line.split("raw CPU ")[1] for line in printed.splitlines()
+            if "knn_mean_us" in line] == ["820 -> 337.5"]
+    assert "raw CPU" not in next(line for line in printed.splitlines() if "ap_rsh" in line)
     knn = entry["metrics"]["knn_mean_us"]
     assert knn["better"] == "lower" and knn["unit"] == "us"
     assert knn["parent"]["median"] == 410.0 and knn["parent"]["iqr"] == 20.0

@@ -26,6 +26,7 @@ from rankhash import (
     fit_pca,
     groundtruth_from_labels,
     knn_hamming,
+    knn_weighted,
     make_lsh_spec,
     make_pairs,
     make_pairs_from_labels,
@@ -302,6 +303,43 @@ def test_model_round_trip_property(K, L, d, with_weights, seed):
 def test_integer_arrays_refuse_non_integers(make):
     with pytest.raises(ValidationError, match="must be integers"):
         make()
+
+
+NOT_REAL = {
+    "str": np.array([["1.0", "2.0"], ["3.0", "4.0"]]),
+    "complex": np.array([[1 + 2j, 2.0], [3.0, 4.0]]),
+    "object": np.array([[1.0, 2.0], [3.0, 4.0]], dtype=object),
+    "bool": np.array([[True, False], [False, True]]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_REAL))
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda bad: Dataset(bad, [0, 1]),
+        lambda bad: HashModel(np.zeros((2, 2, 3)), bad[0], Hyperparams(K=2, L=2)),
+        lambda bad: HashModel(np.stack([bad, bad]), None, Hyperparams(K=2, L=2)),
+        lambda bad: knn_weighted(np.zeros((3, 2), dtype=np.uint8), [0, 1, 2], [0, 1], bad[0], 2),
+    ],
+    ids=["features", "weights", "projections", "theta"],
+)
+def test_real_arrays_refuse_strings_complex_objects_and_bools(make, kind):
+    # refused by dtype: not the real part of a complex, not numpy's own
+    # ValueError or TypeError on a string, not a bool read as 0 or 1
+    with pytest.raises(ValidationError, match="must be real numbers"):
+        make(NOT_REAL[kind])
+
+
+def test_real_arrays_take_integers_and_floats_of_any_width():
+    data = Dataset(np.array([[1, 2], [3, 4]], dtype=np.int8), [0, 1])
+    assert data.features.dtype == np.float64 and data.features.tolist() == [[1, 2], [3, 4]]
+    weights = np.array([0.5, 2.0], dtype=np.float16)
+    model = HashModel(np.zeros((2, 2, 3)), weights, Hyperparams(K=2, L=2))
+    assert model.weights.dtype == np.float64 and model.weights.tolist() == [0.5, 2.0]
+    codes = np.array([[0, 1], [1, 1], [1, 0]], dtype=np.uint8)
+    for theta in ([1, 3], np.array([1.0, 3.0], dtype=np.float32)):
+        assert knn_weighted(codes, [0, 1, 2], [1, 1], theta, 2).tolist() == [1, 0]
 
 
 def test_empty_id_lists_stay_allowed():

@@ -452,23 +452,38 @@ def test_knn_weighted_builds_pattern_ranks_once_per_theta(L):
 
 
 def test_knn_reads_a_column_store_like_int64_codes():
+    # single queries and batches against a uint8 (K = 3) and a uint16
+    # (K = 300) store, on both sides of the weighted pattern table's switch
+    # (2^6 <= N, 2^8 > N). Symbols the store's dtype cannot hold must match
+    # nothing: on uint8, -1, 300, 256, 257 and -255 would wrap onto 255, 44,
+    # 0, 1 and 1; on uint16, -1, 65537 and -2^40 onto 65535, 1 and 0, and
+    # 300 fits but lies outside [0, K).
     rng = seeded_rng(30)
-    codes = rng.integers(0, 3, size=(70, 6))
-    ids = rng.permutation(300)[:70]
-    table = build_table(codes, ids, 3)
-    theta = rng.choice(TIE_THETA, size=6)
-    # in-range queries, and symbols the uint8 store cannot hold (300 would
-    # wrap onto 44, -1 onto 255): those must match nothing
-    queries = np.vstack([codes[:4], rng.integers(0, 3, size=(3, 6)),
-                         [[0, 1, 300, 2, -1, 1], [256, 257, -255, 0, 1, 2]]])
-    for k in (1, 9, 70):
-        for q in queries:
-            want = reference_knn_hamming(codes, ids, q, k)
-            assert np.array_equal(knn_hamming(table.columns.T, ids, q, k), want)
-            want = reference_knn_weighted(codes, ids, q, theta, k)
-            assert np.array_equal(knn_weighted(table.columns.T, ids, q, theta, k), want)
-        assert np.array_equal(knn_hamming(table.columns.T, ids, queries, k),
-                              knn_hamming(codes, ids, queries, k))
+    n = 70
+    ids = rng.permutation(300)[:n]
+    for K, dtype, foreign in ((3, np.uint8, [-1, 300, 256, 257, -255]),
+                              (300, np.uint16, [-1, 300, 65537, -2**40])):
+        symbols = [0, 1, 2, K - 1]  # few, and 0 and 1 among them, so wraps could match
+        for L in (6, 8):
+            codes = rng.choice(symbols, size=(n, L))
+            table = build_table(codes, ids, K)
+            assert table.columns.dtype == dtype
+            theta = rng.choice(TIE_THETA, size=L)
+            queries = np.vstack([codes[:4], rng.choice(symbols, size=(3, L)),
+                                 np.resize(foreign, L), rng.choice(foreign + symbols, size=(3, L))])
+            for q in queries:
+                for k in (1, 9, n):
+                    want = reference_knn_hamming(codes, ids, q, k)
+                    assert np.array_equal(knn_hamming(table.columns.T, ids, q, k), want)
+                    want = reference_knn_weighted(codes, ids, q, theta, k)
+                    assert np.array_equal(knn_weighted(table.columns.T, ids, q, theta, k), want)
+                for radius in range(L + 1):
+                    assert_ids(lookup(table, q, radius), linear_scan(codes, ids, q, radius))
+            for k in (1, 9, n):
+                assert np.array_equal(knn_hamming(table.columns.T, ids, queries, k),
+                                      knn_hamming(codes, ids, queries, k))
+                assert np.array_equal(knn_weighted(table.columns.T, ids, queries, theta, k),
+                                      knn_weighted(codes, ids, queries, theta, k))
 
 
 @settings(max_examples=150, deadline=None)
@@ -731,13 +746,14 @@ def test_batches_of_few_distinct_codes(seed, pattern_table, L, K, n_codes, B, id
 
 
 def test_single_queries_skip_the_distinct_pass(monkeypatch):
-    # a served single query pays for no distinct pass; a batch makes one,
-    # and a batch of one code keeps the ascending-id shortcut
+    # a served single query, 1-D or a (1, L) block, is one key row and one
+    # select: no distinct pass and no block select. A batch of two or more
+    # makes one of each, and a batch of one code keeps the ascending-id
+    # shortcut. Hamming keys, the weighted pattern table (2^6 <= N) and the
+    # weighted direct sum (2^8 > N) all route alike.
     rng = seeded_rng(33)
-    n, L, k = 200, 6, 15
-    codes = rng.integers(0, 3, size=(n, L))
+    n, k = 200, 15
     ids = np.arange(n) + 4
-    theta = rng.choice(TIE_THETA, size=L)
     calls, tie_ids = [], []
     distinct, first_k = evaluation._distinct, evaluation._first_k
 
@@ -751,17 +767,25 @@ def test_single_queries_skip_the_distinct_pass(monkeypatch):
 
     monkeypatch.setattr(evaluation, "_distinct", counting_distinct)
     monkeypatch.setattr(evaluation, "_first_k", recording_first_k)
-    for knn in (lambda q: knn_hamming(codes, ids, q, k),
-                lambda q: knn_weighted(codes, ids, q, theta, k)):
+    short, long = rng.integers(0, 3, size=(n, 6)), rng.integers(0, 3, size=(n, 8))
+    theta6, theta8 = rng.choice(TIE_THETA, size=6), rng.choice(TIE_THETA, size=8)
+    for codes, knn in ((short, lambda q: knn_hamming(short, ids, q, k)),
+                       (short, lambda q: knn_weighted(short, ids, q, theta6, k)),
+                       (long, lambda q: knn_weighted(long, ids, q, theta8, k))):
         calls.clear()
-        assert knn(codes[0]).shape == (k,)
-        assert knn(codes[:1]).shape == (1, k)
-        assert calls == []
         tie_ids.clear()
+        L = codes.shape[1]
+        for q in (codes[0], rng.integers(0, 3, size=L), np.array([-1] + [300] * (L - 1))):
+            one = knn(q)
+            assert one.shape == (k,)
+            assert np.array_equal(knn(q[None]), one[None])
+        assert calls == [] and tie_ids == []
         assert knn(np.repeat(codes[:1], 9, axis=0)).shape == (9, k)
         assert calls == [9] and tie_ids == [None]
+        assert knn(codes[:2]).shape == (2, k)
+        assert calls == [9, 2] and len(tie_ids) == 2
         assert knn(codes[:7]).shape == (7, k)
-        assert calls == [9, 7]
+        assert calls == [9, 2, 7] and len(tie_ids) == 3
 
 
 @pytest.mark.parametrize("rows", [1, 2, None])  # queries per relevance block
