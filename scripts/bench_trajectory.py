@@ -7,9 +7,10 @@ median and interquartile range of each side, how many pairs the change won
 (by the metric's direction in `BENCHMARK.json`), each run's seed and
 `speed_factor`, and the machine the runs came from. Per workload and side it
 also records the median `speed_factor` and the median of the runs' raw
-(unscaled) CPU means, `info.raw_cpu`, and prints both beside the scaled
-medians: a side whose calibration loop ran faster reads slower when scaled,
-though its raw CPU time may have fallen.
+(unscaled) CPU means, `info.raw_cpu`, and per metric with a raw sample how
+many pairs the change won on the raw means as well. It prints these beside
+the scaled medians and wins: a side whose calibration loop ran faster reads
+slower when scaled, though its raw CPU time may have fallen.
 
 Usage:
     python3 scripts/bench_trajectory.py PARENT_CHECKOUT CHANGE_CHECKOUT --out BENCH_<n>.json
@@ -53,6 +54,16 @@ def spread(values: list) -> dict:
     return {"median": statistics.median(values), "iqr": q3 - q1, "values": values}
 
 
+def wins(pairs, direction):
+    """"x/n": in how many (parent, change) pairs the change is better, by
+    the metric's direction; None for a metric with none."""
+    if not direction:
+        return None
+    pairs = list(pairs)
+    won = sum((c < p) if direction == "lower" else (c > p) for p, c in pairs)
+    return f"{won}/{len(pairs)}"
+
+
 def cpu_model() -> str:
     try:
         for line in Path("/proc/cpuinfo").read_text(encoding="utf-8").splitlines():
@@ -76,13 +87,18 @@ def trajectory(parent: dict, change: dict, spec: dict) -> dict:
         workload, trace, seed = key
         sides = {"parent": parent[key], "change": change[key]}
         entry = workloads.setdefault(workload if trace == 0 else f"{workload} (traced)", {
-            "trace": trace, "runs": [], "metrics": {}, "raw_cpu": {side: {} for side in SIDES}})
+            "trace": trace, "runs": [], "metrics": {}, "raw_cpu": {side: {} for side in SIDES},
+            "raw_pairs": {}})
         entry["runs"].append({"seed": seed, "seconds": sides["change"][0]["seconds"], **{
             f"{side}_speed_factor": sides[side][0]["calibration"]["speed_factor"]
             for side in SIDES}})
+        raw = {side: sides[side][0]["raw_cpu"] for side in SIDES}
         for side in SIDES:
-            for name, raw in sides[side][0]["raw_cpu"].items():
-                entry["raw_cpu"][side].setdefault(name, []).append(raw["mean"])
+            for name, sample in raw[side].items():
+                entry["raw_cpu"][side].setdefault(name, []).append(sample["mean"])
+        for name in raw["parent"].keys() & raw["change"].keys():
+            entry["raw_pairs"].setdefault(name, []).append(
+                (raw["parent"][name]["mean"], raw["change"][name]["mean"]))
         for name, value in sides["change"][1].items():
             if name in sides["parent"][1]:
                 metric = entry["metrics"].setdefault(name, {"parent": [], "change": []})
@@ -94,14 +110,15 @@ def trajectory(parent: dict, change: dict, spec: dict) -> dict:
                                  for side in SIDES}
         entry["raw_cpu"] = {side: {name: statistics.median(v) for name, v in raw.items()}
                             for side, raw in entry["raw_cpu"].items()}
+        raw_pairs = entry.pop("raw_pairs")
         for name, metric in entry["metrics"].items():
             unit, direction = better.get(name, (None, None))
-            pairs = list(zip(metric["parent"], metric["change"]))
-            wins = sum((c < p) if direction == "lower" else (c > p) for p, c in pairs)
+            raw = raw_pairs.get(RAW_NAMES.get(name, name))
             entry["metrics"][name] = {
                 "unit": unit, "better": direction,
                 "parent": spread(metric["parent"]), "change": spread(metric["change"]),
-                "change_better_pairs": f"{wins}/{len(pairs)}" if direction else None,
+                "change_better_pairs": wins(zip(metric["parent"], metric["change"]), direction),
+                "raw_better_pairs": wins(raw, direction) if raw else None,
             }
     return {"machine": machine, "workloads": workloads}
 
@@ -121,8 +138,10 @@ def main(argv=None) -> int:
               f" {factor['parent']:.3f} -> {factor['change']:.3f}")
         raw = entry["raw_cpu"]
         for metric, m in entry["metrics"].items():
+            wins_raw = (f", raw in {m['raw_better_pairs']}"
+                        if m["raw_better_pairs"] else "")
             line = (f"  {metric:14s} {m['parent']['median']:12.6g} -> {m['change']['median']:12.6g}"
-                    f"  (change better in {m['change_better_pairs']})")
+                    f"  (change better in {m['change_better_pairs']}{wins_raw})")
             sample = RAW_NAMES.get(metric, metric)
             if all(sample in raw[side] for side in SIDES):
                 line += f"  raw CPU {raw['parent'][sample]:.6g} -> {raw['change'][sample]:.6g}"

@@ -4,7 +4,9 @@ A hash model is a stack of projection matrices. Each matrix W maps an input
 vector x to K projection values W @ x, and the index of the largest value is
 the emitted symbol, so a model with L matrices turns x into a length-L code
 over the alphabet {0, ..., K-1}. Everything in this module is immutable after
-construction and safe to share across threads or processes.
+construction and safe to share across threads or processes, apart from the
+private memos that `Dataset` and `PairSet` keep of results computed from
+them, which a recomputation would only write again.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -147,10 +149,16 @@ def _frozen_array(values, dtype, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Dense feature matrix plus stable integer row identities."""
+    """Dense feature matrix plus stable integer row identities.
+
+    `calibrate_pair_threshold` leaves its threshold and the row-major ranks
+    of the pairs within it in `_similar_pairs`, which `make_pairs` reads at
+    that threshold; the field takes no part in init, repr or comparison.
+    """
 
     features: np.ndarray
     ids: np.ndarray
+    _similar_pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         feats = _frozen_array(self.features, np.float64, "features")
@@ -194,11 +202,17 @@ class PairSet:
 
     Pairs are canonical (i < j) and duplicate-free. Indices refer to rows of
     the dataset the pairs were sampled from, not to Dataset ids.
+
+    The trainers keep each bit they train at unit pair weights in `_bits`,
+    for one features array at a time, so that rsh and srsh on these pairs
+    train such a bit once; the field takes no part in init, repr or
+    comparison.
     """
 
     i: np.ndarray
     j: np.ndarray
     s: np.ndarray
+    _bits: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         i = _frozen_array(self.i, np.int64, "pair indices")

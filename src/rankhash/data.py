@@ -344,14 +344,15 @@ def _squared_norms(*features: np.ndarray) -> list:
 
 def _squared_into(gram: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray,
                   scratch: np.ndarray) -> np.ndarray:
-    """fl(fl(sq_a[i] + sq_b[j]) - 2 gram[i, j]) in place of gram: the one
-    expression behind every distance here, as an unclipped squared distance.
-    The distance is sqrt(max(sq, 0)). `scratch` holds at least gram.size
-    floats."""
-    sums = scratch[:gram.size].reshape(gram.shape)
-    np.add(sq_a[:, None], sq_b[None, :], out=sums)
+    """fl(fl(sq_a[i] + sq_b[j]) - 2 gram[i, j]): the one expression behind
+    every distance here, as an unclipped squared distance, written
+    C-contiguous at the front of `scratch` (at least gram.size floats) and
+    returned as a view of gram's shape; gram is doubled in place. The
+    distance is sqrt(max(sq, 0))."""
+    out = scratch[:gram.size].reshape(gram.shape)
+    np.add(sq_a[:, None], sq_b[None, :], out=out)
     gram *= 2.0
-    return np.subtract(sums, gram, out=gram)
+    return np.subtract(out, gram, out=out)
 
 
 def _squared_cutoff(t: float) -> float:
@@ -376,77 +377,80 @@ def _squared_cutoff(t: float) -> float:
     return c
 
 
-class _RankSmallest:
-    """The rank-th smallest value in a run of 2-D arrays; NaN never counts.
+# Chunks are compared with the running cut in slices of about this many
+# cells, so that while the cut is still loose the cells kept from one
+# comparison, and their positions, stay at a few hundred KB.
+WITHIN_SLICE_CELLS = 1 << 15
 
-    The values at or below `bound` fill a pool of 2 * rank, which is cut
-    back to its rank smallest, whose largest then becomes the bound, each
-    time it is full. The bound is therefore never below the rank-th smallest
-    value of the whole run. Arrays are read about rank cells (or an eighth
-    of the array) at a time, so that a loose bound copies few values.
+
+class _Within:
+    """The cells at or below a cut that only falls, each with its position,
+    for the rank-th smallest value of a run of C-contiguous chunks; NaN never
+    counts. A cell's position is its place in the run: the cells of all
+    earlier chunks, then its row-major place in its own chunk.
+
+    Kept cells fill a store of 2 * rank values and positions, no more than
+    the `total` cells that count, with int32 positions while the run holds
+    fewer than 2^31 cells (`cells`). Each time the store is full, its
+    rank-th smallest value becomes the bound, the cut falls to
+    `_squared_cutoff` of the bound's square root, and the cells above it go;
+    the rest keep the order they came in. A bound is the rank-th smallest of
+    some of the cells, so it is never below that of them all, and no cell at
+    or below the cutoff of the final order statistic is ever dropped. The
+    store grows only when ties at the cut fill it.
     """
 
-    def __init__(self, rank: int):
+    def __init__(self, rank: int, total: int, cells: int):
         self.rank = rank
-        self.pool = np.empty(2 * rank)
+        self.values = np.empty(min(2 * rank, total))
+        self.at = np.empty(self.values.size,
+                           dtype=np.int32 if cells <= np.iinfo(np.int32).max else np.int64)
         self.held = 0
-        self.bound = math.inf
+        self.seen = 0  # cells added so far: the position of the next one
+        self.cut = math.inf
 
     def add(self, chunk: np.ndarray) -> None:
-        rank, pool = self.rank, self.pool
-        held, bound = self.held, self.bound
-        rows = max(1, max(rank, chunk.size // 8) // chunk.shape[1])
-        for t in range(0, chunk.shape[0], rows):
-            part = chunk[t:t + rows]
-            kept = part[part <= bound]
-            while held + kept.size >= pool.size:
-                take = pool.size - held
-                pool[held:] = kept[:take]
-                pool.partition(rank - 1)
-                held, bound = rank, pool[rank - 1]
-                rest = kept[take:]
-                kept = rest[rest <= bound]
-            pool[held:held + kept.size] = kept
-            held += kept.size
-        self.held, self.bound = held, bound
-
-    def value(self) -> float:
-        self.pool[:self.held].partition(self.rank - 1)
-        return float(self.pool[self.rank - 1])
-
-
-class _Candidates:
-    """The value and flat position of every cell at or below a cut that
-    only falls, chunk after chunk. Before the arrays would grow, they are
-    compacted in place to the cells at or below the cut of that time."""
-
-    def __init__(self, size: int):
-        self.values = np.empty(size)
-        self.at = np.empty(size, dtype=np.int64)
-        self.held = 0
-
-    def add(self, chunk: np.ndarray, first: int, cut: float) -> None:
-        """Keep the cells of the C-contiguous `chunk` at or below `cut`; its
-        flat cell k has position first + k."""
+        """Keep the cells of `chunk` at or below the cut."""
         flat = chunk.reshape(-1)
-        hit = np.flatnonzero(flat <= cut)
-        if self.held + hit.size > self.values.size:
-            keep = np.flatnonzero(self.values[:self.held] <= cut)
-            self.values[:keep.size] = self.values[keep]
-            self.at[:keep.size] = self.at[keep]
-            self.held = keep.size
-        end = self.held + hit.size
-        if end > self.values.size:
-            size = max(end, 2 * self.values.size)
-            self.values = np.concatenate([self.values[:self.held], np.empty(size - self.held)])
-            self.at = np.concatenate([self.at[:self.held], np.empty(size - self.held, np.int64)])
-        self.values[self.held:end] = flat[hit]
-        np.add(hit, first, out=self.at[self.held:end])
+        for k in range(0, flat.size, WITHIN_SLICE_CELLS):
+            part = flat[k:k + WITHIN_SLICE_CELLS]
+            at = np.flatnonzero(part <= self.cut)
+            values = part[at]
+            at += self.seen + k
+            while self.held + values.size > self.values.size:
+                take = self.values.size - self.held
+                self._put(values[:take], at[:take])
+                self._tighten()
+                keep = values[take:] <= self.cut
+                values, at = values[take:][keep], at[take:][keep]
+            self._put(values, at)
+        self.seen += flat.size
+
+    def _put(self, values: np.ndarray, at: np.ndarray) -> None:
+        end = self.held + values.size
+        self.values[self.held:end] = values
+        self.at[self.held:end] = at
         self.held = end
 
-    def positions(self, cut: float) -> np.ndarray:
-        """The positions of the cells at or below `cut`, in the order added."""
-        return self.at[:self.held][self.values[:self.held] <= cut]
+    def _tighten(self) -> None:
+        # the full store's rank-th smallest value is the new bound
+        bound = np.partition(self.values, self.rank - 1)[self.rank - 1]
+        self.cut = _squared_cutoff(math.sqrt(max(bound, 0.0)))
+        keep = np.flatnonzero(self.values <= self.cut)
+        self.values[:keep.size] = self.values[keep]
+        self.at[:keep.size] = self.at[keep]
+        self.held = keep.size
+        if self.held == self.values.size:
+            self.values = np.concatenate([self.values, np.empty(self.held)])
+            self.at = np.concatenate([self.at, np.empty(self.held, self.at.dtype)])
+
+    def threshold_and_cells(self):
+        """(threshold, at): the square root of the rank-th smallest value,
+        and the ascending positions of the cells at or below
+        `_squared_cutoff(threshold)`."""
+        values = self.values[:self.held]
+        threshold = math.sqrt(max(float(np.partition(values, self.rank - 1)[self.rank - 1]), 0.0))
+        return threshold, self.at[:self.held][values <= _squared_cutoff(threshold)]
 
 
 def _calibrated_rank(target_avg, per: float, total: int, what: str) -> int:
@@ -491,37 +495,29 @@ def _query_blocks(n_q: int, n_db: int) -> list:
     return list(zip(starts, starts[1:] + [n_q]))
 
 
-def _cells_within_threshold(queries: np.ndarray, db: np.ndarray, rank: int):
-    """(threshold, at) for `calibrate_groundtruth`: the square root of the
-    rank-th smallest squared distance of queries @ db.T, and the flat
-    positions q * N + n, ascending, of the cells at or below
-    `_squared_cutoff(threshold)`.
+def _cells_within_threshold(queries: np.ndarray, db: np.ndarray, rank: int) -> _Within:
+    """The `_Within` store of `calibrate_groundtruth`: the cells of queries
+    @ db.T as squared distances, whole rows in order, so that cell (q, n)
+    has position q * N + n.
 
     One pass over `_query_blocks` products that share one buffer, turned
-    into squared distances in place by row chunks of about GT_BLOCK_CELLS
-    cells (`_squared_into`). Beside the running bound of `_RankSmallest`,
-    every cell at or below `_squared_cutoff` of the bound's square root is
-    kept. That cutoff is monotone, and the bound never falls below the final
-    order statistic, so the kept cells hold every cell within the threshold.
-    The pass has its own frame so that its buffers are freed before the
-    lists are built.
+    into squared distances by row chunks of about GT_BLOCK_CELLS cells
+    (`_squared_into`). The pass has its own frame so that its product
+    buffer is freed before the threshold and the lists are taken.
     """
     n = db.shape[0]
     sq_q, sq_db = _squared_norms(queries, db)
     rows = max(1, GT_BLOCK_CELLS // n)
     scratch = np.empty(rows * n)
-    smallest = _RankSmallest(rank)
-    candidates = _Candidates(min(2 * rank, queries.shape[0] * n))
+    within = _Within(rank, queries.shape[0] * n, queries.shape[0] * n)
     blocks = _query_blocks(queries.shape[0], n)
     products = _block_products(queries, db, [(r0, r1, 0) for r0, r1 in blocks])
     for (r0, r1), gram in zip(blocks, products):
         for q0 in range(r0, r1, rows):
             q1 = min(q0 + rows, r1)
             chunk = _squared_into(gram[q0 - r0:q1 - r0], sq_q[q0:q1], sq_db, scratch)
-            smallest.add(chunk)
-            candidates.add(chunk, q0 * n, _squared_cutoff(math.sqrt(max(smallest.bound, 0.0))))
-    threshold = math.sqrt(max(smallest.value(), 0.0))
-    return threshold, candidates.positions(_squared_cutoff(threshold))
+            within.add(chunk)
+    return within
 
 
 def calibrate_groundtruth(db: Dataset, queries: Dataset, target_avg: float) -> GroundTruth:
@@ -532,15 +528,17 @@ def calibrate_groundtruth(db: Dataset, queries: Dataset, target_avg: float) -> G
     target_avg. Neighbor lists hold database ids at distance <= threshold,
     each in ascending id order.
 
-    Memory is O(block + rank + lists): `_cells_within_threshold` takes the
-    threshold and the cells within it in one blocked pass, and squared
-    values are compared with `_squared_cutoff(threshold)`; no other square
-    root is taken. Rows whose squared distances overflow are refused.
+    Memory is O(block + rank + lists): `_cells_within_threshold` keeps the
+    cells at or below a falling cut (`_Within`) in one blocked pass, and
+    squared values are compared with `_squared_cutoff(threshold)`; no other
+    square root is taken. Rows whose squared distances overflow are refused.
     """
     if db.dim != queries.dim:
         raise ValidationError("database and query dimensions differ")
     rank = _calibrated_rank(target_avg, queries.n, queries.n * db.n, "query-to-database distances")
-    threshold, at = _cells_within_threshold(queries.features, db.features, rank)
+    # the store is dropped, not kept beside the lists
+    threshold, at = _cells_within_threshold(
+        queries.features, db.features, rank).threshold_and_cells()
     query, row = np.divmod(at, db.n)
     ids = db.ids[row]
     order = np.lexsort((ids, query))
@@ -586,11 +584,11 @@ def _triangle_chunks(features: np.ndarray):
 
     Each `_row_blocks` block is one product, features[r0:r1] @
     features[r0:].T, written into one buffer for the whole pass
-    (`_block_products`). Row chunks of about GT_BLOCK_CELLS cells turn it
-    into squared distances in place (`_squared_into`), each chunk from the
-    column after its first row's diagonal on. A chunk is a view of the
-    buffer, valid until the next one is drawn. Rows whose squared distances
-    overflow are refused before the first product.
+    (`_block_products`). Row chunks of about GT_BLOCK_CELLS cells of it
+    turn into squared distances (`_squared_into`), each chunk from the
+    column after its first row's diagonal on. A chunk is a C-contiguous
+    view of one scratch buffer, valid until the next one is drawn. Rows
+    whose squared distances overflow are refused before the first product.
     """
     n = features.shape[0]
     sq_norms, = _squared_norms(features)
@@ -606,23 +604,50 @@ def _triangle_chunks(features: np.ndarray):
             yield i0, _fill_non_pairs(chunk, np.nan)
 
 
+def _pairs_within(features: np.ndarray, rank: int):
+    """(threshold, similar) for `calibrate_pair_threshold`: the square root
+    of the rank-th smallest squared pair distance, and the ascending
+    row-major ranks of the pairs at or below its `_squared_cutoff`, from one
+    `_triangle_chunks` pass into a `_Within` store. The run's positions stay
+    below N^2; only the kept ones are turned into pair ranks."""
+    n = features.shape[0]
+    within = _Within(rank, n * (n - 1) // 2, n * n)
+    starts = []  # each chunk's first row and the position of its cell (0, 0)
+    for i0, chunk in _triangle_chunks(features):
+        starts.append((i0, within.seen))
+        within.add(chunk)
+    threshold, at = within.threshold_and_cells()
+    ends = np.searchsorted(at, [first for _, first in starts[1:]]).tolist() + [at.size]
+    ranks = []
+    for (i0, first), lo, hi in zip(starts, [0] + ends, ends):
+        # cell h = t * w + c of a chunk of width w is the pair (i0 + t, i0 + 1 + c),
+        # whose rank is _row_starts(n, i0) + h - t (t + 1) / 2
+        h = at[lo:hi].astype(np.int64) - first
+        t = h // (n - 1 - i0)
+        ranks.append(h - t * (t + 1) // 2 + _row_starts(n, i0))
+    return threshold, np.concatenate(ranks)
+
+
 def calibrate_pair_threshold(data: Dataset, target_avg: float) -> float:
     """Within-set distance threshold giving each point about target_avg
     neighbors, self-pairs excluded.
 
     The threshold is the rank-th smallest pair distance, rank = round(
     target_avg * N / 2): the square root of the rank-th smallest squared
-    distance, which `_RankSmallest` finds over `_triangle_chunks`. The
-    square root is monotone, so the two order statistics agree.
+    distance, which `_Within` finds in one pass over `_triangle_chunks`. The
+    square root is monotone, so the two order statistics agree. The same
+    pass lists the pairs within the threshold, and `data` keeps them, so
+    that `make_pairs(data, threshold, ...)` samples from them without a
+    second pass.
     """
     n = data.n
     if n < 2:
         raise ValidationError("need at least two points")
     rank = _calibrated_rank(target_avg, n / 2.0, n * (n - 1) // 2, "pair distances")
-    smallest = _RankSmallest(rank)
-    for _, chunk in _triangle_chunks(data.features):
-        smallest.add(chunk)
-    return math.sqrt(max(smallest.value(), 0.0))
+    threshold, similar = _pairs_within(data.features, rank)
+    similar.setflags(write=False)
+    object.__setattr__(data, "_similar_pairs", (threshold, similar))
+    return threshold
 
 
 def groundtruth_from_labels(db_ids, db_labels, query_labels) -> GroundTruth:
@@ -693,6 +718,10 @@ def make_pairs(db: Dataset, gt_threshold: float, max_pairs: int, pos_fraction: f
     (NaN is rejected; inf makes every pair similar). Sampling targets
     pos_fraction similar pairs, falling back to whatever is available; pairs
     come out in canonical sorted order.
+
+    The similar pairs are those `calibrate_pair_threshold(db, ...)` listed
+    when gt_threshold is the threshold it returned; any other threshold
+    takes its own pass over `_triangle_chunks`.
     """
     if db.n < 2:
         raise ValidationError("need at least two points to form pairs")
@@ -700,9 +729,12 @@ def make_pairs(db: Dataset, gt_threshold: float, max_pairs: int, pos_fraction: f
     if np.isnan(threshold):
         raise ValidationError("gt_threshold must not be NaN")
     _check_sampling(max_pairs, pos_fraction)
-    cut = _squared_cutoff(threshold)
-    similar = np.concatenate([_mask_ranks(db.n, i0, i0 + 1, chunk <= cut)
-                              for i0, chunk in _triangle_chunks(db.features)])
+    if db._similar_pairs is not None and db._similar_pairs[0] == threshold:
+        similar = db._similar_pairs[1]
+    else:
+        cut = _squared_cutoff(threshold)
+        similar = np.concatenate([_mask_ranks(db.n, i0, i0 + 1, chunk <= cut)
+                                  for i0, chunk in _triangle_chunks(db.features)])
     return _sample_pairs(db.n, similar, max_pairs, pos_fraction, rng)
 
 

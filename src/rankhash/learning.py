@@ -10,7 +10,7 @@ instead minimizes a convex-in-the-max upper bound per pair:
 with y = W @ x and h the emitted symbols. The maximizing (k, l) is the
 error-adjusted competitor: the online step finds it with a K x K scan (the
 row-major first maximizer) and moves the rows of W so the emitted symbols
-beat it. The trainer (`_train_bits`) runs that step on a block of pairs
+beat it. The trainer (`_lockstep`) runs that step on a block of pairs
 at a time and trains a stack of independent bits in rounds: each round
 decides one block of every bit still training, with one stacked gemv and
 one (A, S, K, K) scan for all A bits, and applies each bit's first update
@@ -21,7 +21,9 @@ these are checked against live in `tests/oracles.py`.
 `train_rsh` learns all L projection matrices independently from derived
 child seeds, as one stack of L bits. `train_srsh` learns them sequentially,
 a stack of one bit at a time, reweighting pairs after each bit the way
-boosting does, and returns per-bit fusion weights theta.
+boosting does, and returns per-bit fusion weights theta. A bit trained at
+unit pair weights is trained once per PairSet (`_train_bits`): srsh's first
+bit is rsh's first bit.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ def _prepare(data: Dataset, pairs: PairSet):
     return data.features, pairs.i, pairs.j, pairs.s
 
 
-# Block sizes of `_train_bits`' exact block step. Outputs do not depend on
+# Block sizes of `_lockstep`'s exact block step. Outputs do not depend on
 # these constants, only the time spent does. Each bit asks for twice the
 # longer of the last gap between two of its updates and its current run of
 # visits without one, within [_BLOCK_MIN, _BLOCK_MAX] pairs. A round decides
@@ -161,7 +163,7 @@ _BLOCK_CELLS = 1 << 16
 
 
 class _Bit:
-    """One bit's state inside `_train_bits`."""
+    """One bit's state inside `_lockstep`."""
 
     def __init__(self, seed, hyper, X, pi, pj, ps, pad):
         self.rng = seeded_rng(seed)
@@ -178,7 +180,7 @@ class _Bit:
 
 
 class _Round(NamedTuple):
-    """A round's views of `_train_bits`' buffers, for A bits and S pairs each."""
+    """A round's views of `_lockstep`'s buffers, for A bits and S pairs each."""
 
     E: np.ndarray  # (A, 2S, d, 1) endpoint columns, first and second points interleaved
     pair_cols: np.ndarray  # E as (A * S, 2, d, 1)
@@ -196,7 +198,43 @@ class _Round(NamedTuple):
     moved: np.ndarray  # (A, S) g != e: the pair takes an update
 
 
-def _train_bits(X, pi, pj, ps, hyper: Hyperparams, seeds, alpha=None):
+def _train_bits(X, pairs: PairSet, hyper: Hyperparams, seeds, alpha=None):
+    """`_lockstep` on the rows X and `pairs`, with each bit trained at unit
+    pair weights (alpha None or all ones) done once per PairSet.
+
+    Such a bit's W and three traces are kept in `pairs._bits`, for the one
+    features array X last trained on (by identity), under its seed and the
+    hyperparameters its training reads. A later call trains only the seeds
+    it lacks, which is exact because a bit's outputs do not depend on the
+    bits it shares rounds with. A kept bit comes back with err None.
+    """
+    if alpha is not None and not (alpha == 1.0).all():
+        return _lockstep(X, pairs.i, pairs.j, pairs.s, hyper, seeds, alpha)
+    if pairs._bits is None or pairs._bits[0] is not X:
+        object.__setattr__(pairs, "_bits", (X, {}))
+    kept = pairs._bits[1]
+    new = [seed for seed in dict.fromkeys(seeds) if _bit_key(hyper, seed) not in kept]
+    trained = dict(zip(new, _lockstep(X, pairs.i, pairs.j, pairs.s, hyper, new))) if new else {}
+    for seed, (W, surr, emp, upd, _) in trained.items():
+        W = W.copy()
+        W.setflags(write=False)
+        kept[_bit_key(hyper, seed)] = (W, tuple(surr), tuple(emp), tuple(upd))
+    out = []
+    for seed in seeds:
+        if seed in trained:
+            out.append(trained[seed])
+        else:
+            W, surr, emp, upd = kept[_bit_key(hyper, seed)]
+            out.append((W, list(surr), list(emp), list(upd), None))
+    return out
+
+
+def _bit_key(hyper: Hyperparams, seed: int) -> tuple:
+    # what a bit's training reads besides its rows and pairs
+    return hyper.K, hyper.rho, hyper.lam, hyper.eta, hyper.epochs, hyper.tol, seed
+
+
+def _lockstep(X, pi, pj, ps, hyper: Hyperparams, seeds, alpha=None):
     """Online training of independent projection matrices, one per seed.
 
     Each bit's epochs visit the pairs in a freshly shuffled order from its
@@ -366,11 +404,13 @@ def train_rsh(data: Dataset, pairs: PairSet, hyper: Hyperparams, log: TrainLog |
     Bit l trains from child_seed(hyper.seed, l), so results do not depend on
     the order bits are trained in, and identical seeds reproduce identical
     models bit for bit. The bits train in lockstep, one block of each per
-    round (`_train_bits`).
+    round (`_lockstep`). A bit already trained on these pairs and rows with
+    the same seed and hyperparameters, by either trainer, is taken from
+    `pairs` rather than trained again (`_train_bits`).
     """
-    X, pi, pj, ps = _prepare(data, pairs)
+    X = _prepare(data, pairs)[0]
     seeds = [child_seed(hyper.seed, l) for l in range(hyper.L)]
-    trained = _train_bits(X, pi, pj, ps, hyper, seeds)
+    trained = _train_bits(X, pairs, hyper, seeds)
     if log is not None:
         for l, (_, surr, emp, upd, _) in enumerate(trained):
             log.bits.append(
@@ -416,6 +456,10 @@ def train_srsh(data: Dataset, pairs: PairSet, hyper: Hyperparams, log: TrainLog 
     pairs grow by exp(theta_l * normalized error), rescaled so the total
     weight stays equal to the pair count. The returned model carries the
     theta values for weighted ranking.
+
+    Bit 0 trains at unit weights, so it is rsh's bit 0, and is taken from
+    `pairs` when rsh (or srsh) has trained it on these rows before; its
+    per-pair errors are then recomputed in one objective pass.
     """
     X, pi, pj, ps = _prepare(data, pairs)
     alpha = np.ones(pi.size, dtype=np.float64)
@@ -424,8 +468,10 @@ def train_srsh(data: Dataset, pairs: PairSet, hyper: Hyperparams, log: TrainLog 
     thetas = []
     for l in range(hyper.L):
         [(W, surr, emp, upd, err)] = _train_bits(
-            X, pi, pj, ps, hyper, [child_seed(hyper.seed, l)], alpha=alpha
+            X, pairs, hyper, [child_seed(hyper.seed, l)], alpha=alpha
         )
+        if err is None:  # a bit kept from an earlier call
+            err = _objective_arrays(X, pi, pj, ps, W, hyper.rho, hyper.lam)[2]
         norm_err = err / emax if emax > 0 else np.zeros(pi.size)
         alpha, eps, theta = boost_step(alpha, norm_err, hyper.eps_min)
         mats.append(W)

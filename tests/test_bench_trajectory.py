@@ -65,7 +65,30 @@ def test_pairs_runs_by_seed_and_reports_medians_iqr_and_wins(tmp_path, capsys):
     assert knn["parent"]["median"] == 410.0 and knn["parent"]["iqr"] == 20.0
     assert knn["change"]["median"] == 270.0 and knn["change"]["iqr"] == 20.0
     assert knn["change_better_pairs"] == "4/5"
+    # seed 3 reads 410 -> 430 scaled but 820 -> 537.5 raw
+    assert knn["raw_better_pairs"] == "5/5"
+    assert "(change better in 4/5, raw in 5/5)" in printed
     assert entry["metrics"]["ap_rsh"]["change_better_pairs"] == "0/5"
+    assert entry["metrics"]["ap_rsh"]["raw_better_pairs"] is None
+    assert "(change better in 0/5)" in printed
+
+
+def test_counts_raw_cpu_wins_apart_from_scaled_ones(tmp_path, capsys):
+    # the change's calibration loop ran slower (speed factor 0.6 against
+    # 1.0), so it reads faster scaled in every pair but slower raw in two:
+    # 300 / 0.6 = 500 and 330 / 0.6 = 550 raw against the parent's 400
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, after, speed in ((1, 300.0, 0.6), (2, 330.0, 0.6), (3, 350.0, 1.0)):
+        write_result(parent, seed, 400.0, 0.5, 1.0)
+        write_result(change, seed, after, 0.5, speed)
+    out = tmp_path / "BENCH.json"
+    assert load_script().main([str(parent), str(change), "--out", str(out)]) == 0
+    knn = json.loads(out.read_text(encoding="utf-8"))["workloads"]["query_stream"]["metrics"][
+        "knn_mean_us"]
+    assert knn["change_better_pairs"] == "3/3"
+    assert knn["raw_better_pairs"] == "1/3"
+    line = next(line for line in capsys.readouterr().out.splitlines() if "knn_mean_us" in line)
+    assert "(change better in 3/3, raw in 1/3)  raw CPU 400 -> 500" in line
 
 
 def test_refuses_failed_runs_and_unpaired_sides(tmp_path):

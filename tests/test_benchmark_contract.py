@@ -69,6 +69,21 @@ def test_cli_calls_every_layer_the_traced_metrics_need():
     assert pair_fns and called.intersection(pair_fns)
 
 
+def test_distance_pairs_are_built_by_the_two_traced_calls():
+    # `data.pairs_s` sums the spans of PAIR_FNS. The distance branch of
+    # `_build_pairs` calibrates and samples in one triangle pass, which runs
+    # inside `calibrate_pair_threshold`; it must still call both names, so
+    # that the spans cover the pass and the sampling
+    tree = ast.parse(CLI.read_text(encoding="utf-8"))
+    build = next(node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "_build_pairs")
+    called = {node.func.id for node in ast.walk(build)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert {"calibrate_pair_threshold", "make_pairs"} <= called
+    pair_fns = {name.rpartition(".")[2] for name in workloads_constant("PAIR_FNS")}
+    assert {"calibrate_pair_threshold", "make_pairs"} <= pair_fns
+
+
 def test_table_and_lookup_serve_what_the_benchmark_reads():
     codes = np.array([[0, 1, 2], [0, 1, 2], [2, 1, 0]])
     table = build_table(codes, np.arange(3), 3)

@@ -4,9 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rankhash import cli
 from rankhash import data as data_module
 from rankhash import (
     Dataset,
@@ -16,6 +17,7 @@ from rankhash import (
     apply_pca,
     calibrate_groundtruth,
     calibrate_pair_threshold,
+    child_seed,
     fit_pca,
     groundtruth_from_labels,
     load_csv,
@@ -351,11 +353,13 @@ def test_make_pairs_infinite_threshold_all_similar():
 
 
 def test_make_pairs_deterministic_and_canonical():
+    # one side samples from the pairs the calibration listed, the other, on a
+    # fresh copy of the rows, from its own pass
     rng = seeded_rng(9)
     data = Dataset(rng.standard_normal((30, 3)), np.arange(30))
     threshold = calibrate_pair_threshold(data, 5.0)
     a = make_pairs(data, threshold, 100, 0.3, seeded_rng(10))
-    b = make_pairs(data, threshold, 100, 0.3, seeded_rng(10))
+    b = make_pairs(Dataset(data.features, data.ids), threshold, 100, 0.3, seeded_rng(10))
     assert np.array_equal(a.i, b.i) and np.array_equal(a.j, b.j) and np.array_equal(a.s, b.s)
     assert np.all(a.i < a.j)
     assert len(a) == 100
@@ -427,14 +431,16 @@ def _assert_same_groundtruth(gt, reference):
     integer=st.booleans(),
     avg_fraction=st.floats(0.0, 1.0),
     cells_per_row=st.floats(0.0, 2.0),
+    slice_cells=st.integers(1, 64),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_calibrate_groundtruth_matches_full_matrix_reference(
-        n_db, n_q, d, integer, avg_fraction, cells_per_row, seed):
+        n_db, n_q, d, integer, avg_fraction, cells_per_row, slice_cells, seed):
     # Up to 60 x 25 is one product block, the reference's single queries @
     # db.T, so real features match bit for bit too; integer ones add ties at
-    # the threshold. Chunks run from one query row to the whole matrix, so
-    # the running bound, and with it the candidate cut, falls chunk by chunk.
+    # the threshold. Chunks run from one query row to the whole matrix, and
+    # the store compares them in slices of 1 to 64 cells, so its cut falls
+    # slice by slice.
     rng = seeded_rng(seed)
     if integer:
         feats = rng.integers(-2, 3, (n_db + n_q, d)).astype(np.float64)
@@ -446,16 +452,22 @@ def test_calibrate_groundtruth_matches_full_matrix_reference(
     cells = max(1, int(cells_per_row * n_db))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(data_module, "GT_BLOCK_CELLS", cells)
+        patch.setattr(data_module, "WITHIN_SLICE_CELLS", slice_cells)
         gt = calibrate_groundtruth(db, queries, target)
     _assert_same_groundtruth(gt, reference_calibrate_groundtruth(db, queries, target))
 
 
-@pytest.mark.parametrize("n_q, target", [(1000, 50.0), (4000, 10.0)])
-def test_calibrate_groundtruth_memory(n_q, target):
-    # one product block and the candidates, no Q x N array: the single
-    # product took 48 and 185 MiB here
+@pytest.mark.parametrize("n_q, n_db, target, mib", [
+    (1000, 6000, 50.0, 20), (4000, 6000, 10.0, 20),
+    # a target that is half of N: the store holds every cell, as the Q x N
+    # product did, and no second pool of them (a pool and candidates of
+    # 2 * rank cells each read 36.3 MiB)
+    (500, 2000, 1000.0, 30)], ids=["1000-50.0", "4000-10.0", "500-2000-1000.0"])
+def test_calibrate_groundtruth_memory(n_q, n_db, target, mib):
+    # one product block and the store of cells, no Q x N array: the single
+    # product took 48 and 185 MiB at N = 6000
     rng = seeded_rng(41)
-    db = Dataset.from_features(rng.standard_normal((6000, 16)))
+    db = Dataset.from_features(rng.standard_normal((n_db, 16)))
     queries = Dataset.from_features(rng.standard_normal((n_q, 16)))
     tracemalloc.start()
     try:
@@ -464,7 +476,7 @@ def test_calibrate_groundtruth_memory(n_q, target):
     finally:
         tracemalloc.stop()
     assert abs(np.diff(gt.offsets).mean() - target) <= 1.0
-    assert peak < 20 * 2**20, peak / 2**20
+    assert peak < mib * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("pair_avg, gt_avg", [(3.3, 4.2), (1e308, 1e308)])
@@ -590,12 +602,18 @@ def _assert_same_pairs(pairs, reference):
 
 
 def _check_distance_pairs(features, target_avg, max_pairs, pos_fraction, seed):
+    """Calibrate and sample on `features`, from the pairs the calibration
+    listed and, on a fresh copy of the rows, from a pass of make_pairs' own,
+    and check both against the full-matrix references."""
     data = Dataset.from_features(features)
     threshold = calibrate_pair_threshold(data, target_avg)
     assert _bits(threshold) == _bits(reference_pair_threshold(data, target_avg))
+    reference = reference_make_pairs(data, threshold, max_pairs, pos_fraction, seeded_rng(seed))
     pairs = make_pairs(data, threshold, max_pairs, pos_fraction, seeded_rng(seed))
-    _assert_same_pairs(
-        pairs, reference_make_pairs(data, threshold, max_pairs, pos_fraction, seeded_rng(seed)))
+    _assert_same_pairs(pairs, reference)
+    own = make_pairs(Dataset.from_features(features), threshold, max_pairs, pos_fraction,
+                     seeded_rng(seed))
+    _assert_same_pairs(own, reference)
     return threshold, pairs
 
 
@@ -616,16 +634,18 @@ def _check_label_pairs(labels, max_pairs, pos_fraction, seed):
     budget_fraction=st.floats(0.0, 1.2),
     pos_fraction=st.floats(0.01, 0.99),
     n_labels=st.integers(1, 6),
+    slice_cells=st.integers(1, 64),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_pair_functions_match_full_matrix_references(
         n, d, cells_per_row, chunk_rows, avg_fraction, budget_fraction, pos_fraction, n_labels,
-        seed):
+        slice_cells, seed):
     # Integer coordinates make every dot product exact, so the blocks'
     # distances equal the N x N ones whatever order the BLAS sums in, and they
     # produce duplicate rows and ties at the threshold. Blocks run from one
-    # row (PAIR_BLOCK_CELLS below N) to the whole matrix (1.5 N^2 cells), and
-    # their chunks from one row to 1.5 N rows.
+    # row (PAIR_BLOCK_CELLS below N) to the whole matrix (1.5 N^2 cells),
+    # their chunks from one row to 1.5 N rows, and the calibration's store
+    # compares them in slices of 1 to 64 cells.
     rng = seeded_rng(seed)
     features = rng.integers(-3, 4, (n, d)).astype(np.float64)
     labels = rng.integers(0, n_labels, n)
@@ -636,6 +656,7 @@ def test_pair_functions_match_full_matrix_references(
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(data_module, "PAIR_BLOCK_CELLS", cells)
         patch.setattr(data_module, "GT_BLOCK_CELLS", max(1, int(chunk_rows * n * n)))
+        patch.setattr(data_module, "WITHIN_SLICE_CELLS", slice_cells)
         _check_distance_pairs(features, target_avg, max_pairs, pos_fraction, seed)
         _check_label_pairs(labels, max_pairs, pos_fraction, seed)
 
@@ -834,6 +855,76 @@ def test_pair_calibration_and_sampling_memory():
         tracemalloc.stop()
     assert len(pairs) == 20_000
     assert peak < 24 * 2**20, peak / 2**20
+
+
+def counted_triangle_passes(monkeypatch):
+    """Record the row count of each `_triangle_chunks` pass."""
+    passes = []
+    chunks = data_module._triangle_chunks
+
+    def counting(features):
+        passes.append(features.shape[0])
+        return chunks(features)
+
+    monkeypatch.setattr(data_module, "_triangle_chunks", counting)
+    return passes
+
+
+def test_build_pairs_takes_one_triangle_pass(monkeypatch):
+    # the CLI calibrates and then samples at the calibrated threshold: one
+    # pass over the pair triangle serves both, and gives the pairs that
+    # sampling on a fresh copy of the rows draws from a pass of its own
+    train = Dataset.from_features(seeded_rng(43).standard_normal((300, 6)))
+    cfg = cli.ExperimentConfig(neighbor_avg=12.0, max_pairs=900, pos_fraction=0.3, seed=5)
+    passes = counted_triangle_passes(monkeypatch)
+    pairs = cli._build_pairs(cfg, train, None)
+    assert passes == [300]
+    threshold = calibrate_pair_threshold(Dataset.from_features(train.features), 12.0)
+    rng = seeded_rng(child_seed(cfg.seed, cli._SEED_PAIRS))
+    alone = make_pairs(Dataset.from_features(train.features), threshold, 900, 0.3, rng)
+    assert passes == [300, 300, 300]
+    _assert_same_pairs(pairs, (alone.i, alone.j, alone.s))
+    # any other threshold takes a pass of its own on the calibrated rows
+    for t in (math.nextafter(threshold, -math.inf), math.nextafter(threshold, math.inf),
+              math.inf):
+        got = make_pairs(train, t, 900, 0.3, seeded_rng(44))
+        _assert_same_pairs(got, reference_make_pairs(train, t, 900, 0.3, seeded_rng(44)))
+    assert passes == [300] * 6
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shapes=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 9)), min_size=1, max_size=6),
+    rank_fraction=st.floats(0.0, 1.0),
+    levels=st.integers(1, 6),
+    nan_fraction=st.floats(0.0, 0.5),
+    slice_cells=st.integers(1, 20),
+    wide=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_within_store_keeps_every_cell_within_the_order_statistic(
+        shapes, rank_fraction, levels, nan_fraction, slice_cells, wide, seed):
+    # Chunks of few distinct values, negative ones and NaN among them, so
+    # that ties at the cut fill the store and make it grow; int32 positions,
+    # or int64 ones for a run said to hold 2^31 cells.
+    rng = seeded_rng(seed)
+    chunks = [rng.integers(-1, levels, shape).astype(np.float64) for shape in shapes]
+    for chunk in chunks:
+        chunk[rng.random(chunk.shape) < nan_fraction] = np.nan
+    run = np.concatenate([chunk.ravel() for chunk in chunks])
+    total = int(np.count_nonzero(~np.isnan(run)))
+    assume(total > 0)
+    rank = 1 + int(rank_fraction * (total - 1))
+    within = data_module._Within(rank, total, 2**31 if wide else run.size)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_module, "WITHIN_SLICE_CELLS", slice_cells)
+        for chunk in chunks:
+            within.add(chunk)
+    threshold, at = within.threshold_and_cells()
+    want = math.sqrt(max(np.sort(run[~np.isnan(run)])[rank - 1], 0.0))
+    assert _bits(threshold) == _bits(want)
+    assert at.dtype == (np.int64 if wide else np.int32)
+    assert np.array_equal(at, np.flatnonzero(run <= data_module._squared_cutoff(threshold)))
 
 
 # ---------------------------------------------------------------- synthetic

@@ -324,18 +324,22 @@ def two_cluster_problem(seed=0, n_per=25, d=6):
 
 
 def test_train_rsh_deterministic():
+    # fresh rows and pairs per side, so that neither side reads bits the
+    # other trained
     data, pairs = two_cluster_problem()
     hyper = Hyperparams(K=2, L=3, epochs=10, seed=11)
     a = train_rsh(data, pairs, hyper)
-    b = train_rsh(data, pairs, hyper)
+    b = train_rsh(*two_cluster_problem(), hyper)
     assert np.array_equal(a.projections, b.projections)
     assert a.weights is None
 
 
 def lone_bit(data, pairs, hyper, bit_seed):
     """One bit trained alone from an explicit seed: `_train_bits` with one
-    seed, the lone-bit path srsh takes."""
-    return learning._train_bits(data.features, pairs.i, pairs.j, pairs.s, hyper, [bit_seed])[0][0]
+    seed, the lone-bit path srsh takes, on a fresh PairSet so that it trains
+    the bit rather than read one kept from an earlier call."""
+    return learning._train_bits(data.features, PairSet(pairs.i, pairs.j, pairs.s), hyper,
+                                [bit_seed])[0][0]
 
 
 def test_train_rsh_bits_are_independent():
@@ -490,11 +494,11 @@ def test_train_srsh_bookkeeping_and_weights():
 
 
 def test_train_srsh_first_bit_matches_rsh():
-    # all pair weights start at 1, so bit 0 trains exactly like plain rsh
-    data, pairs = two_cluster_problem(seed=31)
+    # all pair weights start at 1, so bit 0 trains exactly like plain rsh;
+    # each side trains it on its own rows and pairs
     hyper = Hyperparams(K=2, L=1, epochs=8, seed=37)
-    rsh = train_rsh(data, pairs, hyper)
-    srsh = train_srsh(data, pairs, hyper)
+    rsh = train_rsh(*two_cluster_problem(seed=31), hyper)
+    srsh = train_srsh(*two_cluster_problem(seed=31), hyper)
     assert np.array_equal(rsh.projections[0], srsh.projections[0])
 
 
@@ -503,6 +507,94 @@ def test_train_srsh_codes_in_range():
     model = train_srsh(data, pairs, Hyperparams(K=2, L=4, epochs=5, seed=43))
     codes = encode_dataset(data, model)
     assert codes.min() >= 0 and codes.max() < 2
+
+
+def counted_lockstep(monkeypatch):
+    """Record how many bits each `_lockstep` call trains."""
+    counts = []
+    lockstep = learning._lockstep
+
+    def counting(X, pi, pj, ps, hyper, seeds, alpha=None):
+        counts.append(len(seeds))
+        return lockstep(X, pi, pj, ps, hyper, seeds, alpha)
+
+    monkeypatch.setattr(learning, "_lockstep", counting)
+    return counts
+
+
+def fresh(pairs):
+    return PairSet(pairs.i, pairs.j, pairs.s)
+
+
+def assert_same_training(a, b):
+    (model_a, log_a), (model_b, log_b) = a, b
+    assert model_a.projections.tobytes() == model_b.projections.tobytes()
+    assert (model_a.weights is None) == (model_b.weights is None)
+    if model_a.weights is not None:
+        assert model_a.weights.tobytes() == model_b.weights.tobytes()
+    assert log_a == log_b
+
+
+def trained(trainer, data, pairs, hyper):
+    log = TrainLog()
+    return trainer(data, pairs, hyper, log=log), log
+
+
+@pytest.mark.parametrize("first, second", [(train_rsh, train_srsh), (train_srsh, train_rsh)])
+def test_a_unit_weight_bit_trains_once_per_pairset(first, second, monkeypatch):
+    # srsh's bit 0 trains at unit weights, like every rsh bit: whichever
+    # trainer runs second on the same pairs takes that bit from the first,
+    # and still returns what it returns on fresh pairs. The pairs' random
+    # similarities leave every bit some errors, so srsh's later bits train
+    # at other weights (on the separable clusters its weights stay at 1)
+    data, pairs = tie_heavy_problem(5)
+    hyper = Hyperparams(K=3, L=3, epochs=4, tol=0.0, seed=53)
+    counts = counted_lockstep(monkeypatch)
+    shared = [trained(first, data, pairs, hyper), trained(second, data, pairs, hyper)]
+    assert sum(counts) == 2 * hyper.L - 1
+    del counts[:]
+    alone = [trained(first, data, fresh(pairs), hyper), trained(second, data, fresh(pairs), hyper)]
+    assert sum(counts) == 2 * hyper.L
+    for a, b in zip(shared, alone):
+        assert_same_training(a, b)
+
+
+@pytest.mark.parametrize("change", [
+    dict(rho=0.5), dict(lam=2.0), dict(eta=0.2), dict(K=4), dict(epochs=3), dict(tol=0.5),
+    dict(seed=54)])
+def test_kept_bits_answer_only_their_own_training(change, monkeypatch):
+    # a kept bit is reused only for the same rows (by identity), pairs,
+    # seed and the hyperparameters its training reads
+    data, pairs = two_cluster_problem(seed=47)
+    hyper = Hyperparams(K=3, L=2, epochs=4, tol=0.0, seed=53)
+    counts = counted_lockstep(monkeypatch)
+    first = trained(train_rsh, data, pairs, hyper)
+    assert_same_training(trained(train_rsh, data, pairs, hyper), first)
+    assert counts == [2]
+    other = replace(hyper, **change)
+    assert_same_training(trained(train_rsh, data, pairs, other),
+                         trained(train_rsh, data, fresh(pairs), other))
+    assert counts == [2, 2, 2]
+    # the first training is still kept beside it
+    assert_same_training(trained(train_rsh, data, pairs, hyper), first)
+    assert counts == [2, 2, 2]
+
+
+def test_kept_bits_belong_to_one_dataset_and_one_pairset(monkeypatch):
+    data, pairs = two_cluster_problem(seed=47)
+    hyper = Hyperparams(K=3, L=2, epochs=4, tol=0.0, seed=53)
+    counts = counted_lockstep(monkeypatch)
+    first = trained(train_rsh, data, pairs, hyper)
+    # equal rows and pairs, but other objects: both train again
+    copy = Dataset(data.features, data.ids)
+    assert_same_training(trained(train_rsh, copy, pairs, hyper), first)
+    assert_same_training(trained(train_rsh, data, fresh(pairs), hyper), first)
+    assert counts == [2, 2, 2]
+    # other rows of the same shape give other bits
+    moved = Dataset(data.features[::-1], data.ids)
+    assert trained(train_rsh, moved, pairs, hyper)[0].projections.tobytes() != \
+        first[0].projections.tobytes()
+    assert counts == [2, 2, 2, 2]
 
 
 # ------------------------------------------------------------ training oracle
