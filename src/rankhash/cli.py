@@ -8,6 +8,10 @@ nonzero with a single `error:<category>: message` line on stderr.
 Metrics CSVs use the schema `method,L_bits,K,seed,metric,value`, with
 summary rows using seed = "mean" and "std". L_bits is the packed bit budget
 L * ceil(log2 K), which makes rows comparable across methods.
+
+Every CSV cell is written by one rule (`_write_csv`): a float as
+repr(float(v)), the shortest text that reads back as the same float (NaN as
+`nan`), and anything else as str(v).
 """
 
 from __future__ import annotations
@@ -337,7 +341,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
-    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    # rows are tuples of cells, each written by the module's cell rule
+    lines = [",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+             for row in rows]
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
 
 
 def cmd_preprocess(cfg: ExperimentConfig, out: Path) -> None:
@@ -434,29 +441,21 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> None:
     _check_fits(cfg, train.dim, train.n,
                 [_code_length(cfg, method, cfg.L) for method in cfg.methods])
     pairs = _build_pairs(cfg, train, train_labels)
-    epoch_rows = []
-    boost_rows = []
+    epoch_rows, boost_rows = [], []
     for method in cfg.methods:
         for cell in _method_cells(cfg, method):
             for run in range(cfg.seeds):
                 log = TrainLog()
                 model = _fit_model(cfg, method, cell, run, train, pairs, cfg.L, log=log)
                 save_model(model, out / _model_name(method, cell, run))
-                rho, lam = cell if cell else ("", "")
-                for trace in log.bits:
+                for trace in log.bits:  # wta and lsh log none, so cell is (rho, lam)
+                    head = (method, *cell, run, trace.bit)
                     # update_fraction is blank on epoch 0, the objective before training
-                    updates = [""] + [repr(f) for f in trace.update_fraction]
-                    for epoch, (surr, emp, frac) in enumerate(
-                        zip(trace.objective_trace, trace.empirical_trace, updates)
-                    ):
-                        epoch_rows.append(
-                            f"{method},{rho},{lam},{run},{trace.bit},{epoch},{surr!r},{emp!r},{frac}"
-                        )
+                    epoch_rows += [(*head, epoch, *cells) for epoch, cells in enumerate(zip(
+                        trace.objective_trace, trace.empirical_trace, ["", *trace.update_fraction]))]
                     if trace.eps is not None:
-                        boost_rows.append(
-                            f"{method},{rho},{lam},{run},{trace.bit},"
-                            f"{trace.eps!r},{trace.theta!r},{trace.alpha_sum!r},{trace.alpha_min!r}"
-                        )
+                        boost_rows.append((*head, trace.eps, trace.theta,
+                                           trace.alpha_sum, trace.alpha_min))
     _write_csv(out / "train_log.csv",
                "method,rho,lambda,seed,bit,epoch,surrogate,empirical,update_fraction", epoch_rows)
     if boost_rows:
@@ -495,51 +494,29 @@ def _evaluate_model(cfg: ExperimentConfig, model: HashModel, db: Dataset,
     return metrics
 
 
-def _metric_names(cfg: ExperimentConfig):
-    return (
-        [f"precision_r{R}" for R in cfg.radius_list]
-        + [f"precision_k{k}" for k in cfg.k_list]
-        + ["ap"]
-    )
-
-
-@dataclass(frozen=True)
-class _SeedRuns:
-    """One method's metrics over cfg.seeds runs, aggregated and formatted."""
-
-    L_bits: int
-    per_seed: dict  # metric name -> one value per seed
-    summary: dict  # metric name -> (mean, std)
-    rows: list  # metrics.csv lines: per-seed rows, then mean/std rows
-
-
 def _evaluate_seeds(cfg: ExperimentConfig, method: str, models, db: Dataset,
-                    query: Dataset, gt) -> _SeedRuns:
+                    query: Dataset, gt):
     """Evaluate one model per seed (`models` yields them in seed order).
-    L_bits and K come from the models themselves: lsh spends the bit budget
-    on binary functions."""
-    names = _metric_names(cfg)
-    per_seed = {name: [] for name in names}
+
+    Returns the key (method, L_bits, K), metric name -> per-seed values,
+    metric name -> (mean, std), and the metrics.csv rows: per-seed rows,
+    then mean/std rows. L_bits and K come from the models themselves: lsh
+    spends the bit budget on binary functions."""
+    per_seed: dict = {}
     for model in models:
-        metrics = _evaluate_model(cfg, model, db, query, gt)
-        for name in names:
-            per_seed[name].append(metrics[name])
-    L_bits = model.L * symbol_bits(model.K)
-    prefix = f"{method},{L_bits},{model.K}"
+        for name, value in _evaluate_model(cfg, model, db, query, gt).items():
+            per_seed.setdefault(name, []).append(value)
+    key = (method, model.L * symbol_bits(model.K), model.K)
     summary = aggregate_runs(per_seed, cfg.seeds)
-    # repr of a builtin float round-trips; numpy scalars would not
-    rows = [f"{prefix},{run},{name},{float(per_seed[name][run])!r}"
-            for run in range(cfg.seeds) for name in names]
-    for name in names:
-        mean, std = summary[name]
-        rows.append(f"{prefix},mean,{name},{float(mean)!r}")
-        rows.append(f"{prefix},std,{name},{float(std)!r}")
-    return _SeedRuns(L_bits, per_seed, summary, rows)
+    rows = [(*key, run, name, values[run])
+            for run in range(cfg.seeds) for name, values in per_seed.items()]
+    rows += [(*key, seed, name, value)
+             for name, stats in summary.items() for seed, value in zip(("mean", "std"), stats)]
+    return key, per_seed, summary, rows
 
 
-def _write_results(cfg: ExperimentConfig, out: Path, runs, key: str, summary: dict) -> None:
-    _write_csv(out / "metrics.csv", "method,L_bits,K,seed,metric,value",
-               [row for r in runs for row in r.rows])
+def _write_results(cfg: ExperimentConfig, out: Path, rows, key: str, summary: dict) -> None:
+    _write_csv(out / "metrics.csv", "method,L_bits,K,seed,metric,value", rows)
     _write_json(out / "summary.json", {"config": asdict(cfg), key: summary})
 
 
@@ -553,25 +530,24 @@ def cmd_eval(cfg: ExperimentConfig, out: Path) -> None:
               for method in cfg.methods for cell in _method_cells(cfg, method)}
     _check_fits(cfg, lengths=[model.L for runs in models.values() for model in runs])
     gt = _make_groundtruth(cfg, train, query, train_labels, query_labels)
-    winners = []
+    rows = []
     summary: dict = {}
     for method in cfg.methods:
         cells = _method_cells(cfg, method)
-        by_cell = {cell: _evaluate_seeds(cfg, method, models[method, cell], train, query, gt)
-                   for cell in cells}
+        runs = [_evaluate_seeds(cfg, method, models[method, cell], train, query, gt)
+                for cell in cells]
         # winner: best mean AP, grid order breaking ties
-        best_cell = max(by_cell, key=lambda c: (by_cell[c].summary["ap"][0], -cells.index(c)))
-        best = by_cell[best_cell]
-        winners.append(best)
+        best = max(range(len(cells)), key=lambda c: (runs[c][2]["ap"][0], -c))
+        _, per_seed, stats, best_rows = runs[best]
+        rows += best_rows
+        cell = cells[best]
         summary[method] = {
-            "selected_cell": {"rho": best_cell[0], "lambda": best_cell[1]} if best_cell else None,
+            "selected_cell": {"rho": cell[0], "lambda": cell[1]} if cell else None,
             "cells_swept": len(cells),
-            "metrics": {
-                name: {"mean": mean, "std": std, "per_seed": best.per_seed[name]}
-                for name, (mean, std) in best.summary.items()
-            },
+            "metrics": {name: {"mean": mean, "std": std, "per_seed": per_seed[name]}
+                        for name, (mean, std) in stats.items()},
         }
-    _write_results(cfg, out, winners, "methods", summary)
+    _write_results(cfg, out, rows, "methods", summary)
 
 
 def cmd_benchmark(cfg: ExperimentConfig, out: Path) -> None:
@@ -584,24 +560,18 @@ def cmd_benchmark(cfg: ExperimentConfig, out: Path) -> None:
     pairs = _build_pairs(cfg, train, train_labels)
     gt = _make_groundtruth(cfg, train, query, train_labels, query_labels)
     cell = (float(cfg.rho), float(cfg.lam))
-    all_runs = []
+    rows = []
     summary: dict = {}
     for L in L_list:
         for method in cfg.methods:
             method_cell = cell if method in _TRAINED else None
-            runs = _evaluate_seeds(
-                cfg, method,
-                (_fit_model(cfg, method, method_cell, run, train, pairs, L) for run in range(cfg.seeds)),
-                train, query, gt,
-            )
-            all_runs.append(runs)
-            summary[f"{method}_L{L}"] = {
-                "method": method,
-                "L": L,
-                "L_bits": runs.L_bits,
-                "metrics": {name: {"mean": mean, "std": std} for name, (mean, std) in runs.summary.items()},
-            }
-    _write_results(cfg, out, all_runs, "results", summary)
+            models = (_fit_model(cfg, method, method_cell, run, train, pairs, L)
+                      for run in range(cfg.seeds))
+            key, _, stats, method_rows = _evaluate_seeds(cfg, method, models, train, query, gt)
+            rows += method_rows
+            summary[f"{method}_L{L}"] = {"method": method, "L": L, "L_bits": key[1], "metrics": {
+                name: {"mean": mean, "std": std} for name, (mean, std) in stats.items()}}
+    _write_results(cfg, out, rows, "results", summary)
 
 
 _COMMANDS = {

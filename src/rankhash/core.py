@@ -203,10 +203,10 @@ class PairSet:
     Pairs are canonical (i < j) and duplicate-free. Indices refer to rows of
     the dataset the pairs were sampled from, not to Dataset ids.
 
-    The trainers keep each bit they train at unit pair weights in `_bits`,
-    for one features array at a time, so that rsh and srsh on these pairs
-    train such a bit once; the field takes no part in init, repr or
-    comparison.
+    The trainers keep each bit they train at unit pair weights, with its
+    per-pair errors, in `_bits`, for one features array at a time, so that
+    rsh and srsh on these pairs train such a bit once; the field takes no
+    part in init, repr or comparison.
     """
 
     i: np.ndarray

@@ -618,14 +618,9 @@ def _pairs_within(features: np.ndarray, rank: int):
         within.add(chunk)
     threshold, at = within.threshold_and_cells()
     ends = np.searchsorted(at, [first for _, first in starts[1:]]).tolist() + [at.size]
-    ranks = []
-    for (i0, first), lo, hi in zip(starts, [0] + ends, ends):
-        # cell h = t * w + c of a chunk of width w is the pair (i0 + t, i0 + 1 + c),
-        # whose rank is _row_starts(n, i0) + h - t (t + 1) / 2
-        h = at[lo:hi].astype(np.int64) - first
-        t = h // (n - 1 - i0)
-        ranks.append(h - t * (t + 1) // 2 + _row_starts(n, i0))
-    return threshold, np.concatenate(ranks)
+    return threshold, np.concatenate([
+        _cell_ranks(n, i0, n - 1 - i0, at[lo:hi].astype(np.int64) - first)
+        for (i0, first), lo, hi in zip(starts, [0] + ends, ends)])
 
 
 def calibrate_pair_threshold(data: Dataset, target_avg: float) -> float:
@@ -675,11 +670,12 @@ def _row_starts(n: int, rows) -> np.ndarray:
     return rows * (2 * n - rows - 1) // 2
 
 
-def _mask_ranks(n: int, i0: int, j0: int, mask: np.ndarray) -> np.ndarray:
+def _cell_ranks(n: int, i0: int, width: int, cells: np.ndarray) -> np.ndarray:
     """Row-major ranks, among the pairs (i, j), i < j < n, of the pairs
-    (i0 + t, j0 + c) at the True cells (t, c) of mask."""
-    t, c = np.divmod(np.flatnonzero(mask), mask.shape[1])
-    return _row_starts(n, i0 + t) + (j0 - i0 - 1 + c - t)
+    (i0 + t, i0 + 1 + c) at the row-major places t * width + c of the cells
+    of a triangle chunk (`_triangle_chunks`)."""
+    t, c = np.divmod(cells, width)
+    return _row_starts(n, i0 + t) + c - t
 
 
 def _sample_pairs(n: int, similar: np.ndarray, max_pairs, pos_fraction, rng) -> PairSet:
@@ -733,8 +729,9 @@ def make_pairs(db: Dataset, gt_threshold: float, max_pairs: int, pos_fraction: f
         similar = db._similar_pairs[1]
     else:
         cut = _squared_cutoff(threshold)
-        similar = np.concatenate([_mask_ranks(db.n, i0, i0 + 1, chunk <= cut)
-                                  for i0, chunk in _triangle_chunks(db.features)])
+        similar = np.concatenate([
+            _cell_ranks(db.n, i0, chunk.shape[1], np.flatnonzero(chunk <= cut))
+            for i0, chunk in _triangle_chunks(db.features)])
     return _sample_pairs(db.n, similar, max_pairs, pos_fraction, rng)
 
 
@@ -747,8 +744,8 @@ def make_pairs_from_labels(labels, max_pairs: int, pos_fraction: float,
     _check_sampling(max_pairs, pos_fraction)
     n = labels.size
     similar = np.concatenate([
-        _mask_ranks(n, r0, r0 + 1,
-                    _fill_non_pairs(labels[r0:r1, None] == labels[None, r0 + 1:], False))
+        _cell_ranks(n, r0, n - 1 - r0, np.flatnonzero(
+            _fill_non_pairs(labels[r0:r1, None] == labels[None, r0 + 1:], False)))
         for r0, r1 in _row_blocks(n)])
     return _sample_pairs(n, similar, max_pairs, pos_fraction, rng)
 

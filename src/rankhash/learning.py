@@ -202,11 +202,12 @@ def _train_bits(X, pairs: PairSet, hyper: Hyperparams, seeds, alpha=None):
     """`_lockstep` on the rows X and `pairs`, with each bit trained at unit
     pair weights (alpha None or all ones) done once per PairSet.
 
-    Such a bit's W and three traces are kept in `pairs._bits`, for the one
-    features array X last trained on (by identity), under its seed and the
-    hyperparameters its training reads. A later call trains only the seeds
-    it lacks, which is exact because a bit's outputs do not depend on the
-    bits it shares rounds with. A kept bit comes back with err None.
+    Such a bit's W, three traces and per-pair errors are kept, read-only, in
+    `pairs._bits`, for the one features array X last trained on (by
+    identity), under its seed and the hyperparameters its training reads.
+    A call trains only the seeds it lacks, which is exact because a bit's
+    outputs do not depend on the bits it shares rounds with, and returns
+    every seed's bit from that store.
     """
     if alpha is not None and not (alpha == 1.0).all():
         return _lockstep(X, pairs.i, pairs.j, pairs.s, hyper, seeds, alpha)
@@ -214,19 +215,14 @@ def _train_bits(X, pairs: PairSet, hyper: Hyperparams, seeds, alpha=None):
         object.__setattr__(pairs, "_bits", (X, {}))
     kept = pairs._bits[1]
     new = [seed for seed in dict.fromkeys(seeds) if _bit_key(hyper, seed) not in kept]
-    trained = dict(zip(new, _lockstep(X, pairs.i, pairs.j, pairs.s, hyper, new))) if new else {}
-    for seed, (W, surr, emp, upd, _) in trained.items():
+    trained = _lockstep(X, pairs.i, pairs.j, pairs.s, hyper, new) if new else []
+    for seed, (W, surr, emp, upd, err) in zip(new, trained):
         W = W.copy()
-        W.setflags(write=False)
-        kept[_bit_key(hyper, seed)] = (W, tuple(surr), tuple(emp), tuple(upd))
-    out = []
-    for seed in seeds:
-        if seed in trained:
-            out.append(trained[seed])
-        else:
-            W, surr, emp, upd = kept[_bit_key(hyper, seed)]
-            out.append((W, list(surr), list(emp), list(upd), None))
-    return out
+        for arr in (W, err):
+            arr.setflags(write=False)
+        kept[_bit_key(hyper, seed)] = (W, tuple(surr), tuple(emp), tuple(upd), err)
+    return [(W, list(surr), list(emp), list(upd), err)
+            for W, surr, emp, upd, err in (kept[_bit_key(hyper, seed)] for seed in seeds)]
 
 
 def _bit_key(hyper: Hyperparams, seed: int) -> tuple:
@@ -458,11 +454,11 @@ def train_srsh(data: Dataset, pairs: PairSet, hyper: Hyperparams, log: TrainLog 
     theta values for weighted ranking.
 
     Bit 0 trains at unit weights, so it is rsh's bit 0, and is taken from
-    `pairs` when rsh (or srsh) has trained it on these rows before; its
-    per-pair errors are then recomputed in one objective pass.
+    `pairs`, with its per-pair errors, when rsh (or srsh) has trained it on
+    these rows before.
     """
-    X, pi, pj, ps = _prepare(data, pairs)
-    alpha = np.ones(pi.size, dtype=np.float64)
+    X = _prepare(data, pairs)[0]
+    alpha = np.ones(len(pairs), dtype=np.float64)
     emax = max(hyper.rho, hyper.lam)
     mats = []
     thetas = []
@@ -470,9 +466,7 @@ def train_srsh(data: Dataset, pairs: PairSet, hyper: Hyperparams, log: TrainLog 
         [(W, surr, emp, upd, err)] = _train_bits(
             X, pairs, hyper, [child_seed(hyper.seed, l)], alpha=alpha
         )
-        if err is None:  # a bit kept from an earlier call
-            err = _objective_arrays(X, pi, pj, ps, W, hyper.rho, hyper.lam)[2]
-        norm_err = err / emax if emax > 0 else np.zeros(pi.size)
+        norm_err = err / emax if emax > 0 else np.zeros(len(pairs))
         alpha, eps, theta = boost_step(alpha, norm_err, hyper.eps_min)
         mats.append(W)
         thetas.append(theta)

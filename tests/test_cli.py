@@ -276,10 +276,30 @@ def test_train_writes_models_and_logs(pipeline):
     assert lsh.K == 2 and lsh.L == 8  # 4 symbols * 2 bits each at K=4
 
 
+def assert_shortest_floats(lines, columns):
+    # a float cell is its own shortest round-trip text: no numpy repr, no
+    # truncation (repr(nan) is "nan"); update_fraction is blank on epoch 0
+    for line in lines[1:]:
+        cells = line.split(",")
+        for col in columns:
+            assert cells[col] == "" or repr(float(cells[col])) == cells[col], line
+
+
+def test_write_csv_formats_every_cell_by_one_rule(tmp_path):
+    path = tmp_path / "t.csv"
+    # a numpy float64 is a float, and is written as the builtin float's repr
+    cli._write_csv(path, "a,b,c,d", [
+        (np.float64(0.1), 2 / 3, np.float64("nan"), 1.0),
+        ("mean", 3, "", 1e-300),
+    ])
+    assert path.read_text() == "a,b,c,d\n0.1,0.6666666666666666,nan,1.0\nmean,3,,1e-300\n"
+
+
 def test_train_log_traces(pipeline):
     _, out = pipeline
     lines = (out / "train_log.csv").read_text().splitlines()
     assert lines[0] == "method,rho,lambda,seed,bit,epoch,surrogate,empirical,update_fraction"
+    assert_shortest_floats(lines, (1, 2, 6, 7, 8))
     surrogates = [float(line.split(",")[6]) for line in lines[1:]]
     assert surrogates and all(np.isfinite(surrogates))
     for line in lines[1:]:
@@ -290,6 +310,7 @@ def test_train_log_traces(pipeline):
             assert 0.0 <= float(fraction) <= 1.0
     boost = (out / "boost_log.csv").read_text().splitlines()
     assert boost[0] == "method,rho,lambda,seed,bit,eps,theta,alpha_sum,alpha_min"
+    assert_shortest_floats(boost, (1, 2, 5, 6, 7, 8))
     # srsh: 2 seeds x 4 bits
     assert len(boost) == 1 + 8
 
@@ -320,6 +341,7 @@ def test_eval_csv_shape_and_ranges(pipeline):
     assert lines[0] == "method,L_bits,K,seed,metric,value"
     # 4 methods x (2 seeds + mean + std) x 5 metrics
     assert len(lines) == 1 + 4 * 4 * 5
+    assert_shortest_floats(lines, (5,))
     for line in lines[1:]:
         method, L_bits, K, seed, metric, value = line.split(",")
         assert method in ("rsh", "srsh", "wta", "lsh")

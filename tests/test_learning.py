@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -550,8 +551,19 @@ def test_a_unit_weight_bit_trains_once_per_pairset(first, second, monkeypatch):
     data, pairs = tie_heavy_problem(5)
     hyper = Hyperparams(K=3, L=3, epochs=4, tol=0.0, seed=53)
     counts = counted_lockstep(monkeypatch)
+    callers = []
+    objective_arrays = learning._objective_arrays
+
+    def recording(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return objective_arrays(*args)
+
+    monkeypatch.setattr(learning, "_objective_arrays", recording)
     shared = [trained(first, data, pairs, hyper), trained(second, data, pairs, hyper)]
     assert sum(counts) == 2 * hyper.L - 1
+    # the kept bit 0 comes with its per-pair errors: every objective pass is
+    # one of training's own, none srsh's
+    assert callers and "train_srsh" not in callers
     del counts[:]
     alone = [trained(first, data, fresh(pairs), hyper), trained(second, data, fresh(pairs), hyper)]
     assert sum(counts) == 2 * hyper.L
