@@ -174,8 +174,8 @@ _DEFAULT_GRID = (0.5, 1.0, 2.0)
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse flat `key = value` config text with # comments."""
-    values = {}
+    """Parse flat `key = value` config text with # comments, each key set once."""
+    values, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -186,6 +186,9 @@ def parse_config(text: str) -> ExperimentConfig:
         key = key.strip()
         if key not in _KEY_TABLE:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in first_line:  # a later line would silently win
+            raise ConfigError(f"line {lineno}: {key} is already set on line {first_line[key]}")
+        first_line[key] = lineno
         field_name, parser = _KEY_TABLE[key]
         try:
             values[field_name] = parser(raw_value)

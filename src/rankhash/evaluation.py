@@ -14,8 +14,10 @@ one flat id array cut by offsets, and read its relevant rows from
 once and keeps the result while the ids are the same, so the models of one
 eval share one resolution. A single range or kNN query is one (L, N)
 mismatch pass over the store, plus one select of the k nearest for kNN.
-Batched kNN, the PR curve and `relevant_hits` work in blocks of queries and
-write every block's large arrays into buffers allocated once per call.
+One key function (`_keys`) gives kNN its Hamming or weighted keys, for one
+code or a block. Batched kNN, the PR curve and `relevant_hits` work in blocks
+of queries and write every block's mask into one buffer allocated per call;
+kNN's multi-byte pattern terms and direct weighted sums are allocated per block.
 Short codes send many queries to one code, so a batch of kNN queries ranks
 each distinct code once and the PR curve counts each distinct code's
 distances once (`_distinct`).
@@ -53,10 +55,10 @@ __all__ = [
 # whose (L, B, N) comparison mask holds about KNN_BLOCK_CELLS cells, so that
 # a block's mask and keys stay in a 2 MB L2 cache while it is ranked (its
 # direct weighted sum adds 8 bytes of float terms per cell). Each pass
-# allocates its large block arrays (kNN's (L, B, N) ones, the PR curve's
-# mask, counts and keys, `relevant_hits`' mask) once per call and writes
-# every block into them, so transient memory stays at a few MB whatever the
-# table size, and a pass faults in its pages once.
+# allocates its mask (and the PR curve its counts and keys) once per call and
+# writes every block into it, so transient memory stays at a few MB whatever
+# the table size, and a pass faults in its pages once. kNN's multi-byte pattern
+# terms and direct weighted sums are the exception, allocated per block.
 BLOCK_CELLS = 1 << 21
 KNN_BLOCK_CELLS = 1 << 19
 
@@ -192,8 +194,8 @@ def _knn(codes, ids, query, k, theta=None) -> np.ndarray:
     One code (or a block of one) is one key row and one select. A larger
     batch ranks each of its distinct codes once, each query taking its
     code's row, in blocks whose (L, B, N) comparison mask holds about
-    KNN_BLOCK_CELLS cells; the key function writes every block's arrays
-    into buffers allocated once per call."""
+    KNN_BLOCK_CELLS cells; every block's mask is written into one buffer
+    allocated once per call."""
     queries = _as_codes(query)
     codes = _as_codes(codes, (2,), queries.shape[-1])
     ids = _row_ids(_as_ints(ids, "ids"), codes)
@@ -206,29 +208,51 @@ def _knn(codes, ids, query, k, theta=None) -> np.ndarray:
         if not np.isfinite(theta).all():
             raise ValidationError("theta must be finite")
     if queries.size == L:
-        keys = _key_row(columns, queries.reshape(L), theta)
+        keys = _keys(columns, queries.reshape(L), theta)
         cand = np.flatnonzero(keys <= np.partition(keys, k - 1)[k - 1])
         found = ids[cand]
         return found[np.lexsort((found, keys[cand]))[:k]].reshape(queries.shape[:-1] + (k,))
     queries, which = _distinct(queries)
     block = min(queries.shape[0], max(1, KNN_BLOCK_CELLS // (L * n)))
-    keys_of = (_hamming_keys(columns, block) if theta is None
-               else _weighted_keys(columns, theta, block))
-    return _ranked(keys_of, ids, queries, k, block)[which]
+    mask = np.empty((L, block, n), dtype=bool)
+    # ascending ids (the common case) need no id key in the sort
+    ties = None if (ids[1:] >= ids[:-1]).all() else ids
+    found = []
+    for start in range(0, queries.shape[0], block):
+        part = queries[start:start + block]
+        keys = _keys(columns, part, theta, mask[:, :part.shape[0]])
+        found.append(ids[_first_k(keys, k, ties)])
+    return np.concatenate(found)[which]
 
 
-def _key_row(columns: np.ndarray, code: np.ndarray, theta) -> np.ndarray:
-    """(N,) ranking keys of one code against the (L, N) `columns`, equal
-    to its row of `_hamming_keys` (theta None) or `_weighted_keys`."""
+def _keys(columns: np.ndarray, queries: np.ndarray, theta=None, mask=None) -> np.ndarray:
+    """(N,) ranking keys of one code against the (L, N) `columns`, or (B, N)
+    for a (B, L) block, compared into the (L, B, N) `mask` when given. A key
+    is the mismatch count or, with `theta`, minus the sum of theta over the
+    positions where the row agrees with the query; a row's key is the same
+    whatever the block.
+
+    When 2^L <= N the 2^L agreement patterns are scored once and ranked
+    (`_pattern_ranks`), equal scores sharing a rank, so (rank, id) order is
+    (score, id) order, and each row gathers its pattern's rank, indexed by
+    the positions where it differs, as a small integer key. Otherwise a key
+    is a direct sum over a row-major (..., N, L) array.
+    """
     L, n = columns.shape
     if theta is None:
-        return _mismatches(columns, code).astype(_key_type(L))
-    differ = _differ(columns, code)
+        return _mismatches(columns, queries, mask).astype(_key_type(L))
+    differ = _differ(columns, queries, mask)
     if (1 << L) <= n:
         bit, rank = _pattern_ranks(theta.tobytes())
-        return rank.take(np.add.reduce(differ.view(np.uint8) * bit[:, None], 0, bit.dtype))
-    # the blocks' row-major (N, L) sum, so each row's key is the same float
-    return -(np.logical_not(differ.T, order="C") * theta).sum(axis=1)
+        differ = differ.view(np.uint8)
+        # one-byte bits scale the mask's own bytes in place
+        terms = np.multiply(differ, bit.reshape((L,) + (1,) * (differ.ndim - 1)),
+                            out=differ if bit.dtype == np.uint8 else None)
+        # take: indexing with a small unsigned index array is ~3x slower
+        return rank.take(np.add.reduce(terms, axis=0, dtype=bit.dtype))
+    # a position that differs adds theta * 0, a zero
+    agree = np.logical_not(np.moveaxis(differ, 0, -1), order="C")
+    return -(agree * theta).sum(axis=-1)
 
 
 def _first_k(keys: np.ndarray, k: int, ids=None) -> np.ndarray:
@@ -250,26 +274,6 @@ def _first_k(keys: np.ndarray, k: int, ids=None) -> np.ndarray:
     order = np.lexsort(by if ids is None else (ids[cols],) + by)
     first = np.searchsorted(rows, np.arange(B))
     return cols[order[first[:, None] + np.arange(k)]]
-
-
-def _ranked(keys_of, ids: np.ndarray, queries: np.ndarray, k: int, block: int) -> np.ndarray:
-    """(B, k) ids of the k smallest (key, id) pairs for each query, where
-    keys_of(block) gives a (B, N) key block for up to `block` queries."""
-    # ascending ids (the common case) need no id key in the sort
-    ties = None if (ids[1:] >= ids[:-1]).all() else ids
-    return np.concatenate([ids[_first_k(keys_of(queries[start:start + block]), k, ties)]
-                           for start in range(0, queries.shape[0], block)])
-
-
-def _hamming_keys(columns: np.ndarray, block: int):
-    """A function from a block of up to `block` (B, L) queries to (B, N)
-    mismatch counts against the (L, N) `columns`, as ranking keys; every
-    block's comparison mask is written into the same buffer."""
-    L, n = columns.shape
-    mask = np.empty((L, block, n), dtype=bool)
-    key_type = _key_type(L)
-    return lambda queries: _mismatches(
-        columns, queries, mask[:, :queries.shape[0]]).astype(key_type)
 
 
 def _key_type(largest: int) -> np.dtype:
@@ -311,49 +315,6 @@ def _pattern_ranks(theta_bytes: bytes):
     bit.setflags(write=False)
     rank.setflags(write=False)
     return bit, rank
-
-
-def _weighted_keys(columns: np.ndarray, theta: np.ndarray, block: int):
-    """A function from a block of up to `block` (B, L) queries to (B, N)
-    ranking keys for the codes in the (L, N) `columns`: minus each row's
-    weighted similarity, the sum of `theta` over the positions where it
-    agrees with the query. Every block's (L, B, N) arrays are written into
-    the same buffers.
-
-    Each row's sum is the same float whatever the block: an (N, L) sum
-    over a row-major array. When 2^L <= N the 2^L agreement patterns are
-    scored once by that expression and ranked (`_pattern_ranks`, kept for
-    the last few thetas), equal scores sharing a rank, so (rank, id) order
-    is (score, id) order; each row gathers its pattern's rank, indexed by
-    the positions where it differs, as a small integer key.
-    """
-    L, n = columns.shape
-    mask = np.empty((L, block, n), dtype=bool)
-    if (1 << L) <= n:
-        bit, rank = _pattern_ranks(theta.tobytes())
-        # one-byte bits scale the mask's own bytes in place
-        terms = mask.view(np.uint8) if bit.dtype == np.uint8 else np.empty(mask.shape, bit.dtype)
-
-        def keys_of(queries):
-            b = queries.shape[0]
-            differ = _differ(columns, queries, mask[:, :b]).view(np.uint8)
-            np.multiply(differ, bit[:, None, None], out=terms[:, :b])
-            # take: indexing with a small unsigned index array is ~3x slower
-            return rank.take(np.add.reduce(terms[:, :b], axis=0, dtype=bit.dtype))
-    else:
-        agree = np.empty((block, n, L), dtype=bool)
-        terms = np.empty((block, n, L))
-        sums = np.empty((block, n))
-
-        def keys_of(queries):
-            b = queries.shape[0]
-            # row-major (B, N, L): the sum's order follows the memory layout;
-            # a position that differs adds theta * 0, a zero
-            differ = _differ(columns, queries, mask[:, :b])
-            np.logical_not(differ.transpose(1, 2, 0), out=agree[:b])
-            np.sum(np.multiply(agree[:b], theta, out=terms[:b]), axis=2, out=sums[:b])
-            return np.negative(sums[:b], out=sums[:b])
-    return keys_of
 
 
 def knn_weighted(codes, ids, query, theta, k: int) -> np.ndarray:

@@ -42,8 +42,18 @@ seed = 0
 
 
 def write_config(tmp_path, extra="", base=BASE):
+    """Write `base` with each `key = value` line of `extra` in place of the
+    base's line for that key, or after the base when it has none."""
+    lines = base.splitlines()
+    keys = [line.partition("=")[0].strip() for line in lines]
+    for line in extra.splitlines():
+        key = line.partition("=")[0].strip()
+        if key in keys:
+            lines[keys.index(key)] = line
+        else:
+            lines.append(line)
     path = tmp_path / "exp.cfg"
-    path.write_text(base + extra)
+    path.write_text("\n".join(lines) + "\n")
     return path
 
 
@@ -114,6 +124,20 @@ models_dir = stage/models
 def test_parse_config_unknown_key_names_line():
     with pytest.raises(ConfigError, match=r"line 2.*wat"):
         parse_config("K = 4\nwat = 7\n")
+
+
+def test_parse_config_repeated_key_names_both_lines(tmp_path, capsys):
+    # a later line used to replace the earlier value silently
+    with pytest.raises(ConfigError, match=r"line 3: K .*line 1"):
+        parse_config("K = 4\nL = 2\nK = 8\n")
+    with pytest.raises(ConfigError, match=r"line 2: lambda .*line 1"):
+        parse_config("lambda = 1\nlambda = 1\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(BASE + "seeds = 1\n")
+    out = tmp_path / "out"
+    assert main(["preprocess", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:config: line ")
+    assert not out.exists()
 
 
 def test_parse_config_bad_value_names_key():

@@ -595,7 +595,7 @@ def test_weighted_keys_are_small_integer_ranks_on_the_pattern_table(L):
     columns = rng.integers(0, 3, size=(L, n)).astype(np.uint8)
     theta = rng.choice(TIE_THETA, size=L)
     queries = columns[:, :3].T
-    keys = evaluation._weighted_keys(columns, theta, 3)(queries)
+    keys = evaluation._keys(columns, queries, theta)
     assert keys.dtype == np.int16 and keys.shape == (3, n)
     for b in range(3):
         # the row-major (N, L) sums of reference_knn_weighted
@@ -604,6 +604,14 @@ def test_weighted_keys_are_small_integer_ranks_on_the_pattern_table(L):
         assert np.array_equal(order, np.lexsort((np.arange(n), scores)))
         assert np.array_equal(np.unique(keys[b], return_inverse=True)[1].ravel(),
                               np.unique(scores, return_inverse=True)[1].ravel())
+    # one code's keys are its row of a block's in every form: Hamming, the
+    # one-byte (L = 6) or two-byte (L = 9) pattern bits, and the direct sum
+    # (N < 2^L); the block compares into part of a larger mask, as kNN does
+    for weights, stored in ((None, columns), (theta, columns), (theta, columns[:, 1:])):
+        mask = np.empty((L, 5, stored.shape[1]), dtype=bool)
+        block = evaluation._keys(stored, queries, weights, mask[:, :3])
+        for b in range(3):
+            assert np.array_equal(evaluation._keys(stored, queries[b], weights), block[b])
 
 
 def test_knn_query_shapes():

@@ -100,10 +100,17 @@ def test_numpy2_check_sees_every_form():
 
 
 def test_src_uses_no_numpy2_only_name():
-    # the local stand-in for the CI job at the numpy 1.24 floor
+    # the local stand-in for the CI job at the numpy 1.24 floor, which runs
+    # the package, the scripts, the benchmark harness and the tests
     src = Path(rankhash.__file__).parent
-    uses = {path.name: numpy2_uses(path.read_text(encoding="utf-8"))
-            for path in sorted(src.glob("*.py"))}
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted(src.glob("*.py"))
+    for folder in ("scripts", "perfbench", "tests"):
+        found = sorted((root / folder).glob("*.py"))
+        assert found, folder
+        paths += found
+    uses = {f"{path.parent.name}/{path.name}": numpy2_uses(path.read_text(encoding="utf-8"))
+            for path in paths}
     assert {name: found for name, found in uses.items() if found} == {}
 
 
