@@ -225,17 +225,24 @@ class RelevantRows:
     rows[starts[q]:starts[q + 1]]; a listed id that the database lacks adds
     no row, and an id on several rows adds each of them. `ids` is a
     read-only copy of the database ids it was resolved against, `order`
-    their stable ascending argsort and `sorted_ids` ids[order]."""
+    their stable ascending argsort and `sorted_ids` ids[order]. When the ids
+    are exactly 0..N-1 in row order (`by_position`), an id in [0, N) is its
+    own row and any other id matches nothing, so neither `rows_in` nor `find`
+    searches; other ids, repeats included, are found in `sorted_ids`."""
 
     ids: np.ndarray
     order: np.ndarray
     sorted_ids: np.ndarray
     starts: np.ndarray
     rows: np.ndarray
+    by_position: bool = False
 
     def find(self, keys: np.ndarray):
         """(found, rows) for the ids in `keys`: whether a database row holds
         each, and one that does (the first in id order; any row if none)."""
+        if self.by_position:
+            at = np.clip(keys, 0, self.ids.size - 1)
+            return at == keys, at
         at = np.minimum(np.searchsorted(self.sorted_ids, keys), self.order.size - 1)
         return self.sorted_ids[at] == keys, self.order[at]
 
@@ -293,19 +300,25 @@ class GroundTruth:
         ids = _frozen_array(ids, np.int64, "ids")
         if ids.ndim != 1 or ids.size == 0:
             raise ValidationError("the database ids must be a non-empty 1-D array")
-        order = np.argsort(ids, kind="stable")
-        sorted_ids = ids[order]
-        # each listed id's run of equal ids in sorted_ids: where it starts
-        # and its length (0 for an id the database lacks)
-        lo = np.searchsorted(sorted_ids, self.flat, "left")
-        matches = np.searchsorted(sorted_ids, self.flat, "right") - lo
-        ends = np.cumsum(matches)
-        run_start = np.repeat(lo - (ends - matches), matches)
-        starts = np.concatenate([[0], ends])[self.offsets]
-        resolved = (order, sorted_ids, starts, order[run_start + np.arange(run_start.size)])
+        by_position = np.array_equal(ids, np.arange(ids.size))
+        if by_position:
+            order = sorted_ids = ids
+            listed = (self.flat >= 0) & (self.flat < ids.size)
+            ends, found = np.cumsum(listed, dtype=np.int64), self.flat[listed]
+        else:
+            order = np.argsort(ids, kind="stable")
+            sorted_ids = ids[order]
+            # each listed id's run of equal ids in sorted_ids: where it starts
+            # and its length (0 for an id the database lacks)
+            lo = np.searchsorted(sorted_ids, self.flat, "left")
+            matches = np.searchsorted(sorted_ids, self.flat, "right") - lo
+            ends = np.cumsum(matches)
+            run_start = np.repeat(lo - (ends - matches), matches)
+            found = order[run_start + np.arange(run_start.size)]
+        resolved = (order, sorted_ids, np.concatenate([[0], ends])[self.offsets], found)
         for array in resolved:
             array.setflags(write=False)
-        rows = RelevantRows(ids, *resolved)
+        rows = RelevantRows(ids, *resolved, by_position)
         object.__setattr__(self, "_rows", rows)
         return rows
 
@@ -541,9 +554,10 @@ def calibrate_groundtruth(db: Dataset, queries: Dataset, target_avg: float) -> G
         queries.features, db.features, rank).threshold_and_cells()
     query, row = np.divmod(at, db.n)
     ids = db.ids[row]
-    order = np.lexsort((ids, query))
+    if (np.diff(db.ids) < 0).any():  # ascending ids: positions give (query, id) order
+        ids = ids[np.lexsort((ids, query))]
     ends = np.cumsum(np.bincount(query, minlength=queries.n))
-    return GroundTruth(ids[order], np.concatenate([[0], ends]), threshold)
+    return GroundTruth(ids, np.concatenate([[0], ends]), threshold)
 
 
 def _row_blocks(n: int):
@@ -655,7 +669,9 @@ def groundtruth_from_labels(db_ids, db_labels, query_labels) -> GroundTruth:
         raise ValidationError("ids and labels must be 1-D arrays of matching length")
     order = np.argsort(db_ids, kind="stable")
     db_ids, db_labels = db_ids[order], db_labels[order]
-    lists = [db_ids[db_labels == lab] for lab in query_labels]
+    labels, which = np.unique(query_labels, return_inverse=True)  # one scan per label
+    by_label = [db_ids[db_labels == lab] for lab in labels]
+    lists = [by_label[i] for i in which]
     ends = np.cumsum([lst.size for lst in lists], dtype=np.int64)
     return GroundTruth(np.concatenate([db_ids[:0], *lists]), np.concatenate([[0], ends]))
 

@@ -8,11 +8,11 @@ integer dtype it is given, so no code is widened to int64 on the way.
 `lookup` answers with an int64 array of ids in table row order, and
 weighted kNN keeps the rank tables of its last few weight vectors, so a
 stream of single queries against one model rebuilds neither per call.
-The PR curve and `relevant_hits` take a `GroundTruth`, whose lists are
-one flat id array cut by offsets, and read its relevant rows from
-`GroundTruth.rows_in`, which resolves the lists against the database ids
-once and keeps the result while the ids are the same, so the models of one
-eval share one resolution. A single range or kNN query is one (L, N)
+The PR curve and `relevant_hits` take a `GroundTruth` (one flat id array
+cut by offsets) and read its relevant rows from `GroundTruth.rows_in`,
+which resolves the lists against each set of database ids once (by
+position when they are 0..N-1 in row order, else by search), so the models
+of one eval share one resolution. A single range or kNN query is one (L, N)
 mismatch pass over the store, plus one select of the k nearest for kNN.
 One key function (`_keys`) gives kNN its Hamming or weighted keys, for one
 code or a block. Batched kNN, the PR curve and `relevant_hits` work in blocks
@@ -335,10 +335,10 @@ def relevant_hits(hits, ids, gt: GroundTruth, queries) -> np.ndarray:
     `hits` holds database ids (a kNN result for a block of B queries) and
     `ids` the database ids, row n holding ids[n]. The lists are resolved to
     database rows once per database (`GroundTruth.rows_in`) and each hit id
-    to the row of its first occurrence; each block of queries marks its
-    relevant (query, row) cells in one mask of about BLOCK_CELLS cells,
-    reads its hits from it and clears the cells it set. An id absent from
-    the database, listed or hit, matches nothing.
+    to the row of its first occurrence (itself, when the ids are 0..N-1);
+    each block of queries marks its relevant (query, row) cells in one mask
+    of about BLOCK_CELLS cells, reads its hits from it and clears the cells
+    it set. An id absent from the database, listed or hit, matches nothing.
     """
     hits = _as_ints(hits, "hits")
     queries = _as_ints(queries, "queries")

@@ -2,7 +2,8 @@
 
 Three code families share one representation (length-L symbol arrays over
 {0, ..., K-1}, one unsigned byte per symbol up to K = 256) and one encoder,
-`encode_dataset`, which writes the (L, N) column store that every reader in
+`encode_dataset`, which takes one product of each block of rows with all L
+matrices stacked and writes the (L, N) column store that every reader in
 `evaluation` scans:
 
 * learned argmax-of-projections codes (a `HashModel` from training),
@@ -43,6 +44,10 @@ __all__ = [
 ]
 
 
+# encode_dataset's product per block of rows, in floats (1 MB) whatever N is
+ENCODE_BLOCK_CELLS = 1 << 17
+
+
 def encode_dataset(data: Dataset, model: HashModel) -> np.ndarray:
     """Encode every row of a dataset, returning an (N, L) symbol matrix.
 
@@ -51,15 +56,24 @@ def encode_dataset(data: Dataset, model: HashModel) -> np.ndarray:
     that holds K - 1 (uint8 up to K = 256), and the matrix is the transpose
     of a C-contiguous (L, N) column store: `codes.T` is the layout that
     `build_table`, `knn_hamming` and `knn_weighted` scan, with no copy.
+
+    Each block of rows takes one product with the (L * K, d) stack of all
+    projection rows and one argmax over its (rows, L, K) view. The BLAS may
+    round that product in the last bit unlike `X @ projections[l].T`, so a
+    symbol can differ from that one's only where two projections tie to
+    within that rounding.
     """
     if data.dim != model.d:
         raise ValidationError(
             f"dimension mismatch: dataset has d={data.dim}, model expects d={model.d}"
         )
-    X = data.features
-    columns = np.empty((model.L, data.n), dtype=np.min_scalar_type(model.K - 1))
-    for l in range(model.L):
-        columns[l] = np.argmax(X @ model.projections[l].T, axis=1)
+    X, L, K = data.features, model.L, model.K
+    columns = np.empty((L, data.n), dtype=np.min_scalar_type(K - 1))
+    rows = max(1, ENCODE_BLOCK_CELLS // (L * K))
+    stacked = model.projections.reshape(L * K, -1).T
+    for r0 in range(0, data.n, rows):
+        # the product is freed before the next block's is taken
+        columns[:, r0:r0 + rows] = (X[r0:r0 + rows] @ stacked).reshape(-1, L, K).argmax(axis=2).T
     return columns.T
 
 

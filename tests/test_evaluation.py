@@ -796,8 +796,10 @@ def test_single_queries_skip_the_distinct_pass(monkeypatch):
         assert calls == [9, 2, 7] and len(tie_ids) == 3
 
 
-@pytest.mark.parametrize("rows", [1, 2, None])  # queries per relevance block
-def test_relevant_hits_marks_listed_ids(monkeypatch, rows):
+@pytest.mark.parametrize(  # queries per relevance block; db ids 0..4, each its own row
+    "rows, by_position", [(1, False), (2, False), (None, False), (1, True)],
+    ids=["1", "2", "None", "by-position"])
+def test_relevant_hits_marks_listed_ids(monkeypatch, rows, by_position):
     db_ids = np.array([40, 7, 12, 3, 25])
     if rows is not None:
         monkeypatch.setattr(evaluation, "BLOCK_CELLS", rows * db_ids.size)
@@ -806,6 +808,12 @@ def test_relevant_hits_marks_listed_ids(monkeypatch, rows):
              np.array([], dtype=np.int64)]
     # -5, 8, 99 and 1000 are in no database row (they sort next to 3, 12 and
     # 40); 99 is no valid hit either, though it sorts next to the listed 40
+    if by_position:
+        # the same database with ids 0..4, and 99 renamed to 5, one past them
+        rename = {40: 0, 7: 1, 12: 2, 3: 3, 25: 4, 99: 5}
+        db_ids, hits = np.arange(5), np.vectorize(lambda i: rename.get(i, i))(hits)
+        lists = [np.array([rename.get(i, i) for i in lst], dtype=np.int64) for lst in lists]
+    assert groundtruth_from_lists(lists).rows_in(db_ids).by_position == by_position
     queries = np.arange(len(lists))
     assert relevant_hits(hits, db_ids, groundtruth_from_lists(lists), queries).tolist() == [
         [False, True, True], [False, False, False], [True, True, False], [False, False, False]]
@@ -820,11 +828,11 @@ def reference_hit_marks(hits, ids, lists):
 
 @pytest.mark.parametrize("spread", [1, 7])  # ids dense in their range, spaced apart
 def test_one_groundtruth_resolves_against_each_table(spread):
-    # one groundtruth, two tables with the same codes: ascending ids, and
+    # one groundtruth, four tables with the same codes: ascending ids,
     # permuted ids with repeats (an id on two rows) and with listed ids the
-    # table lacks. Each table gets its own rows, however often the
-    # groundtruth switches between them, and a rewritten ids array is
-    # resolved again.
+    # table lacks, ids 0..n-1 and a permutation of them. Each table gets its
+    # own rows, however often the groundtruth switches between them, and a
+    # rewritten ids array is resolved again.
     rng = seeded_rng(41)
     n, L, K, Q, k = 400, 6, 3, 30, 25
     codes = rng.integers(0, K, size=(n, L))
@@ -840,11 +848,18 @@ def test_one_groundtruth_resolves_against_each_table(spread):
         if q % 3 == 1:
             members = np.concatenate([members, rng.choice(absent, size=2, replace=False)])
         lists.append(rng.permutation(members))
+    # ids 0..n-1 in row order are found by position, a permutation of them by
+    # search; -1, n and 10**12 are listed and hit, and match no row of either
+    positions, shuffled = np.arange(n), rng.permutation(n)
+    edges = np.array([-1, n, 10 ** 12])
+    lists[1] = np.union1d(lists[1], np.concatenate([edges, rng.choice(n, 20, replace=False)]))
+    lists[4] = np.union1d(lists[4], rng.choice(n, 20, replace=False))
     gt = groundtruth_from_lists(lists)
     other = groundtruth_from_lists(lists[::-1])
     asked = np.flatnonzero([len(lst) for lst in lists])
     curves = []
-    for ids in (ascending, permuted, ascending.copy(), permuted):
+    for ids in (ascending, permuted, ascending.copy(), permuted, positions, shuffled, positions):
+        assert gt.rows_in(ids).by_position == (ids is positions)
         table = build_table(codes, ids, K)
         curve = pr_curve_by_radius(table, queries, gt)
         assert_same_curve(curve, reference_pr_curve(codes, ids, queries, gt))
@@ -859,6 +874,14 @@ def test_one_groundtruth_resolves_against_each_table(spread):
         mixed_hits = hits[np.searchsorted(asked, mixed)]
         assert relevant_hits(mixed_hits, ids, gt, mixed).tolist() == reference_hit_marks(
             mixed_hits, ids, [lists[q] for q in mixed]).tolist()
+        # ids the table lacks, among the hits
+        edge_hits = hits.copy()
+        edge_hits[:, -3:] = edges
+        edge_marks = relevant_hits(edge_hits, ids, gt, asked)
+        if ids is positions or ids is shuffled:
+            assert not edge_marks[:, -3:].any()
+        assert edge_marks.tolist() == reference_hit_marks(
+            edge_hits, ids, [lists[q] for q in asked]).tolist()
     assert [c[2] for c in curves[0]] != [c[2] for c in curves[1]]  # a stale resolution would show
     # equal ids in another array reuse the resolution; rewritten ids do not
     ids = ascending.copy()

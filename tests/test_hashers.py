@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from rankhash import (
     ValidationError,
     seeded_rng,
 )
+from rankhash import hashers
 from rankhash.hashers import (
     LshSpec,
     WtaSpec,
@@ -106,19 +109,73 @@ def test_encode_dataset_symbol_range():
     assert codes.min() >= 0 and codes.max() < 4
 
 
-@pytest.mark.parametrize("K", [2, 4, 256, 257])
-def test_encode_dataset_writes_a_column_store(K):
+def _encode_model(form, L, K, d, seed):
+    """A projection model of one of the three code families."""
+    if form == "lsh":  # a hyperplane row and a zero row per bit
+        return lsh_as_rsh(LshSpec(seeded_rng(seed).integers(-3, 4, (L, d)).astype(float)))
+    if form == "wta":  # standard basis rows
+        return wta_as_rsh(make_wta_spec(L, K, d, seeded_rng(seed)))
+    return make_model(L, K, d, seed=seed)
+
+
+@pytest.mark.parametrize("form, L, K, n, cells", [
+    *(pytest.param("rsh", 3, K, 50, None, id=str(K)) for K in (2, 4, 256, 257)),
+    # blocks of 2^17 cells / (4 * 32) = 1024 rows: one row, one block and a
+    # row, two blocks and a row
+    pytest.param("rsh", 4, 32, 1, None, id="one-row"),
+    pytest.param("rsh", 4, 32, 1025, None, id="block+1"),
+    pytest.param("rsh", 4, 32, 2049, None, id="two-blocks+1"),
+    # blocks of 5 rows: N one below, at and above a block's row count
+    *(pytest.param("rsh", 3, 4, n, 60, id=f"5-row-blocks-n{n}") for n in (1, 4, 5, 6)),
+    # L * K above a block's cells: each block holds one row
+    pytest.param("rsh", 3, 5, 7, 8, id="row-blocks"),
+    pytest.param("lsh", 6, 2, 50, None, id="lsh"),
+    pytest.param("lsh", 6, 2, 50, 5, id="lsh-row-blocks"),
+    pytest.param("wta", 5, 4, 50, None, id="wta"),
+    pytest.param("wta", 5, 4, 50, 7, id="wta-row-blocks"),
+])
+def test_encode_dataset_writes_a_column_store(monkeypatch, form, L, K, n, cells):
     # the (N, L) codes are the transpose of a C-contiguous (L, N) store in
-    # the smallest unsigned dtype that holds K - 1: uint8, uint16 from 257
-    model = make_model(3, K, 6, seed=K)
-    data = Dataset(seeded_rng(K + 1).standard_normal((50, 6)), np.arange(50))
-    codes = encode_dataset(data, model)
+    # the smallest unsigned dtype that holds K - 1: uint8, uint16 from 257;
+    # every block of the one stacked product gives each position the
+    # symbol of that position's own product, ties to the smallest index
+    if cells is not None:
+        monkeypatch.setattr(hashers, "ENCODE_BLOCK_CELLS", cells)
+    model = _encode_model(form, L, K, 6, seed=K + n)
+    X = seeded_rng(K + 1).standard_normal((n, 6))
+    if form == "lsh":
+        # small integers: many rows lie exactly on a hyperplane, where its
+        # projection ties the zero row's 0 and the symbol is 0
+        X = np.round(2 * X)
+        on_plane = X @ model.projections[:, 0].T == 0
+        assert on_plane.sum() > 10
+    codes = encode_dataset(Dataset(X, np.arange(n)), model)
     assert codes.dtype == np.min_scalar_type(K - 1)
     assert codes.dtype == (np.uint8 if K <= 256 else np.uint16)
-    assert codes.shape == (50, 3) and codes.T.flags.c_contiguous
-    for l in range(3):
-        want = [rsh_encode(x, model.projections[l]) for x in data.features]
-        assert np.array_equal(codes[:, l], want)
+    assert codes.shape == (n, L) and codes.T.flags.c_contiguous
+    for l in range(L):
+        P = model.projections[l]
+        assert np.array_equal(codes[:, l], np.argmax(X @ P.T, axis=1))
+        assert np.array_equal(codes[:, l], [rsh_encode(x, P) for x in X])
+    if form == "lsh":
+        assert (codes[on_plane] == 0).all()
+
+
+def test_encode_dataset_transient_memory_is_one_block():
+    # beyond its (L, N) result, encode holds about one block's product
+    # (ENCODE_BLOCK_CELLS floats) and its argmax, whatever N is
+    L, K = 8, 4
+    model = make_model(L, K, 16, seed=3)
+    block_bytes = hashers.ENCODE_BLOCK_CELLS * 8
+    for n in (5_000, 80_000):
+        data = Dataset(seeded_rng(n).standard_normal((n, 16)), np.arange(n))
+        tracemalloc.start()
+        try:
+            codes = encode_dataset(data, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - codes.nbytes < 1.5 * block_bytes, (n, peak)
 
 
 # ----------------------------------------------------------------- wta
