@@ -7,68 +7,13 @@ against data-agnostic winner-take-all and random-hyperplane baselines at
 equal packed-bit budgets.
 """
 
-from .core import (
-    MAX_SEED,
-    Dataset,
-    FormatError,
-    HashModel,
-    Hyperparams,
-    PairSet,
-    RankHashError,
-    ValidationError,
-    child_seed,
-    init_projection,
-    load_model,
-    save_model,
-    seeded_rng,
-)
-from .data import (
-    GroundTruth,
-    PcaBasis,
-    apply_center_and_normalize,
-    apply_pca,
-    calibrate_groundtruth,
-    calibrate_pair_threshold,
-    fit_pca,
-    groundtruth_from_labels,
-    load_csv,
-    load_fvec,
-    make_pairs,
-    make_pairs_from_labels,
-    row_normalize,
-    save_fvec,
-    split_dataset,
-    synth_clusters,
-)
-from .evaluation import (
-    HashTable,
-    aggregate_runs,
-    average_precision,
-    build_table,
-    knn_hamming,
-    knn_weighted,
-    lookup,
-    pr_curve_by_radius,
-    relevant_hits,
-)
-from .hashers import (
-    LshSpec,
-    WtaSpec,
-    encode_dataset,
-    lsh_as_rsh,
-    make_lsh_spec,
-    make_wta_spec,
-    symbol_bits,
-    wta_as_rsh,
-)
-from .learning import (
-    BitTrace,
-    ObjectiveValues,
-    TrainLog,
-    boost_step,
-    objective,
-    train_rsh,
-    train_srsh,
-)
+from . import core, data, evaluation, hashers, learning
+from .core import *
+from .data import *
+from .evaluation import *
+from .hashers import *
+from .learning import *
+
+__all__ = [*core.__all__, *data.__all__, *evaluation.__all__, *hashers.__all__, *learning.__all__]
 
 __version__ = "0.1.0"

@@ -198,7 +198,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    return parse_config(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _hyperparams(cfg: ExperimentConfig, **overrides) -> Hyperparams:

@@ -93,15 +93,22 @@ def _as_count(name: str, value, low: int, high: int | None = None) -> int:
     return int(value)
 
 
+def _real_or_nan(value) -> float:
+    """An int, float or numpy number as a float (an int beyond the float range
+    as an infinity of its sign), and anything else, a bool or a string, as NaN."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _as_real(name: str, value, low: float, high: float = math.inf, open: bool = False) -> float:
     """A real parameter as a finite float in [low, high], or in (low, high)
     when `open` is set: an int, float or numpy number, never a bool or a
     string. The message opens with the bare `name`, as `_as_count`'s does."""
-    try:
-        real = (float(value) if isinstance(value, (int, float, np.integer, np.floating))
-                and not isinstance(value, bool) else math.nan)
-    except OverflowError:  # an int beyond the float range
-        real = math.inf
+    real = _real_or_nan(value)
     if not (math.isfinite(real) and (low < real < high if open else low <= real <= high)):
         left, right = "()" if open else "[]"
         bounds = (f"{'>' if open else '>='} {low:g}" if high == math.inf

@@ -2,9 +2,9 @@
 
 File formats:
 
-* CSV: UTF-8, comma separated, one row per vector, optional header line
-  (detected by any non-numeric field in the first line). Blank lines are
-  skipped. Parse failures name the offending line.
+* CSV: UTF-8 with or without a byte-order mark, comma separated, one row
+  per vector, optional header line (any non-numeric field in the first
+  line). Blank lines are skipped. Parse failures name the offending line.
 * Binary vectors ("RSHV1"): magic b"RSHV1", then N and d as unsigned 64-bit
   little-endian, then N*d float32 values, row-major little-endian. Parse
   failures name the byte offset.
@@ -29,6 +29,7 @@ from .core import (
     _as_ints,
     _as_real,
     _frozen_array,
+    _real_or_nan,
 )
 
 __all__ = [
@@ -55,34 +56,19 @@ _VEC_MAGIC = b"RSHV1"
 
 def load_csv(path) -> Dataset:
     """Load a CSV of feature rows; ids are assigned 0..N-1 in file order."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
+    lines = [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
+             if (line := raw.strip())]
     rows = []
-    width = None
-    header_skipped = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for index, (lineno, line) in enumerate(lines):
         fields = [f.strip() for f in line.split(",")]
-        if not rows and not header_skipped:
-            try:
-                rows.append([float(f) for f in fields])
-                width = len(fields)
-                continue
-            except ValueError:
-                header_skipped = True
-                continue
-        if width is not None and len(fields) != width:
-            raise FormatError(
-                f"line {lineno}: expected {width} fields, got {len(fields)}"
-            )
+        if rows and len(fields) != len(rows[0]):
+            raise FormatError(f"line {lineno}: expected {len(rows[0])} fields, got {len(fields)}")
         try:
-            parsed = [float(f) for f in fields]
+            rows.append([float(f) for f in fields])
         except ValueError as exc:
-            raise FormatError(f"line {lineno}: non-numeric field ({exc})") from exc
-        if width is None:
-            width = len(fields)
-        rows.append(parsed)
+            if index:  # a non-numeric first line is the header
+                raise FormatError(f"line {lineno}: non-numeric field ({exc})") from exc
     if not rows:
         raise FormatError("no data rows found")
     return Dataset.from_features(np.asarray(rows, dtype=np.float64))
@@ -726,10 +712,10 @@ def make_pairs(db: Dataset, gt_threshold: float, max_pairs: int, pos_fraction: f
                rng: np.random.Generator) -> PairSet:
     """Sample supervised pairs without replacement from all row pairs.
 
-    A pair is similar (s=1) when its Euclidean distance is <= gt_threshold
-    (NaN is rejected; inf makes every pair similar). Sampling targets
-    pos_fraction similar pairs, falling back to whatever is available; pairs
-    come out in canonical sorted order.
+    A pair is similar (s=1) when its Euclidean distance is <= gt_threshold,
+    a number (not a bool, a string or NaN; inf makes every pair similar).
+    Sampling targets pos_fraction similar pairs, falling back to whatever is
+    available; pairs come out in canonical sorted order.
 
     The similar pairs are those `calibrate_pair_threshold(db, ...)` listed
     when gt_threshold is the threshold it returned; any other threshold
@@ -737,9 +723,9 @@ def make_pairs(db: Dataset, gt_threshold: float, max_pairs: int, pos_fraction: f
     """
     if db.n < 2:
         raise ValidationError("need at least two points to form pairs")
-    threshold = float(gt_threshold)
-    if np.isnan(threshold):
-        raise ValidationError("gt_threshold must not be NaN")
+    threshold = _real_or_nan(gt_threshold)
+    if math.isnan(threshold):
+        raise ValidationError(f"gt_threshold must be a number other than NaN, got {gt_threshold!r}")
     _check_sampling(max_pairs, pos_fraction)
     if db._similar_pairs is not None and db._similar_pairs[0] == threshold:
         similar = db._similar_pairs[1]

@@ -7,8 +7,7 @@ package code calls it:
 * learning: `pair_error`, `loss_adjusted_inference` (the K x K scan),
   `surrogate_pair`, `pair_gradient_step` (the public-pieces training step)
   and `objective_arrays` (the objective over an (n, K, K) cell tensor);
-* hashers: `rsh_encode`, `wta_encode` and `lsh_encode` for one vector, and
-  `pack_code`/`unpack_code`/`code_bit_length`, the big-endian bit packing;
+* hashers: `rsh_encode`, `wta_encode` and `lsh_encode` for one vector;
 * data: `center_and_normalize`, which fits the mean it applies, and
   `groundtruth_from_lists` with its reader `neighbor_list`, the per-query
   list form of a `GroundTruth`.
@@ -23,9 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from rankhash.core import Dataset, FormatError, Hyperparams, ValidationError
+from rankhash.core import Dataset, Hyperparams, ValidationError
 from rankhash.data import GroundTruth, apply_center_and_normalize
-from rankhash.hashers import LshSpec, WtaSpec, symbol_bits
+from rankhash.hashers import LshSpec, WtaSpec
 
 # ----------------------------------------------------------------- learning
 
@@ -221,55 +220,6 @@ def lsh_encode(x, spec: LshSpec) -> np.ndarray:
             f"dimension mismatch: vector has shape {x.shape}, spec expects ({spec.d},)"
         )
     return (spec.hyperplanes @ x >= 0).astype(np.int64)
-
-
-def code_bit_length(L: int, K: int) -> int:
-    """Packed length in bits of a length-L code over K symbols."""
-    if not isinstance(L, (int, np.integer)) or L < 1:
-        raise ValidationError("L must be an integer >= 1")
-    return int(L) * symbol_bits(K)
-
-
-def pack_code(code, K: int) -> bytes:
-    """Pack symbols into bytes, big-endian per symbol, zero-padded at the end."""
-    bits = symbol_bits(K)
-    code = np.asarray(code)
-    if code.ndim != 1 or code.size < 1:
-        raise ValidationError("code must be a non-empty 1-D sequence")
-    if not np.issubdtype(code.dtype, np.integer):
-        raise ValidationError("code symbols must be integers")
-    acc = 0
-    for sym in code.tolist():
-        if not 0 <= sym < K:
-            raise ValidationError(f"symbol {sym} out of range for K={K}")
-        acc = (acc << bits) | sym
-    total = bits * code.size
-    pad = (-total) % 8
-    return (acc << pad).to_bytes((total + pad) // 8, "big")
-
-
-def unpack_code(packed: bytes, L: int, K: int) -> np.ndarray:
-    """Invert `pack_code`, validating length, padding, and symbol range."""
-    bits = symbol_bits(K)
-    if not isinstance(L, (int, np.integer)) or L < 1:
-        raise ValidationError("L must be an integer >= 1")
-    total = bits * int(L)
-    nbytes = (total + 7) // 8
-    if len(packed) != nbytes:
-        raise FormatError(f"expected {nbytes} packed bytes for L={L}, K={K}, got {len(packed)}")
-    acc = int.from_bytes(packed, "big")
-    pad = nbytes * 8 - total
-    if acc & ((1 << pad) - 1):
-        raise FormatError("nonzero padding bits in packed code")
-    acc >>= pad
-    mask = (1 << bits) - 1
-    out = np.empty(int(L), dtype=np.int64)
-    for l in range(int(L)):
-        sym = (acc >> (bits * (int(L) - 1 - l))) & mask
-        if sym >= K:
-            raise FormatError(f"symbol {sym} out of range for K={K} at position {l}")
-        out[l] = sym
-    return out
 
 
 # --------------------------------------------------------------------- data

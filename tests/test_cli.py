@@ -226,6 +226,18 @@ def test_preprocess_rerun_is_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_preprocess_reads_a_config_with_a_byte_order_mark(tmp_path):
+    # read as plain UTF-8, a BOM makes the first key "\ufeffsynthetic", unknown
+    cfg = write_config(tmp_path)
+    plain, bom = tmp_path / "plain", tmp_path / "bom"
+    assert main(["preprocess", "--config", str(cfg), "--out", str(plain)]) == 0
+    cfg.write_text(cfg.read_text().lstrip(), encoding="utf-8-sig")
+    assert cfg.read_bytes().startswith(b"\xef\xbb\xbfsynthetic")
+    assert main(["preprocess", "--config", str(cfg), "--out", str(bom)]) == 0
+    for name in ("train.rshv", "query.rshv", "manifest.json"):
+        assert (bom / name).read_bytes() == (plain / name).read_bytes()
+
+
 def test_preprocess_full_rank_pca_preserves_distances(tmp_path):
     base = BASE.replace("methods = rsh", "methods = rsh\ncenter = false")
     raw_cfg = write_config(tmp_path, base=base)

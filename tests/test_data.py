@@ -63,6 +63,17 @@ def test_load_csv_non_numeric_names_line(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("header", ["", "x,y\n"], ids=["no-header", "header"])
+def test_load_csv_drops_a_byte_order_mark(tmp_path, header):
+    # Excel's "CSV UTF-8" opens the file with a BOM; a plain UTF-8 read keeps
+    # it in the first field, so a headerless file's first row looks like a header
+    path = tmp_path / "d.csv"
+    path.write_text(header + "1,2\n3,4\n5,6\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    data = load_csv(path)
+    assert np.array_equal(data.features, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
+
 def test_fvec_round_trip(tmp_path):
     rng = seeded_rng(0)
     data = Dataset(rng.standard_normal((17, 5)), np.arange(17))
@@ -396,6 +407,23 @@ def test_make_pairs_rejects_nan_threshold():
     data = Dataset(np.array([[0.0], [1.0], [3.0]]), np.arange(3))
     with pytest.raises(ValidationError, match="NaN"):
         make_pairs(data, float("nan"), 10, 0.5, seeded_rng(22))
+
+
+@pytest.mark.parametrize("threshold, similar", [
+    ("0.5", None), (True, None), (None, None),
+    (np.float32(0.5), [1, 0, 0]), (-1.0, [0, 0, 0]), (math.inf, [1, 1, 1]),
+], ids=["str", "bool", "none", "float32", "negative", "inf"])
+def test_make_pairs_takes_a_number_threshold(threshold, similar):
+    # an int, float or numpy number, as `_as_real` takes; float() would also
+    # take a string or a bool and sample at its value
+    data = Dataset(np.array([[0.0], [0.25], [3.0]]), np.arange(3))
+    if similar is None:
+        with pytest.raises(ValidationError, match="^gt_threshold "):
+            make_pairs(data, threshold, 10, 0.5, seeded_rng(22))
+    else:
+        pairs = make_pairs(data, threshold, 10, 0.5, seeded_rng(22))
+        assert list(zip(pairs.i, pairs.j, pairs.s)) == [(0, 1, similar[0]), (0, 2, similar[1]),
+                                                       (1, 2, similar[2])]
 
 
 def test_samplers_reject_bool_max_pairs():

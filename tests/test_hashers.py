@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from rankhash import (
     Dataset,
-    FormatError,
     Hyperparams,
     HashModel,
     ValidationError,
@@ -25,14 +24,7 @@ from rankhash.hashers import (
     wta_as_rsh,
 )
 
-from oracles import (
-    code_bit_length,
-    lsh_encode,
-    pack_code,
-    rsh_encode,
-    unpack_code,
-    wta_encode,
-)
+from oracles import lsh_encode, rsh_encode, wta_encode
 
 
 def test_rsh_encode_identity_projection():
@@ -251,50 +243,10 @@ def test_lsh_as_rsh_preserves_hamming():
     assert np.array_equal(codes, 1 - bits)
 
 
-# ------------------------------------------------------------- packing
+# --------------------------------------------------------- symbol width
 
 
 def test_symbol_bits():
     assert symbol_bits(2) == 1
     assert symbol_bits(4) == 2
     assert symbol_bits(5) == 3
-
-
-def test_code_bit_length():
-    assert code_bit_length(6, 4) == 12
-
-
-def test_pack_code_frozen_example():
-    assert pack_code(np.array([1, 0, 1]), 2) == b"\xa0"
-
-
-def test_pack_rejects_out_of_range_symbol():
-    with pytest.raises(ValidationError):
-        pack_code(np.array([0, 2]), 2)
-
-
-def test_unpack_rejects_bad_length_and_padding():
-    packed = pack_code(np.array([1, 0, 1]), 2)
-    with pytest.raises(FormatError):
-        unpack_code(packed + b"\x00", 3, 2)
-    with pytest.raises(FormatError):
-        unpack_code(b"\xa1", 3, 2)  # stray bit in the zero padding
-
-
-def test_unpack_rejects_symbol_at_k():
-    # 2-bit fields can hold 3, which is outside K=3
-    packed = pack_code(np.array([2, 2]), 4)
-    with pytest.raises(FormatError):
-        unpack_code(b"\xf0", 2, 3)
-    assert np.array_equal(unpack_code(packed, 2, 4), [2, 2])
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    K=st.integers(min_value=2, max_value=8),
-    L=st.integers(min_value=1, max_value=40),
-    seed=st.integers(min_value=0, max_value=2**32),
-)
-def test_pack_unpack_round_trip(K, L, seed):
-    code = seeded_rng(seed).integers(0, K, size=L)
-    assert np.array_equal(unpack_code(pack_code(code, K), L, K), code)

@@ -30,6 +30,10 @@ def test_every_module_all_name_exists_and_is_reexported():
             assert getattr(rankhash, name) is getattr(module, name), name
         union.update(module.__all__)
     assert exported() == union
+    assert len(rankhash.__all__) == len(union) and set(rankhash.__all__) == union
+    namespace = {}
+    exec("from rankhash import *", namespace)  # binds no submodule
+    assert set(namespace) - {"__builtins__"} == union
 
 
 def test_no_oracle_is_exported():
