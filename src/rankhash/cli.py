@@ -313,8 +313,8 @@ def _transform(cfg: ExperimentConfig, train: Dataset, query: Dataset):
     if cfg.center:
         mean = train.features.mean(axis=0)
         artifacts["center_mean"] = mean
-        train = Dataset(train.features - mean, train.ids)
-        query = Dataset(query.features - mean, query.ids)
+        train = Dataset._adopt(train.features - mean, train.ids)
+        query = Dataset._adopt(query.features - mean, query.ids)
     if cfg.pca > 0:
         basis = fit_pca(train, cfg.pca)
         artifacts["pca_mean"] = basis.mean

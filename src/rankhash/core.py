@@ -154,6 +154,11 @@ def _frozen_array(values, dtype, name: str) -> np.ndarray:
     return out
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    """No NaN or inf in a non-empty float array: min() and max() carry both."""
+    return bool(np.isfinite(values.min()) and np.isfinite(values.max()))
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Dense feature matrix plus stable integer row identities.
@@ -168,21 +173,33 @@ class Dataset:
     _similar_pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        feats = _frozen_array(self.features, np.float64, "features")
+        self._hold(_frozen_array(self.features, np.float64, "features"),
+                   _frozen_array(self.ids, np.int64, "ids"))
+
+    @classmethod
+    def _adopt(cls, features: np.ndarray, ids: np.ndarray) -> "Dataset":
+        """Hold, not copy, the float64 C-contiguous `features` a library function
+        has just made, and int64 `ids` made with them or another Dataset's."""
+        assert features.dtype == np.float64 and features.flags.c_contiguous and features.flags.owndata
+        return object.__new__(cls)._hold(features, ids)
+
+    def _hold(self, feats: np.ndarray, ids: np.ndarray) -> "Dataset":
         if feats.ndim != 2:
             raise ValidationError("features must be a 2-D array")
         n, d = feats.shape
         if n < 1 or d < 1:
             raise ValidationError("features must have at least one row and one column")
-        if not np.all(np.isfinite(feats)):
+        if not _all_finite(feats):
             raise ValidationError("features must be finite")
-        ids = _frozen_array(self.ids, np.int64, "ids")
         if ids.shape != (n,):
             raise ValidationError("ids must be a 1-D array with one entry per row")
-        if np.unique(ids).size != n:
+        if not (ids[1:] > ids[:-1]).all() and np.unique(ids).size != n:  # ascending: no sort
             raise ValidationError("ids must be unique")
+        feats.setflags(write=False)
+        ids.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "ids", ids)
+        return self
 
     @classmethod
     def from_features(cls, features) -> "Dataset":
@@ -200,7 +217,7 @@ class Dataset:
     def subset(self, rows) -> "Dataset":
         """Select rows (keeping their ids) as a new Dataset."""
         rows = _as_ints(rows, "rows")
-        return Dataset(self.features[rows], self.ids[rows])
+        return Dataset._adopt(self.features[rows], self.ids[rows])
 
 
 @dataclass(frozen=True)

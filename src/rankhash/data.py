@@ -4,7 +4,9 @@ File formats:
 
 * CSV: UTF-8 with or without a byte-order mark, comma separated, one row
   per vector, optional header line (any non-numeric field in the first
-  line). Blank lines are skipped. Parse failures name the offending line.
+  line; a field is numeric if it is ASCII, has no `_` and float() reads
+  it). Blank lines are skipped. Parse failures, a number that is not
+  finite among them, name the offending line.
 * Binary vectors ("RSHV1"): magic b"RSHV1", then N and d as unsigned 64-bit
   little-endian, then N*d float32 values, row-major little-endian. Parse
   failures name the byte offset.
@@ -25,6 +27,7 @@ from .core import (
     PairSet,
     RankHashError,
     ValidationError,
+    _all_finite,
     _as_count,
     _as_ints,
     _as_real,
@@ -54,6 +57,12 @@ __all__ = [
 _VEC_MAGIC = b"RSHV1"
 
 
+def _csv_number(field: str) -> float:
+    if field.isascii() and "_" not in field:
+        return float(field)
+    raise ValueError(f"could not convert string to float: {field!r}")
+
+
 def load_csv(path) -> Dataset:
     """Load a CSV of feature rows; ids are assigned 0..N-1 in file order."""
     text = Path(path).read_text(encoding="utf-8-sig")
@@ -65,13 +74,17 @@ def load_csv(path) -> Dataset:
         if rows and len(fields) != len(rows[0]):
             raise FormatError(f"line {lineno}: expected {len(rows[0])} fields, got {len(fields)}")
         try:
-            rows.append([float(f) for f in fields])
+            row = [_csv_number(f) for f in fields]
         except ValueError as exc:
             if index:  # a non-numeric first line is the header
                 raise FormatError(f"line {lineno}: non-numeric field ({exc})") from exc
+            continue
+        if not all(finite := [math.isfinite(v) for v in row]):
+            raise FormatError(f"line {lineno}: non-finite field {fields[finite.index(False)]!r}")
+        rows.append(row)
     if not rows:
         raise FormatError("no data rows found")
-    return Dataset.from_features(np.asarray(rows, dtype=np.float64))
+    return Dataset._adopt(np.asarray(rows, dtype=np.float64), np.arange(len(rows)))
 
 
 def load_fvec(path) -> Dataset:
@@ -96,7 +109,7 @@ def load_fvec(path) -> Dataset:
     if n < 1 or d < 1:
         raise FormatError(f"invalid shape N={n}, d={d} at offset 5")
     feats = np.frombuffer(data, dtype="<f4", count=n * d, offset=pos).reshape(n, d)
-    return Dataset.from_features(feats.astype(np.float64))
+    return Dataset._adopt(feats.astype(np.float64), np.arange(n))
 
 
 def _check_float32(*datasets: Dataset) -> None:
@@ -112,15 +125,22 @@ def save_fvec(data: Dataset, path) -> None:
     """Write a dataset in RSHV1 form (values rounded to float32); features
     that float32 rounds to inf are refused and nothing is written."""
     _check_float32(data)
-    blob = bytearray()
-    blob += _VEC_MAGIC
-    blob += struct.pack("<QQ", data.n, data.dim)
-    blob += data.features.astype("<f4").tobytes(order="C")
-    Path(path).write_bytes(bytes(blob))
+    payload = data.features.astype("<f4")
+    with open(path, "wb") as out:
+        out.writelines((_VEC_MAGIC + struct.pack("<QQ", data.n, data.dim), payload))
 
 
 # below this norm the sum of squares is not a normal float
 _SMALLEST_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
+
+
+def _row_norms(X: np.ndarray, block_cells: int = 2**15) -> np.ndarray:
+    """np.linalg.norm(X, axis=1) bit for bit (each row is reduced on its
+    own), squaring about `block_cells` entries (256 KB) at a time."""
+    norms, step = np.empty(X.shape[0]), max(1, block_cells // X.shape[1])
+    for r0 in range(0, X.shape[0], step):
+        np.sqrt(np.add.reduce(X[r0:r0 + step] ** 2, axis=1), out=norms[r0:r0 + step])
+    return norms
 
 
 def row_normalize(data: Dataset) -> Dataset:
@@ -129,26 +149,27 @@ def row_normalize(data: Dataset) -> Dataset:
     sum of squares falls below the smallest normal float (entries near
     1e-154 and below) is measured after dividing by its largest entry, so
     it too comes out at unit norm instead of kept as if it were zero."""
-    X = data.features
+    return apply_center_and_normalize(data, np.zeros(data.dim))
+
+
+def apply_center_and_normalize(data: Dataset, mean) -> Dataset:
+    """Subtract a stored training mean, then scale rows as `row_normalize` does."""
+    mean = np.asarray(mean, dtype=np.float64)
+    if mean.shape != (data.dim,):
+        raise ValidationError("mean length must match the feature dimension")
+    X = data.features - mean
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(X, axis=1)
-    if not np.isfinite(norms).all():
-        raise ValidationError("row norms overflow the float range")
+        norms = _row_norms(X)
+    if not np.isfinite(norms).all():  # a mean can make X itself non-finite
+        raise ValidationError("features must be finite" if not _all_finite(X)
+                              else "row norms overflow the float range")
     tiny = np.flatnonzero(norms < _SMALLEST_NORM)
     if tiny.size:
         peak = np.abs(X[tiny]).max(axis=1, keepdims=True)
         peak[peak == 0] = 1.0
         norms[tiny] = np.linalg.norm(X[tiny] / peak, axis=1) * peak[:, 0]
-    safe = np.where(norms == 0, 1.0, norms)
-    return Dataset(X / safe[:, None], data.ids)
-
-
-def apply_center_and_normalize(data: Dataset, mean) -> Dataset:
-    """Apply a stored training mean, then unit-normalize each row."""
-    mean = np.asarray(mean, dtype=np.float64)
-    if mean.shape != (data.dim,):
-        raise ValidationError("mean length must match the feature dimension")
-    return row_normalize(Dataset(data.features - mean, data.ids))
+    X /= np.where(norms == 0, 1.0, norms)[:, None]
+    return Dataset._adopt(X, data.ids)
 
 
 @dataclass(frozen=True)
@@ -201,7 +222,7 @@ def apply_pca(basis: PcaBasis, data: Dataset) -> Dataset:
     """Project rows onto the basis: (x - mean) @ components.T."""
     if data.dim != basis.mean.shape[0]:
         raise ValidationError("dataset dimension does not match the basis")
-    return Dataset((data.features - basis.mean) @ basis.components.T, data.ids)
+    return Dataset._adopt((data.features - basis.mean) @ basis.components.T, data.ids)
 
 
 @dataclass(frozen=True)
@@ -793,11 +814,13 @@ def synth_clusters(n_clusters: int, per_cluster: int, d: int, separation: float,
         if not np.isfinite(centers).all():
             raise too_far
         labels = np.repeat(np.arange(n_clusters, dtype=np.int64), per_cluster)
-        noise = rng.standard_normal((n_clusters * per_cluster, d)) * noise_sigma
-        features = centers[labels] + noise
-    if not np.isfinite(features).all():
+        features = rng.standard_normal((n_clusters * per_cluster, d))
+        features *= noise_sigma
+        clusters = features.reshape(n_clusters, per_cluster, d)
+        clusters += centers[:, None, :]
+    if not _all_finite(features):
         raise ValidationError("noise_sigma is too large: the noisy points overflow the float range")
-    return Dataset.from_features(features), labels
+    return Dataset._adopt(features, np.arange(features.shape[0])), labels
 
 
 def split_dataset(data: Dataset, n_train: int, n_query: int,

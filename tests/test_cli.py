@@ -739,6 +739,17 @@ def test_corrupt_data_exits_4(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:format:")
 
 
+def test_non_finite_csv_field_exits_4(tmp_path, capsys):
+    # Dataset refused the whole file as data (exit 5), naming no line
+    csv = tmp_path / "points.csv"
+    csv.write_text("".join(f"{i},{i + 1}\n" for i in range(40)).replace("7,8", "7,1e400"))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"input = {csv}\ntrain_count = 20\nquery_count = 10\nmethods = rsh\n")
+    code = main(["preprocess", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 4
+    assert capsys.readouterr().err == "error:format: line 8: non-finite field '1e400'\n"
+
+
 def test_invalid_split_exits_5(tmp_path, capsys):
     csv = tmp_path / "tiny.csv"
     csv.write_text("\n".join(f"{i},{i + 1}" for i in range(10)) + "\n")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankhash import cli
 from rankhash import (
     Dataset,
     FormatError,
@@ -19,6 +20,8 @@ from rankhash import (
     PcaBasis,
     WtaSpec,
     aggregate_runs,
+    apply_center_and_normalize,
+    apply_pca,
     boost_step,
     build_table,
     calibrate_groundtruth,
@@ -27,11 +30,15 @@ from rankhash import (
     groundtruth_from_labels,
     knn_hamming,
     knn_weighted,
+    load_csv,
+    load_fvec,
     make_lsh_spec,
     make_pairs,
     make_pairs_from_labels,
     make_wta_spec,
     relevant_hits,
+    row_normalize,
+    save_fvec,
     seeded_rng,
     split_dataset,
     synth_clusters,
@@ -114,6 +121,18 @@ def test_dataset_rejects_nan():
         Dataset.from_features([[1.0, float("nan")]])
 
 
+@pytest.mark.parametrize("build", [Dataset, lambda f, i: Dataset._adopt(f, i)],
+                         ids=["constructor", "hand-over"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_dataset_rejects_nan_and_inf_among_finite_values(build, bad):
+    # min() and max() carry NaN, and one of them each infinity; a lone +inf
+    # leaves min() finite and a lone -inf max()
+    feats = np.arange(12.0).reshape(4, 3).copy()
+    feats[2, 1] = bad
+    with pytest.raises(ValidationError, match="^features must be finite$"):
+        build(feats, np.arange(4))
+
+
 def test_dataset_rejects_duplicate_ids():
     with pytest.raises(ValidationError):
         Dataset(np.zeros((2, 3)), np.array([5, 5]))
@@ -130,6 +149,41 @@ def test_dataset_subset_keeps_ids():
     sub = data.subset([2, 0])
     assert np.array_equal(sub.ids, [12, 10])
     assert np.array_equal(sub.features[0], data.features[2])
+    # ids that are unique but not ascending take the sorting check
+    assert np.array_equal(sub.subset([1, 0]).ids, [10, 12])
+    assert np.array_equal(Dataset(np.zeros((3, 2)), [5, -2, 9]).ids, [5, -2, 9])
+    for rows in ([1, 3, 1], [0, 0, 2]):  # a repeat after the sort, and in ascending ids
+        with pytest.raises(ValidationError, match="^ids must be unique$"):
+            data.subset(rows)
+
+
+def test_handed_over_arrays_are_read_only(tmp_path, monkeypatch):
+    # each library function that hands the arrays it has just made to a
+    # Dataset, without a copy, still returns read-only ones
+    base = Dataset(np.arange(1.0, 13.0).reshape(4, 3) ** 1.5, np.array([7, 3, 9, 1]))
+    csv = tmp_path / "d.csv"
+    csv.write_text("1,2\n3,4\n")
+    save_fvec(base, tmp_path / "d.rshv")
+    # without row_normalize, _transform returns its centered datasets
+    monkeypatch.setattr(cli, "row_normalize", lambda data: data)
+    sites = {
+        "load_csv": [load_csv(csv)],
+        "load_fvec": [load_fvec(tmp_path / "d.rshv")],
+        "subset": [base.subset([2, 0])],
+        "split_dataset": split_dataset(base, 2, 1, seeded_rng(0)),
+        "synth_clusters": synth_clusters(2, 3, 2, 1.0, 0.1, seeded_rng(0))[:1],
+        "apply_pca": [apply_pca(fit_pca(base, 2), base)],
+        "row_normalize": [row_normalize(base)],
+        "apply_center_and_normalize": [apply_center_and_normalize(base, np.ones(3))],
+        "cli._transform": cli._transform(cli.ExperimentConfig(center=True), base,
+                                         base.subset([0, 2]))[:2],
+    }
+    for site, datasets in sites.items():
+        for data in datasets:
+            for a in (data.features, data.ids):
+                assert not a.flags.writeable and a.flags.c_contiguous, site
+                with pytest.raises(ValueError):
+                    a[0] = 0
 
 
 def test_pairset_canonical_only():

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rankhash import cli
@@ -47,6 +47,9 @@ def test_load_csv_skips_header_and_blank_lines(tmp_path):
     path.write_text("x,y\n1,2\n\n3,4\n")
     data = load_csv(path)
     assert np.array_equal(data.features, [[1.0, 2.0], [3.0, 4.0]])
+    # fields that float() reads but that are not numeric make a header too
+    path.write_text("1_0,\uff13\n1,2\n\n3,4\n", encoding="utf-8")
+    assert np.array_equal(load_csv(path).features, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_load_csv_ragged_names_line(tmp_path):
@@ -60,6 +63,24 @@ def test_load_csv_non_numeric_names_line(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("1,2\n3,oops\n")
     with pytest.raises(FormatError, match="line 2"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,2\nnan,3\n", "^line 2: non-finite field 'nan'$"),
+    ("1,2\n3,inf\n", "^line 2: non-finite field 'inf'$"),
+    ("1,2\n1e400,3\n", "^line 2: non-finite field '1e400'$"),
+    ("1,2\n1_0,3\n", "^line 2: non-numeric field .*'1_0'"),
+    ("1,2\n\uff13,3\n", "^line 2: non-numeric field .*'\uff13'"),
+    ("nan,2\n1,3\n", "^line 1: non-finite field 'nan'$"),
+], ids=["nan", "inf", "1e400", "underscore", "full-width-digit", "nan-on-line-1"])
+def test_load_csv_reads_finite_ascii_numbers_only(tmp_path, text, message):
+    # float() reads every one of these fields: the non-finite ones made
+    # Dataset refuse the whole file, naming no line, and 1_0 and a full-width
+    # 3 loaded as 10.0 and 3.0
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError, match=message):
         load_csv(path)
 
 
@@ -157,6 +178,44 @@ def test_apply_center_uses_training_mean():
     out = apply_center_and_normalize(query, mean)
     assert np.array_equal(out.features, [[1.0, 0.0]])
     assert np.array_equal(out.ids, [9])
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 30), d=st.integers(1, 40),
+       block_cells=st.one_of(st.integers(1, 300), st.just(2**15)),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=5000, d=7, block_cells=2**15, seed=0)  # several blocks of the default size
+def test_blocked_row_norms_equal_linalg_norm_bit_for_bit(n, d, block_cells, seed):
+    # block_cells < d squares one row at a time; rows near 1e-160 have
+    # squares below the smallest normal float, rows near 1e150 near its top
+    rng = seeded_rng(seed)
+    X = rng.standard_normal((n, d)) * rng.choice([1.0, 1e-160, 1e150], size=(n, 1))
+    norms = data_module._row_norms(X, block_cells)
+    assert norms.tobytes() == np.linalg.norm(X, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("call, mib", [
+    (lambda data, path: load_fvec(path), 8),
+    (lambda data, path: apply_center_and_normalize(data, data.features.mean(axis=0)), 6),
+    (lambda data, path: row_normalize(data), 6),
+    (lambda data, path: save_fvec(data, path), 2.6),
+    (lambda data, path: data.subset(np.arange(0, data.n, 2)), 3),
+], ids=["load_fvec", "apply_center_and_normalize", "row_normalize", "save_fvec", "subset"])
+def test_data_layer_makes_each_feature_matrix_once(tmp_path, call, mib):
+    # 20000 x 32 features are 4.88 MiB as float64 and 2.44 as float32. The
+    # library's own arrays go into Dataset without a copy, finiteness takes
+    # no temporary, and row norms square a block of rows at a time: these
+    # read 13.0, 15.7, 10.7, 4.9 and 5.3 MiB with a copy at every step
+    data = Dataset.from_features(seeded_rng(29).standard_normal((20_000, 32)))
+    path = tmp_path / "x.rshv"
+    save_fvec(data, path)
+    tracemalloc.start()
+    try:
+        call(data, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib * 2**20, peak / 2**20
 
 
 def test_row_normalize_unit_norms():
