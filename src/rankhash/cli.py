@@ -42,6 +42,7 @@ from .core import (
 )
 from .data import (
     _check_float32,
+    apply_center_and_normalize,
     apply_pca,
     calibrate_groundtruth,
     calibrate_pair_threshold,
@@ -313,6 +314,9 @@ def _transform(cfg: ExperimentConfig, train: Dataset, query: Dataset):
     if cfg.center:
         mean = train.features.mean(axis=0)
         artifacts["center_mean"] = mean
+        if cfg.pca == 0:  # nothing between centering and scaling: one pass per split
+            return (apply_center_and_normalize(train, mean),
+                    apply_center_and_normalize(query, mean), artifacts)
         train = Dataset._adopt(train.features - mean, train.ids)
         query = Dataset._adopt(query.features - mean, query.ids)
     if cfg.pca > 0:

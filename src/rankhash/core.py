@@ -159,6 +159,13 @@ def _all_finite(values: np.ndarray) -> bool:
     return bool(np.isfinite(values.min()) and np.isfinite(values.max()))
 
 
+def _refuse_repeated_ids(ids: np.ndarray) -> None:
+    """Refuse a 1-D ids array that holds an id twice; strictly ascending ids
+    (0..N-1 are) are known unique without a sort."""
+    if not (ids[1:] > ids[:-1]).all() and np.unique(ids).size != ids.size:
+        raise ValidationError("ids must be unique")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Dense feature matrix plus stable integer row identities.
@@ -193,8 +200,7 @@ class Dataset:
             raise ValidationError("features must be finite")
         if ids.shape != (n,):
             raise ValidationError("ids must be a 1-D array with one entry per row")
-        if not (ids[1:] > ids[:-1]).all() and np.unique(ids).size != n:  # ascending: no sort
-            raise ValidationError("ids must be unique")
+        _refuse_repeated_ids(ids)
         feats.setflags(write=False)
         ids.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -311,7 +317,7 @@ class HashModel:
         L, K, d = proj.shape
         if L < 1 or K < 2 or d < 1:
             raise ValidationError("projections must satisfy L >= 1, K >= 2, d >= 1")
-        if not np.all(np.isfinite(proj)):
+        if not _all_finite(proj):
             raise ValidationError("projections must be finite")
         if K != self.hyper.K or L != self.hyper.L:
             raise ValidationError("projection shape must match hyper.K and hyper.L")
@@ -320,7 +326,7 @@ class HashModel:
             w = _frozen_array(self.weights, np.float64, "weights")
             if w.shape != (L,):
                 raise ValidationError("weights must be a length-L vector")
-            if not np.all(np.isfinite(w)):
+            if not _all_finite(w):
                 raise ValidationError("weights must be finite")
             object.__setattr__(self, "weights", w)
 

@@ -33,6 +33,7 @@ from .core import (
     _as_real,
     _frozen_array,
     _real_or_nan,
+    _refuse_repeated_ids,
 )
 
 __all__ = [
@@ -225,42 +226,18 @@ def apply_pca(basis: PcaBasis, data: Dataset) -> Dataset:
     return Dataset._adopt((data.features - basis.mean) @ basis.components.T, data.ids)
 
 
-@dataclass(frozen=True)
-class RelevantRows:
-    """A groundtruth resolved against one database's ids: for each query in
-    turn, the database rows whose id it lists. Query q's rows are
-    rows[starts[q]:starts[q + 1]]; a listed id that the database lacks adds
-    no row, and an id on several rows adds each of them. `ids` is a
-    read-only copy of the database ids it was resolved against, `order`
-    their stable ascending argsort and `sorted_ids` ids[order]. When the ids
-    are exactly 0..N-1 in row order (`by_position`), an id in [0, N) is its
-    own row and any other id matches nothing, so neither `rows_in` nor `find`
-    searches; other ids, repeats included, are found in `sorted_ids`."""
-
-    ids: np.ndarray
-    order: np.ndarray
-    sorted_ids: np.ndarray
-    starts: np.ndarray
-    rows: np.ndarray
-    by_position: bool = False
-
-    def find(self, keys: np.ndarray):
-        """(found, rows) for the ids in `keys`: whether a database row holds
-        each, and one that does (the first in id order; any row if none)."""
-        if self.by_position:
-            at = np.clip(keys, 0, self.ids.size - 1)
-            return at == keys, at
-        at = np.minimum(np.searchsorted(self.sorted_ids, keys), self.order.size - 1)
-        return self.sorted_ids[at] == keys, self.order[at]
-
-    def pairs(self, queries: np.ndarray):
-        """(owner, rows) of the relevant rows of the queries `queries`, query
-        after query: rows[i] is relevant to query queries[owner[i]]."""
-        first, end = self.starts[queries], self.starts[queries + 1]
-        counts = end - first
-        owner = np.repeat(np.arange(queries.size), counts)
-        at = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(owner.size)
-        return owner, self.rows[at]
+def _id_rows(ids: np.ndarray, keys: np.ndarray):
+    """(found, rows) for the ids in `keys` against the unique database ids
+    `ids`, row n holding ids[n]: whether a row holds each key, and that row
+    (any row when none does). Ids 0..N-1 in row order are their own rows,
+    with no sort; any other ids take one argsort and one search."""
+    n = ids.size
+    if np.array_equal(ids, np.arange(n)):
+        rows = np.clip(keys, 0, n - 1)
+        return rows == keys, rows
+    order = np.argsort(ids)
+    rows = order[np.minimum(np.searchsorted(ids[order], keys), n - 1)]
+    return ids[rows] == keys, rows
 
 
 @dataclass(frozen=True)
@@ -275,8 +252,8 @@ class GroundTruth:
     flat: np.ndarray
     offsets: np.ndarray
     threshold: float | None = None
-    # the last `rows_in` result, reused while the database ids are equal
-    _rows: RelevantRows | None = field(default=None, init=False, repr=False, compare=False)
+    # the last `rows_in` ids and result, reused while the database ids are equal
+    _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         flat = _frozen_array(self.flat, np.int64, "neighbor ids")
@@ -295,39 +272,38 @@ class GroundTruth:
         object.__setattr__(self, "flat", flat)
         object.__setattr__(self, "offsets", offsets)
 
-    def rows_in(self, ids) -> RelevantRows:
-        """The lists resolved against the database ids `ids` (row n holds
-        ids[n]). The last result is kept and returned again while `ids` holds
-        the same values, so models evaluated on one database resolve the
-        groundtruth once."""
+    def rows_in(self, ids) -> "GroundTruth":
+        """The lists resolved against the unique database ids `ids` (row n
+        holds ids[n]): a GroundTruth with the same threshold whose list q
+        holds, ascending, the rows of the ids list q names; an id the
+        database lacks gives no row. The last result is kept and returned
+        again while `ids` holds the same values, so models evaluated on one
+        database resolve the groundtruth once."""
         ids = _as_ints(ids, "ids")
-        kept = self._rows
-        if kept is not None and np.array_equal(kept.ids, ids):
-            return kept
+        if self._rows is not None and np.array_equal(self._rows[0], ids):
+            return self._rows[1]
         ids = _frozen_array(ids, np.int64, "ids")
         if ids.ndim != 1 or ids.size == 0:
             raise ValidationError("the database ids must be a non-empty 1-D array")
-        by_position = np.array_equal(ids, np.arange(ids.size))
-        if by_position:
-            order = sorted_ids = ids
-            listed = (self.flat >= 0) & (self.flat < ids.size)
-            ends, found = np.cumsum(listed, dtype=np.int64), self.flat[listed]
-        else:
-            order = np.argsort(ids, kind="stable")
-            sorted_ids = ids[order]
-            # each listed id's run of equal ids in sorted_ids: where it starts
-            # and its length (0 for an id the database lacks)
-            lo = np.searchsorted(sorted_ids, self.flat, "left")
-            matches = np.searchsorted(sorted_ids, self.flat, "right") - lo
-            ends = np.cumsum(matches)
-            run_start = np.repeat(lo - (ends - matches), matches)
-            found = order[run_start + np.arange(run_start.size)]
-        resolved = (order, sorted_ids, np.concatenate([[0], ends])[self.offsets], found)
-        for array in resolved:
-            array.setflags(write=False)
-        rows = RelevantRows(ids, *resolved, by_position)
-        object.__setattr__(self, "_rows", rows)
-        return rows
+        _refuse_repeated_ids(ids)
+        found, rows = _id_rows(ids, self.flat)
+        rows, ends = rows[found], np.concatenate([[0], np.cumsum(found)])[self.offsets]
+        if not (ids[1:] > ids[:-1]).all():  # only ascending ids keep each list's rows ascending
+            # owner-major keys: one sort puts each list's rows in ascending order
+            owner = np.repeat(np.arange(ends.size - 1), np.diff(ends)) * ids.size
+            rows = np.sort(owner + rows) - owner
+        resolved = GroundTruth(rows, ends, self.threshold)
+        object.__setattr__(self, "_rows", (ids, resolved))
+        return resolved
+
+    def pairs(self, queries: np.ndarray):
+        """(owner, members) of the lists of the queries `queries`, query
+        after query: members[i] is listed for query queries[owner[i]]."""
+        first, end = self.offsets[queries], self.offsets[queries + 1]
+        counts = end - first
+        owner = np.repeat(np.arange(queries.size), counts)
+        at = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(owner.size)
+        return owner, self.flat[at]
 
 
 # Pair calibration and sampling visit the strict upper triangle of the N x N

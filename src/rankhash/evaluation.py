@@ -9,10 +9,12 @@ integer dtype it is given, so no code is widened to int64 on the way.
 weighted kNN keeps the rank tables of its last few weight vectors, so a
 stream of single queries against one model rebuilds neither per call.
 The PR curve and `relevant_hits` take a `GroundTruth` (one flat id array
-cut by offsets) and read its relevant rows from `GroundTruth.rows_in`,
-which resolves the lists against each set of database ids once (by
-position when they are 0..N-1 in row order, else by search), so the models
-of one eval share one resolution. A single range or kNN query is one (L, N)
+cut by offsets) and read its relevant rows from `GroundTruth.rows_in`, a
+`GroundTruth` over database rows, which resolves the lists against each
+set of unique database ids once, so the models of one eval share one
+resolution; `relevant_hits` finds each hit's row by the same lookup (by
+position when the ids are 0..N-1 in row order, else by search). Both
+refuse a table whose ids repeat. A single range or kNN query is one (L, N)
 mismatch pass over the store, plus one select of the k nearest for kNN.
 One key function (`_keys`) gives kNN its Hamming or weighted keys, for one
 code or a block. Batched kNN, the PR curve and `relevant_hits` work in blocks
@@ -35,7 +37,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .core import ValidationError, _as_count, _as_ints, _as_reals, _frozen_array
-from .data import GroundTruth
+from .data import GroundTruth, _id_rows
 
 __all__ = [
     "HashTable",
@@ -333,12 +335,12 @@ def relevant_hits(hits, ids, gt: GroundTruth, queries) -> np.ndarray:
     lists for its query queries[b].
 
     `hits` holds database ids (a kNN result for a block of B queries) and
-    `ids` the database ids, row n holding ids[n]. The lists are resolved to
-    database rows once per database (`GroundTruth.rows_in`) and each hit id
-    to the row of its first occurrence (itself, when the ids are 0..N-1);
-    each block of queries marks its relevant (query, row) cells in one mask
-    of about BLOCK_CELLS cells, reads its hits from it and clears the cells
-    it set. An id absent from the database, listed or hit, matches nothing.
+    `ids` the unique database ids, row n holding ids[n]. The lists are
+    resolved to database rows once per database (`GroundTruth.rows_in`),
+    and each hit id to its row by the same lookup; each block of queries
+    marks its relevant (query, row) cells in one mask of about BLOCK_CELLS
+    cells, reads its hits from it and clears the cells it set. An id absent
+    from the database, listed or hit, matches nothing.
     """
     hits = _as_ints(hits, "hits")
     queries = _as_ints(queries, "queries")
@@ -346,9 +348,10 @@ def relevant_hits(hits, ids, gt: GroundTruth, queries) -> np.ndarray:
         raise ValidationError("queries must be a 1-D array of groundtruth query indices")
     if hits.ndim != 2 or hits.shape[0] != queries.size:
         raise ValidationError("hits must be (B, k), one row per query")
+    ids = _as_ints(ids, "ids")
     rows = gt.rows_in(ids)
-    n = rows.ids.size
-    found, hit_rows = rows.find(hits)
+    n = ids.size
+    found, hit_rows = _id_rows(ids, hits)
     block = max(1, BLOCK_CELLS // n)
     relevant = np.zeros(min(block, queries.size) * n, dtype=bool)
     for start in range(0, queries.size, block):
@@ -368,8 +371,9 @@ def pr_curve_by_radius(table: HashTable, query_codes, gt: GroundTruth):
     Queries with an empty relevant set are skipped; queries that retrieve
     nothing at some radius are excluded from that radius's precision mean and
     contribute recall 0. Relevant ids absent from the table are never
-    retrieved. Returns a list of (R, precision, recall) where the precision
-    is NaN if no query retrieved anything at that radius.
+    retrieved, and a table whose ids repeat is refused. Returns a list of
+    (R, precision, recall) where the precision is NaN if no query retrieved
+    anything at that radius.
 
     The distances of each distinct query code are counted once, in blocks
     of distinct codes; each query reads its relevant rows' distances from
@@ -385,7 +389,7 @@ def pr_curve_by_radius(table: HashTable, query_codes, gt: GroundTruth):
         raise ValidationError("no query has a non-empty relevant set")
     L = table.L
     # every (query, row) whose row id is relevant to the query: an id
-    # absent from the table matches no row, a repeated id several
+    # absent from the table matches no row
     relevant = gt.rows_in(table.ids)
     codes, which = _distinct(query_codes[asked])
     # one mask, one count buffer and one bincount key buffer serve every

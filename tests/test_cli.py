@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -12,7 +13,9 @@ from rankhash import (
     groundtruth_from_labels,
     load_fvec,
     load_model,
+    row_normalize,
     save_fvec,
+    seeded_rng,
 )
 from rankhash import cli
 from rankhash.cli import ConfigError, ExperimentConfig, main, parse_config, validate_config
@@ -439,6 +442,29 @@ def test_single_seed_nan_mean_is_written_with_nan_std(tmp_path):
     summary = json.loads((out / "summary.json").read_text(), parse_constant=reject_constant)
     metric = summary["methods"]["wta"]["metrics"]["precision_r0"]
     assert metric["mean"] is None and metric["std"] is None
+
+
+def test_center_without_pca_holds_each_split_once():
+    # 20000 x 32 training and 5000 x 32 query rows are 6.1 MiB as float64.
+    # With nothing between centering and scaling, each split is centered and
+    # scaled in one pass; centering into a Dataset and then row-normalizing
+    # a copy read 11.4 MiB. The bytes are those of the two-step path.
+    rng = seeded_rng(30)
+    train = Dataset.from_features(rng.standard_normal((20_000, 32)) + 3.0)
+    query = Dataset.from_features(rng.standard_normal((5_000, 32)) + 3.0)
+    tracemalloc.start()
+    try:
+        got = cli._transform(ExperimentConfig(center=True), train, query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 2**20, peak / 2**20
+    mean = train.features.mean(axis=0)
+    assert got[2].keys() == {"center_mean"} and got[2]["center_mean"].tobytes() == mean.tobytes()
+    for split, out in zip((train, query), got):
+        centered = Dataset(split.features - mean, split.ids)
+        assert out.features.tobytes() == row_normalize(centered).features.tobytes()
+        assert out.ids is split.ids
 
 
 def test_identical_rows_center_to_zero_and_collide(tmp_path):

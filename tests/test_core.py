@@ -164,7 +164,9 @@ def test_handed_over_arrays_are_read_only(tmp_path, monkeypatch):
     csv = tmp_path / "d.csv"
     csv.write_text("1,2\n3,4\n")
     save_fvec(base, tmp_path / "d.rshv")
-    # without row_normalize, _transform returns its centered datasets
+    # without PCA and row_normalize, _transform returns the datasets it
+    # centered before projecting (with no PCA it centers and scales at once)
+    monkeypatch.setattr(cli, "apply_pca", lambda basis, data: data)
     monkeypatch.setattr(cli, "row_normalize", lambda data: data)
     sites = {
         "load_csv": [load_csv(csv)],
@@ -175,7 +177,7 @@ def test_handed_over_arrays_are_read_only(tmp_path, monkeypatch):
         "apply_pca": [apply_pca(fit_pca(base, 2), base)],
         "row_normalize": [row_normalize(base)],
         "apply_center_and_normalize": [apply_center_and_normalize(base, np.ones(3))],
-        "cli._transform": cli._transform(cli.ExperimentConfig(center=True), base,
+        "cli._transform": cli._transform(cli.ExperimentConfig(center=True, pca=2), base,
                                          base.subset([0, 2]))[:2],
     }
     for site, datasets in sites.items():
@@ -243,6 +245,17 @@ def test_hashmodel_rejects_nonfinite_weights():
     hyper = Hyperparams(K=2, L=2)
     with pytest.raises(ValidationError):
         HashModel(np.zeros((2, 2, 4)), np.array([1.0, float("inf")]), hyper)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("name", ["projections", "weights"])
+def test_hashmodel_rejects_nan_and_inf_in_either_array(name, bad):
+    # one value among finite ones: min() and max() carry NaN, and one of
+    # them each infinity
+    arrays = {"projections": np.arange(12.0).reshape(2, 2, 3), "weights": np.array([0.5, 2.0])}
+    arrays[name].flat[1] = bad
+    with pytest.raises(ValidationError, match=f"^{name} must be finite$"):
+        HashModel(arrays["projections"], arrays["weights"], Hyperparams(K=2, L=2))
 
 
 # ------------------------------------------------------------ model format

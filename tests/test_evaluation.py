@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rankhash import (
     Dataset,
+    GroundTruth,
     HashModel,
     Hyperparams,
     ValidationError,
@@ -714,10 +715,11 @@ def test_knn_query_blocks_cover_every_query(monkeypatch, L, rows):
 def test_batches_of_few_distinct_codes(seed, pattern_table, L, K, n_codes, B, id_kind, data):
     # Query blocks drawn from 1-3 codes (one code: every query equal), so
     # a batch ranks and counts a few codes for many queries. Each query's
-    # kNN row must equal its single-query answer and the full ranking, and
-    # the PR curve the per-query reference, whatever the ids (ascending,
-    # permuted and gapped, or ascending with repeats) and on both sides of
-    # the weighted pattern table's switch (2^L <= N).
+    # kNN row must equal its single-query answer and the full ranking,
+    # whatever the ids (ascending, permuted and gapped, or ascending with
+    # repeats) and on both sides of the weighted pattern table's switch
+    # (2^L <= N). The PR curve must equal the per-query reference for
+    # unique ids, and refuses ids that repeat.
     rng = seeded_rng(seed)
     if pattern_table:
         L = min(L, 6)
@@ -749,7 +751,12 @@ def test_batches_of_few_distinct_codes(seed, pattern_table, L, K, n_codes, B, id
     lists = [rng.choice(members, size=int(rng.integers(0, min(8, members.size) + 1)),
                         replace=False) for _ in range(B - 1)]
     gt = groundtruth_from_lists([ids[:1]] + lists)
-    assert_same_curve(pr_curve_by_radius(build_table(codes, ids, K), queries, gt),
+    table = build_table(codes, ids, K)
+    if np.unique(ids).size < n:
+        with pytest.raises(ValidationError, match="^ids must be unique$"):
+            pr_curve_by_radius(table, queries, gt)
+        return
+    assert_same_curve(pr_curve_by_radius(table, queries, gt),
                       reference_pr_curve(codes, ids, queries, gt))
 
 
@@ -809,16 +816,45 @@ def test_relevant_hits_marks_listed_ids(monkeypatch, rows, by_position):
     # -5, 8, 99 and 1000 are in no database row (they sort next to 3, 12 and
     # 40); 99 is no valid hit either, though it sorts next to the listed 40
     if by_position:
-        # the same database with ids 0..4, and 99 renamed to 5, one past them
+        # the same database with ids 0..4, and 99 renamed to 5, one past
+        # them: each id is its own row, so nothing is sorted or searched
         rename = {40: 0, 7: 1, 12: 2, 3: 3, 25: 4, 99: 5}
         db_ids, hits = np.arange(5), np.vectorize(lambda i: rename.get(i, i))(hits)
         lists = [np.array([rename.get(i, i) for i in lst], dtype=np.int64) for lst in lists]
-    assert groundtruth_from_lists(lists).rows_in(db_ids).by_position == by_position
+        for name in ("argsort", "searchsorted"):
+            monkeypatch.setattr(np, name, lambda *args, name=name, **kwargs: pytest.fail(name))
     queries = np.arange(len(lists))
     assert relevant_hits(hits, db_ids, groundtruth_from_lists(lists), queries).tolist() == [
         [False, True, True], [False, False, False], [True, True, False], [False, False, False]]
     with pytest.raises(ValidationError):
         relevant_hits(hits, db_ids, groundtruth_from_lists(lists[:2]), queries)
+
+
+def assert_rows_of_lists(gt, ids):
+    """`gt.rows_in(ids)` is a GroundTruth of gt's threshold whose list q
+    holds, ascending, the rows of the ids that list q names."""
+    row_of = {int(i): row for row, i in enumerate(ids)}
+    rows = gt.rows_in(ids)
+    assert isinstance(rows, GroundTruth) and rows.threshold == gt.threshold
+    assert rows.offsets.size == gt.offsets.size
+    for q in range(gt.offsets.size - 1):
+        want = sorted(row_of[i] for i in neighbor_list(gt, q).tolist() if i in row_of)
+        assert neighbor_list(rows, q).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "ids", [np.arange(6), np.array([5, 0, 3, 1, 4, 2]), np.array([40, 7, 12, 3, 25, 9]),
+            np.array([-3, -1, 0, 2, 8, 9])],
+    ids=["positions", "shuffled-positions", "permuted", "ascending-gapped"])
+def test_resolved_groundtruth_is_the_lists_mapped_to_rows(ids):
+    # listed ids the database holds, ids it lacks (negative, N, past every
+    # id) and empty lists, with a distance threshold kept; then only the
+    # ids it holds
+    lists = [[0, 3, 9, 40], [], [-3, -1, 6, 7, 25], [2, 4, 8, 12, 10 ** 12], [1, 5, 100]]
+    held = [np.intersect1d(lst, ids) for lst in lists]
+    for threshold in (None, 0.75):
+        assert_rows_of_lists(groundtruth_from_lists(lists, threshold), ids)
+        assert_rows_of_lists(groundtruth_from_lists(held, threshold), ids)
 
 
 def reference_hit_marks(hits, ids, lists):
@@ -829,10 +865,10 @@ def reference_hit_marks(hits, ids, lists):
 @pytest.mark.parametrize("spread", [1, 7])  # ids dense in their range, spaced apart
 def test_one_groundtruth_resolves_against_each_table(spread):
     # one groundtruth, four tables with the same codes: ascending ids,
-    # permuted ids with repeats (an id on two rows) and with listed ids the
-    # table lacks, ids 0..n-1 and a permutation of them. Each table gets its
-    # own rows, however often the groundtruth switches between them, and a
-    # rewritten ids array is resolved again.
+    # permuted ids with listed ids the table lacks, ids 0..n-1 and a
+    # permutation of them. Each table gets its own rows, however often the
+    # groundtruth switches between them, and a rewritten ids array is
+    # resolved again.
     rng = seeded_rng(41)
     n, L, K, Q, k = 400, 6, 3, 30, 25
     codes = rng.integers(0, K, size=(n, L))
@@ -840,7 +876,7 @@ def test_one_groundtruth_resolves_against_each_table(spread):
     queries[::3] = codes[:Q:3]
     ascending = np.arange(n) * spread + 5
     permuted = rng.permutation(ascending)
-    permuted[3::40] = permuted[4::40]  # 10 ids on two rows, 10 ids gone
+    permuted[3::40] = -1000 - np.arange(10)  # 10 listed ids gone, 10 ids no list names
     absent = np.array([-spread, 5 - spread, n * spread + 5, 10 ** 12])
     lists = []
     for q in range(Q):
@@ -859,7 +895,7 @@ def test_one_groundtruth_resolves_against_each_table(spread):
     asked = np.flatnonzero([len(lst) for lst in lists])
     curves = []
     for ids in (ascending, permuted, ascending.copy(), permuted, positions, shuffled, positions):
-        assert gt.rows_in(ids).by_position == (ids is positions)
+        assert_rows_of_lists(gt, ids)
         table = build_table(codes, ids, K)
         curve = pr_curve_by_radius(table, queries, gt)
         assert_same_curve(curve, reference_pr_curve(codes, ids, queries, gt))
@@ -886,7 +922,7 @@ def test_one_groundtruth_resolves_against_each_table(spread):
     # equal ids in another array reuse the resolution; rewritten ids do not
     ids = ascending.copy()
     assert gt.rows_in(ids) is gt.rows_in(ascending)
-    ids[:40] = ids[40:80]
+    ids[:40] = ids[39::-1]
     table = build_table(codes, ids, K)
     assert_same_curve(pr_curve_by_radius(table, queries, gt),
                       reference_pr_curve(codes, ids, queries, gt))
@@ -1034,15 +1070,21 @@ def test_pr_curve_nothing_retrieved_at_small_radii():
     assert_same_curve(curve, reference_pr_curve(codes, ids, queries, gt))
 
 
-def test_pr_curve_counts_duplicate_table_ids_like_the_reference():
+def test_pr_curve_and_hit_marks_refuse_repeated_table_ids():
+    # a table and kNN take repeated ids, but a groundtruth resolves against
+    # unique ones only, by the rule Dataset applies
     rng = seeded_rng(23)
     codes = rng.integers(0, 2, size=(50, 4))
-    ids = rng.integers(0, 20, size=50)  # every id on several rows
-    table = build_table(codes, ids, 2)
-    queries = rng.integers(0, 2, size=(9, 4))
-    gt = groundtruth_from_lists([rng.choice(25, size=4, replace=False) for _ in range(9)])
-    assert_same_curve(pr_curve_by_radius(table, queries, gt),
-                      reference_pr_curve(codes, ids, queries, gt))
+    for ids in (rng.integers(0, 20, size=50), np.r_[np.arange(49), 48]):
+        table = build_table(codes, ids, 2)
+        queries = rng.integers(0, 2, size=(9, 4))
+        gt = groundtruth_from_lists([rng.choice(25, size=4, replace=False) for _ in range(9)])
+        hits = knn_hamming(codes, ids, queries, 3)
+        for score in (lambda: pr_curve_by_radius(table, queries, gt),
+                      lambda: relevant_hits(hits, ids, gt, np.arange(9)),
+                      lambda: Dataset(np.zeros((50, 1)), ids)):
+            with pytest.raises(ValidationError, match="^ids must be unique$"):
+                score()
 
 
 def test_pr_curve_wide_alphabet_and_foreign_query_symbols():
