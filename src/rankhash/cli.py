@@ -383,9 +383,16 @@ def _load_stage_data(cfg: ExperimentConfig, out: Path):
     query = load_fvec(data_dir / "query.rshv")
     train_labels = query_labels = None
     if (data_dir / "train_labels.npy").exists():
-        train_labels = np.load(data_dir / "train_labels.npy")
-        query_labels = np.load(data_dir / "query_labels.npy")
+        train_labels = _load_labels(data_dir / "train_labels.npy")
+        query_labels = _load_labels(data_dir / "query_labels.npy")
     return train, query, train_labels, query_labels
+
+
+def _load_labels(path: Path) -> np.ndarray:
+    try:
+        return np.load(path)
+    except (ValueError, EOFError) as exc:  # numpy's errors for a malformed .npy
+        raise FormatError(f"{path}: not a readable .npy array ({exc})") from exc
 
 
 def _build_pairs(cfg: ExperimentConfig, train: Dataset, train_labels):

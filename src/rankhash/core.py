@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,10 +51,11 @@ class FormatError(RankHashError):
 
 MAX_SEED = 2**64 - 1
 
-# Serialized model layout (all integers little-endian):
-#   magic "RSHM1" | u16 version | u32 K | u32 L | u32 d | u8 flags
-#   | f64 rho, lam, eta, tol, eps_min | u32 epochs | u64 seed
-#   | L*K*d f64 projections (row-major) | L f64 weights if flags & 1
+# The model header: magic, version, K, L, d, flags, rho, lam, eta, tol,
+# eps_min, epochs, seed; then the payloads, all little-endian:
+#   L*K*d f64 projections, row-major
+#   L f64 weights, if flags & 1
+_MODEL_HEADER = struct.Struct("<5sHIIIBdddddIQ")
 _MODEL_MAGIC = b"RSHM1"
 _MODEL_VERSION = 1
 _FLAG_WEIGHTS = 1
@@ -343,6 +345,41 @@ class HashModel:
         return self.projections.shape[2]
 
 
+class _Reader:
+    """A cursor over the bytes of one binary file whose `header` Struct opens
+    with the format's magic: the header's other fields are in `fields`, and
+    `array` views each payload in place, with no copy. Every failure is a
+    FormatError naming a byte offset."""
+
+    def __init__(self, data: bytes, header: struct.Struct, magic: bytes, kind: str):
+        self.view, self.header, self.kind, self.pos = memoryview(data), header, kind, 0
+        # the magic first: a short file of another type reads as bad magic, not as cut short
+        head = bytes(self.view[:len(magic)])
+        if not magic.startswith(head):
+            raise FormatError(f"bad magic {head!r} at offset 0, expected {magic!r}")
+        self.fields = header.unpack(self._take(header.size, "header"))[1:]
+
+    def _take(self, size: int, what: str) -> memoryview:
+        if size > len(self.view) - self.pos:
+            raise FormatError(f"truncated {self.kind}: need {size} bytes for {what} "
+                              f"at offset {self.pos}, have {len(self.view) - self.pos}")
+        self.pos += size
+        return self.view[self.pos - size:self.pos]
+
+    def array(self, dtype: str, count: int, what: str) -> np.ndarray:
+        return np.frombuffer(self._take(count * np.dtype(dtype).itemsize, what), dtype)
+
+    def refuse(self, field: int, problem: str) -> FormatError:
+        """The error for the header's `field`-th field (the magic is field 0),
+        naming that field's offset."""
+        codes = re.findall(r"\d*\D", self.header.format[1:])
+        return FormatError(f"{problem} at offset {struct.calcsize('<' + ''.join(codes[:field]))}")
+
+    def end(self) -> None:
+        if self.pos != len(self.view):
+            raise FormatError(f"unexpected trailing bytes at offset {self.pos}")
+
+
 def save_model(model: HashModel, path=None) -> bytes:
     """Serialize a model to the package's binary format.
 
@@ -353,16 +390,10 @@ def save_model(model: HashModel, path=None) -> bytes:
         raise ValidationError("save_model expects a HashModel")
     h = model.hyper
     flags = _FLAG_WEIGHTS if model.weights is not None else 0
-    blob = bytearray()
-    blob += _MODEL_MAGIC
-    blob += struct.pack("<H", _MODEL_VERSION)
-    blob += struct.pack("<III", model.K, model.L, model.d)
-    blob += struct.pack("<B", flags)
-    blob += struct.pack("<dddddIQ", h.rho, h.lam, h.eta, h.tol, h.eps_min, h.epochs, h.seed)
-    blob += model.projections.astype("<f8").tobytes(order="C")
-    if model.weights is not None:
-        blob += model.weights.astype("<f8").tobytes()
-    data = bytes(blob)
+    header = _MODEL_HEADER.pack(_MODEL_MAGIC, _MODEL_VERSION, model.K, model.L, model.d, flags,
+                                h.rho, h.lam, h.eta, h.tol, h.eps_min, h.epochs, h.seed)
+    payloads = [model.projections] + ([model.weights] if flags else [])
+    data = header + b"".join(p.astype("<f8").tobytes() for p in payloads)
     if path is not None:
         Path(path).write_bytes(data)
     return data
@@ -380,47 +411,20 @@ def load_model(source) -> HashModel:
         data = bytes(source)
     else:
         raise ValidationError("load_model expects bytes or a path")
-
-    pos = 0
-
-    def take(count: int, what: str) -> bytes:
-        nonlocal pos
-        if pos + count > len(data):
-            raise FormatError(
-                f"truncated model: need {count} bytes for {what} at offset {pos}, "
-                f"have {len(data) - pos}"
-            )
-        chunk = data[pos : pos + count]
-        pos += count
-        return chunk
-
-    magic = take(len(_MODEL_MAGIC), "magic")
-    if magic != _MODEL_MAGIC:
-        raise FormatError(f"bad magic {magic!r} at offset 0, expected {_MODEL_MAGIC!r}")
-    (version,) = struct.unpack("<H", take(2, "version"))
+    reader = _Reader(data, _MODEL_HEADER, _MODEL_MAGIC, "model")
+    version, K, L, d, flags, rho, lam, eta, tol, eps_min, epochs, seed = reader.fields
     if version != _MODEL_VERSION:
-        raise FormatError(f"unsupported model format version {version} at offset 5")
-    K, L, d = struct.unpack("<III", take(12, "shape header"))
+        raise reader.refuse(1, f"unsupported model format version {version}")
     if K < 2 or L < 1 or d < 1:
-        raise FormatError(f"invalid shape header K={K}, L={L}, d={d} at offset 7")
-    (flags,) = struct.unpack("<B", take(1, "flags"))
+        raise reader.refuse(2, f"invalid shape header K={K}, L={L}, d={d}")
     if flags & ~_FLAG_WEIGHTS:
-        raise FormatError(f"unknown flag bits {flags:#x} at offset 19")
-    rho, lam, eta, tol, eps_min, epochs, seed = struct.unpack(
-        "<dddddIQ", take(52, "hyperparameter block")
-    )
-    proj_bytes = take(L * K * d * 8, "projection payload")
-    projections = np.frombuffer(proj_bytes, dtype="<f8").reshape(L, K, d)
-    weights = None
-    if flags & _FLAG_WEIGHTS:
-        weights = np.frombuffer(take(L * 8, "weight payload"), dtype="<f8")
-    if pos != len(data):
-        raise FormatError(f"unexpected trailing bytes at offset {pos}")
+        raise reader.refuse(5, f"unknown flag bits {flags:#x}")
+    projections = reader.array("<f8", L * K * d, "projection payload").reshape(L, K, d)
+    weights = reader.array("<f8", L, "weight payload") if flags & _FLAG_WEIGHTS else None
+    reader.end()
     try:
-        hyper = Hyperparams(
-            K=K, L=L, rho=rho, lam=lam, eta=eta, epochs=int(epochs),
-            tol=tol, seed=int(seed), eps_min=eps_min,
-        )
+        hyper = Hyperparams(K=K, L=L, rho=rho, lam=lam, eta=eta, epochs=epochs,
+                            tol=tol, seed=seed, eps_min=eps_min)
         return HashModel(projections, weights, hyper)
     except ValidationError as exc:
         raise FormatError(f"model payload violates invariants: {exc}") from exc

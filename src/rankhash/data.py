@@ -9,7 +9,7 @@ File formats:
   finite among them, name the offending line.
 * Binary vectors ("RSHV1"): magic b"RSHV1", then N and d as unsigned 64-bit
   little-endian, then N*d float32 values, row-major little-endian. Parse
-  failures name the byte offset.
+  failures, a value that is not finite among them, name the byte offset.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .core import (
     PairSet,
     RankHashError,
     ValidationError,
+    _Reader,
     _all_finite,
     _as_count,
     _as_ints,
@@ -55,6 +56,8 @@ __all__ = [
     "split_dataset",
 ]
 
+# magic, N, d; then N*d float32 values, row-major
+_VEC_HEADER = struct.Struct("<5sQQ")
 _VEC_MAGIC = b"RSHV1"
 
 
@@ -90,27 +93,17 @@ def load_csv(path) -> Dataset:
 
 def load_fvec(path) -> Dataset:
     """Load an RSHV1 binary vector file; ids are assigned 0..N-1."""
-    data = Path(path).read_bytes()
-    if len(data) < len(_VEC_MAGIC):
-        raise FormatError(f"truncated header at offset {len(data)}")
-    if data[: len(_VEC_MAGIC)] != _VEC_MAGIC:
-        raise FormatError(f"bad magic {data[:len(_VEC_MAGIC)]!r} at offset 0")
-    pos = len(_VEC_MAGIC)
-    if len(data) < pos + 16:
-        raise FormatError(f"truncated count header at offset {len(data)}")
-    n, d = struct.unpack_from("<QQ", data, pos)
-    pos += 16
-    expected = pos + n * d * 4
-    if len(data) < expected:
-        raise FormatError(
-            f"truncated payload at offset {len(data)}: expected {expected} bytes total"
-        )
-    if len(data) > expected:
-        raise FormatError(f"unexpected trailing bytes at offset {expected}")
+    reader = _Reader(Path(path).read_bytes(), _VEC_HEADER, _VEC_MAGIC, "vectors")
+    n, d = reader.fields
     if n < 1 or d < 1:
-        raise FormatError(f"invalid shape N={n}, d={d} at offset 5")
-    feats = np.frombuffer(data, dtype="<f4", count=n * d, offset=pos).reshape(n, d)
-    return Dataset._adopt(feats.astype(np.float64), np.arange(n))
+        raise reader.refuse(1, f"invalid shape N={n}, d={d}")
+    payload = reader.array("<f4", n * d, "payload")
+    reader.end()
+    try:
+        return Dataset._adopt(payload.reshape(n, d).astype(np.float64), np.arange(n))
+    except ValidationError:  # the one invariant a well-formed header leaves open
+        bad = np.flatnonzero(~np.isfinite(payload))[0]
+        raise FormatError(f"non-finite value at offset {_VEC_HEADER.size + 4 * bad}") from None
 
 
 def _check_float32(*datasets: Dataset) -> None:
@@ -128,7 +121,7 @@ def save_fvec(data: Dataset, path) -> None:
     _check_float32(data)
     payload = data.features.astype("<f4")
     with open(path, "wb") as out:
-        out.writelines((_VEC_MAGIC + struct.pack("<QQ", data.n, data.dim), payload))
+        out.writelines((_VEC_HEADER.pack(_VEC_MAGIC, data.n, data.dim), payload))
 
 
 # below this norm the sum of squares is not a normal float

@@ -5,6 +5,7 @@ doubles as a report. Time budgets are asserted where a check is only useful
 if it stays cheap.
 """
 
+import json
 import time
 from dataclasses import replace
 
@@ -24,6 +25,7 @@ from rankhash.data import (
     apply_center_and_normalize,
     groundtruth_from_labels,
     make_pairs_from_labels,
+    save_fvec,
     synth_clusters,
 )
 from rankhash.evaluation import (
@@ -332,6 +334,39 @@ def test_ap_non_decreasing_in_code_length(cluster_benchmark):
         mean_b, std_b = stats[longer]
         pooled = np.sqrt((std_a**2 + std_b**2) / 2.0)
         assert mean_b >= mean_a - pooled
+
+
+def test_sequential_training_beats_plain_at_k2_on_distance_supervision(tmp_path):
+    # low-rank rows (rank 8 in d = 16, noise 0.5) with the distance
+    # groundtruth as supervision, as perfbench's distance_file draws them:
+    # at K = 2 the reweighted bits of srsh retrieve better than rsh's
+    # independent ones, which converge toward one direction
+    rng = np.random.default_rng(0)
+    rows = rng.standard_normal((800, 8)) @ rng.standard_normal((8, 16))
+    rows += 0.5 * rng.standard_normal((800, 16))
+    save_fvec(Dataset.from_features(rows), tmp_path / "rows.rshv")
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(
+        f"input = {tmp_path / 'rows.rshv'}\n"
+        "train_count = 600\n"
+        "query_count = 200\n"
+        "methods = rsh, srsh\n"
+        "K = 2\n"
+        "L = 16\n"
+        "epochs = 3\n"
+        "max_pairs = 2000\n"
+        "seeds = 2\n"
+        "neighbor_avg = 20\n"
+        "radius_list = 1\n"
+    )
+    t0 = time.monotonic()
+    assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    elapsed = time.monotonic() - t0
+    results = json.loads((tmp_path / "out" / "summary.json").read_text())["results"]
+    ap = {m: results[f"{m}_L16"]["metrics"]["ap"]["mean"] for m in ("rsh", "srsh")}
+    print(f"\ndistance supervision, K = 2, 16 bits: AP srsh {ap['srsh']:.3f}, "
+          f"rsh {ap['rsh']:.3f}, {elapsed:.2f}s")
+    assert ap["srsh"] > ap["rsh"]
 
 
 def test_benchmark_rerun_is_byte_identical(tmp_path):

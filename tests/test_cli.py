@@ -776,6 +776,34 @@ def test_non_finite_csv_field_exits_4(tmp_path, capsys):
     assert capsys.readouterr().err == "error:format: line 8: non-finite field '1e400'\n"
 
 
+def test_non_finite_rshv_value_exits_4(tmp_path, capsys):
+    # Dataset refused the whole file as data (exit 5), naming no offset
+    rows = np.random.default_rng(14).standard_normal((40, 3))
+    rows[7, 1] = np.nan
+    path = tmp_path / "points.rshv"
+    path.write_bytes(b"RSHV1" + np.array([40, 3], "<u8").tobytes() + rows.astype("<f4").tobytes())
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"input = {path}\ntrain_count = 20\nquery_count = 10\nmethods = rsh\n")
+    code = main(["preprocess", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 4
+    assert capsys.readouterr().err == f"error:format: non-finite value at offset {21 + 4 * 22}\n"
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("name", ["train_labels.npy", "query_labels.npy"])
+def test_corrupt_labels_file_exits_4(tmp_path, capsys, command, name):
+    # numpy's ValueError escaped as a traceback (exit 1)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["preprocess", "--config", str(cfg), "--out", str(out)]) == 0
+    if command == "eval":
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    (out / name).write_bytes(b"garbage\n")
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith(f"error:format: {out / name}: not a readable .npy")
+
+
 def test_invalid_split_exits_5(tmp_path, capsys):
     csv = tmp_path / "tiny.csv"
     csv.write_text("\n".join(f"{i},{i + 1}" for i in range(10)) + "\n")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -319,6 +321,59 @@ def test_load_model_rejects_trailing_bytes():
     blob = save_model(make_model(False)) + b"\x00"
     with pytest.raises(FormatError, match="trailing"):
         load_model(blob)
+
+
+def saved_vectors(tmp_path) -> bytes:
+    save_fvec(Dataset.from_features(seeded_rng(3).standard_normal((5, 4))), tmp_path / "d.rshv")
+    return (tmp_path / "d.rshv").read_bytes()
+
+
+def load_vectors(blob: bytes, tmp_path):
+    (tmp_path / "d.rshv").write_bytes(blob)
+    return load_fvec(tmp_path / "d.rshv")
+
+
+@pytest.mark.parametrize("saved, load", [
+    (lambda tmp_path: save_model(make_model(False)), lambda blob, tmp_path: load_model(blob)),
+    (lambda tmp_path: save_model(make_model(True)), lambda blob, tmp_path: load_model(blob)),
+    (saved_vectors, load_vectors),
+], ids=["model", "model_with_weights", "vectors"])
+def test_every_prefix_and_an_extension_is_a_format_error_at_an_offset(tmp_path, saved, load):
+    # the header, each payload and the end of the file are read by one rule:
+    # a file cut anywhere, or one byte longer, names where it went wrong
+    blob = saved(tmp_path)
+    load(blob, tmp_path)
+    for cut in range(len(blob)):
+        with pytest.raises(FormatError, match=r"at offset \d+"):
+            load(blob[:cut], tmp_path)
+    with pytest.raises(FormatError, match=f"trailing bytes at offset {len(blob)}$"):
+        load(blob + b"\x00", tmp_path)
+
+
+@pytest.mark.parametrize("saved, size, digest", [
+    (lambda tmp_path: save_model(make_model(False)), 648,
+     "6463653690ef70358bb150337db9f54b559ed025aaeeca2c32a6733b58d13a91"),
+    (lambda tmp_path: save_model(make_model(True)), 680,
+     "b8e366e1f1f6b23b0aef4e37387cb55e8b9f6a935d32c81946f90ddcdde85703"),
+    (saved_vectors, 101, "e3915c3f1d60d778ac67049d67a743e48b201bd6cca6cb8d8cf60d188215bb48"),
+], ids=["model", "model_with_weights", "vectors"])
+def test_saved_bytes_are_pinned(tmp_path, saved, size, digest):
+    # a change to either header layout, or to a payload's byte order, shows here
+    blob = saved(tmp_path)
+    assert len(blob) == size
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+@pytest.mark.parametrize("offset, value, message", [
+    (5, b"\x00\x00", "unsupported model format version 0"),
+    (7, b"\x00\x00\x00\x00", "invalid shape header K=0, L=4, d=6"),
+    (19, b"\x02", "unknown flag bits 0x2"),
+], ids=["version", "K", "flags"])
+def test_load_model_names_the_offset_of_a_bad_header_field(offset, value, message):
+    blob = bytearray(save_model(make_model(False)))
+    blob[offset:offset + len(value)] = value
+    with pytest.raises(FormatError, match=f"^{message} at offset {offset}$"):
+        load_model(bytes(blob))
 
 
 @settings(max_examples=25, deadline=None)

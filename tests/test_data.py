@@ -147,6 +147,20 @@ def test_fvec_trailing_bytes(tmp_path):
         load_fvec(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_fvec_non_finite_value_is_a_format_error_at_its_offset(tmp_path, value):
+    # Dataset refused the whole file as data (ValidationError), naming no offset
+    path = tmp_path / "d.rshv"
+    save_fvec(Dataset(np.ones((3, 4)), np.arange(3)), path)
+    blob = bytearray(path.read_bytes())
+    for row, col in ((2, 3), (1, 2)):  # the first in file order is named
+        offset = 21 + 4 * (4 * row + col)
+        blob[offset:offset + 4] = np.array([value], dtype="<f4").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=f"^non-finite value at offset {21 + 4 * 6}$"):
+        load_fvec(path)
+
+
 # ------------------------------------------------------------ preprocessing
 
 
