@@ -51,11 +51,13 @@ class FormatError(RankHashError):
 
 MAX_SEED = 2**64 - 1
 
-# The model header: magic, version, K, L, d, flags, rho, lam, eta, tol,
-# eps_min, epochs, seed; then the payloads, all little-endian:
+# The model header's fields, in `_MODEL_FIELDS` order; then the payloads,
+# all little-endian:
 #   L*K*d f64 projections, row-major
 #   L f64 weights, if flags & 1
 _MODEL_HEADER = struct.Struct("<5sHIIIBdddddIQ")
+_MODEL_FIELDS = ("magic", "version", "K", "L", "d", "flags", "rho", "lam", "eta", "tol",
+                 "eps_min", "epochs", "seed")
 _MODEL_MAGIC = b"RSHM1"
 _MODEL_VERSION = 1
 _FLAG_WEIGHTS = 1
@@ -379,6 +381,13 @@ class _Reader:
         if self.pos != len(self.view):
             raise FormatError(f"unexpected trailing bytes at offset {self.pos}")
 
+    def non_finite(self, dtype: str) -> FormatError:
+        """The error for the first NaN or infinity among the payloads, which
+        hold `dtype` values from the header's end to the end of the file."""
+        values = np.frombuffer(self.view[self.header.size:], dtype)
+        bad = np.flatnonzero(~np.isfinite(values))[0]
+        return FormatError(f"non-finite value at offset {self.header.size + values.itemsize * bad}")
+
 
 def save_model(model: HashModel, path=None) -> bytes:
     """Serialize a model to the package's binary format.
@@ -425,6 +434,10 @@ def load_model(source) -> HashModel:
     try:
         hyper = Hyperparams(K=K, L=L, rho=rho, lam=lam, eta=eta, epochs=epochs,
                             tol=tol, seed=seed, eps_min=eps_min)
+    except ValidationError as exc:  # its message opens with the field's name
+        name = str(exc).split()[0]
+        raise reader.refuse(_MODEL_FIELDS.index(name), f"invalid model header: {exc}") from None
+    try:
         return HashModel(projections, weights, hyper)
-    except ValidationError as exc:
-        raise FormatError(f"model payload violates invariants: {exc}") from exc
+    except ValidationError:  # the one invariant a well-formed file leaves open
+        raise reader.non_finite("<f8") from None

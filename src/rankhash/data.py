@@ -102,8 +102,7 @@ def load_fvec(path) -> Dataset:
     try:
         return Dataset._adopt(payload.reshape(n, d).astype(np.float64), np.arange(n))
     except ValidationError:  # the one invariant a well-formed header leaves open
-        bad = np.flatnonzero(~np.isfinite(payload))[0]
-        raise FormatError(f"non-finite value at offset {_VEC_HEADER.size + 4 * bad}") from None
+        raise reader.non_finite("<f4") from None
 
 
 def _check_float32(*datasets: Dataset) -> None:

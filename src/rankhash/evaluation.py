@@ -22,7 +22,12 @@ of queries and write every block's mask into one buffer allocated per call;
 kNN's multi-byte pattern terms and direct weighted sums are allocated per block.
 Short codes send many queries to one code, so a batch of kNN queries ranks
 each distinct code once and the PR curve counts each distinct code's
-distances once (`_distinct`).
+distances once (`_distinct`). The PR curve counts a block's distances with
+one bincount: while the (L + 1)^2 bins of a pair key number at most a third
+of the N / 2 pairs of adjacent stored codes, each key reads two adjacent
+mismatch counts at once, through a view of the count buffer as lanes of
+twice its width, so there are half as many keys to count
+(`_DistanceCounter`).
 All distances here are symbol-level Hamming distances (count of positions
 where two codes disagree), never distances between packed bit strings. A
 query that retrieves nothing has no defined precision; it is excluded from
@@ -51,16 +56,20 @@ __all__ = [
     "aggregate_runs",
 ]
 
-# The PR curve works in blocks of distinct query codes whose mask, counts
-# and bincount keys hold about BLOCK_CELLS bytes, and `relevant_hits` marks
-# blocks of (B, N) cells. kNN compares blocks of a batch's distinct codes
-# whose (L, B, N) comparison mask holds about KNN_BLOCK_CELLS cells, so that
-# a block's mask and keys stay in a 2 MB L2 cache while it is ranked (its
-# direct weighted sum adds 8 bytes of float terms per cell). Each pass
-# allocates its mask (and the PR curve its counts and keys) once per call and
-# writes every block into it, so transient memory stays at a few MB whatever
-# the table size, and a pass faults in its pages once. kNN's multi-byte pattern
-# terms and direct weighted sums are the exception, allocated per block.
+# The PR curve works in blocks of distinct query codes whose mask, counts,
+# bincount keys and bincount's own intp copy of narrow keys hold about
+# BLOCK_CELLS bytes. At L < 256 a (code, row) cell costs L + 1 + 8 bytes
+# with one intp key per cell, which bincount reads in place, and
+# L + 1 + (2 + 8) / 2 with one uint16 key per two cells, which it copies to
+# intp. `relevant_hits` marks blocks of (B, N) cells. kNN compares blocks of
+# a batch's distinct codes whose (L, B, N) comparison mask holds about
+# KNN_BLOCK_CELLS cells, so that a block's mask and keys stay in a 2 MB L2
+# cache while it is ranked (its direct weighted sum adds 8 bytes of float
+# terms per cell). Each pass allocates its mask (and the PR curve its counts
+# and keys) once per call and writes every block into it, so transient
+# memory stays at a few MB whatever the table size, and a pass faults in its
+# pages once. kNN's multi-byte pattern terms and direct weighted sums are
+# the exception, allocated per block.
 BLOCK_CELLS = 1 << 21
 KNN_BLOCK_CELLS = 1 << 19
 
@@ -392,14 +401,8 @@ def pr_curve_by_radius(table: HashTable, query_codes, gt: GroundTruth):
     # absent from the table matches no row
     relevant = gt.rows_in(table.ids)
     codes, which = _distinct(query_codes[asked])
-    # one mask, one count buffer and one bincount key buffer serve every
-    # block of codes; the three together hold about BLOCK_CELLS bytes
-    n = table.ids.size
-    count_type, key_type = np.min_scalar_type(L), np.dtype(np.intp)
-    block = max(1, BLOCK_CELLS // ((L + count_type.itemsize + key_type.itemsize) * n))
-    mask = np.empty((L, min(block, codes.shape[0]), n), dtype=bool)
-    counts = np.empty(mask.shape[1:], dtype=count_type)
-    keys = np.empty(mask.shape[1:], dtype=key_type)
+    counter = _DistanceCounter(table.ids.size, L, codes.shape[0])
+    block = counter.block
     # the asked queries grouped by code, each code's in query order, and
     # where each block of codes starts among them
     holders = np.argsort(which, kind="stable")
@@ -408,17 +411,13 @@ def pr_curve_by_radius(table: HashTable, query_codes, gt: GroundTruth):
     terms = np.zeros((asked.size + 1, 2, L + 1))
     prec_count = np.zeros(L + 1, dtype=np.int64)
     for start, lo, hi in zip(range(0, codes.shape[0], block), bounds, bounds[1:]):
-        b = min(block, codes.shape[0] - start)
-        dists = _mismatches(table.columns, codes[start:start + b], mask[:, :b], counts[:b])
-        offsets = np.arange(b)[:, None] * (L + 1)
-        total = _cumulative_counts(np.add(dists, offsets, out=keys[:b]), b, L)
+        hist = counter.count(table.columns, codes[start:start + block])
         at = holders[lo:hi]
         code = which[at] - start
         qs = asked[at]
         owner, rows = relevant.pairs(qs)
-        rel = _cumulative_counts(dists.ravel()[code[owner] * n + rows] + owner * (L + 1),
-                                 qs.size, L)
-        total = total[code]
+        rel = _cumulative_counts(counter.at(code[owner], rows) + owner * (L + 1), qs.size, L)
+        total = hist.cumsum(axis=1)[code]
         answered = total > 0
         terms[1 + at, 0] = np.divide(rel, total, out=np.zeros(total.shape), where=answered)
         terms[1 + at, 1] = rel / sizes[qs, None]
@@ -437,6 +436,95 @@ def _cumulative_counts(keys: np.ndarray, B: int, L: int) -> np.ndarray:
     each query's offset b * (L + 1)."""
     counts = np.bincount(keys.ravel(), minlength=B * (L + 1))
     return counts.reshape(B, L + 1).cumsum(axis=1)
+
+
+def _pairs_pay(n: int, L: int) -> bool:
+    """Whether `_DistanceCounter` counts two distances per bincount key. A
+    pair key halves the keys to count but spreads them over (L + 1)^2 bins
+    per code, not L + 1, so it pays only while those bins stay well below
+    the n // 2 pairs they count. On a 2-core Xeon, 1000-query curves with at
+    most a third as many bins as pairs ran 5-40% faster paired; at about
+    half as many, paired was as often slower as faster."""
+    return 3 * (L + 1) ** 2 <= n // 2
+
+
+class _DistanceCounter:
+    """The buffers in which one PR curve counts its distances, block by
+    block. `count` gives, per query code of a block, how many of the n stored
+    codes lie at each distance 0..L, and `at` reads the block's mismatch
+    counts. A block holds at most `block` codes, so that its mask, counts,
+    keys and bincount's intp copy of the keys hold about BLOCK_CELLS bytes.
+
+    The counts are written into one (B, n) buffer of the smallest dtype that
+    holds L. Single keys add each code's offset b * (L + 1) to its counts,
+    in intp, and count them with one bincount. Paired keys (`_pairs_pay`)
+    read two adjacent counts as one unsigned lane of twice the count's width
+    s: with M = L + 1 the lane is p = lo + 2^s hi, and
+    p - (2^s - M) hi + b M^2 = lo + M hi + b M^2 is a key into code b's
+    M x M bins, in the narrowest dtype that holds both the lane and every
+    key. One bincount counts half as many keys, and a code's histogram is
+    its bins summed over hi plus its bins summed over lo: both marginals are
+    added, so which count of a lane is lo, which depends on the byte order,
+    changes nothing. The buffer's rows have even length, so the lanes are a
+    view with no copy; an odd n's last column is counted by its own small
+    bincount.
+    """
+
+    def __init__(self, n: int, L: int, codes: int):
+        self.n, self.M = n, L + 1
+        self.paired = _pairs_pay(n, L)
+        count_type = np.min_scalar_type(L)
+        width = n + n % 2 if self.paired else n
+        self.per_row = n // 2 if self.paired else n
+        intp = np.dtype(np.intp)
+
+        def rows(key_type):
+            # the mask, the counts, the keys and bincount's intp copy of them
+            copy = 0 if key_type == intp else intp.itemsize
+            cost = L * n + count_type.itemsize * width + (key_type.itemsize + copy) * self.per_row
+            return max(1, min(codes, BLOCK_CELLS // cost))
+
+        if self.paired:
+            self.lane = np.dtype(f"u{2 * count_type.itemsize}")
+            self.shift = 8 * count_type.itemsize
+            self.block = rows(self.lane)
+            # a key is below block * M^2: widen it past the lane when it must
+            key_type = np.promote_types(self.lane, np.min_scalar_type(self.block * self.M ** 2 - 1))
+            self.block = rows(key_type)
+            self.offsets = (np.arange(self.block) * self.M ** 2).astype(key_type)[:, None]
+        else:
+            key_type = intp
+            self.block = rows(key_type)
+            self.offsets = np.arange(self.block)[:, None] * self.M
+        self.mask = np.empty((L, self.block, n), dtype=bool)
+        self.counts = np.empty((self.block, width), dtype=count_type)
+        self.keys = np.empty((self.block, self.per_row), dtype=key_type)
+
+    def count(self, columns: np.ndarray, queries: np.ndarray) -> np.ndarray:
+        """(B, L + 1) counts of the stored codes, the (L, n) `columns`, at
+        each distance from each of a (B, L) block of at most `block` query
+        codes."""
+        b, n, M = queries.shape[0], self.n, self.M
+        dists = _mismatches(columns, queries, self.mask[:, :b], self.counts[:b, :n])
+        keys = self.keys[:b]
+        if not self.paired:
+            np.add(dists, self.offsets[:b], out=keys)
+            return np.bincount(keys.ravel(), minlength=b * M).reshape(b, M)
+        lanes = self.counts[:b].view(self.lane)[:, :self.per_row]
+        np.right_shift(lanes, self.shift, out=keys)
+        np.multiply(keys, (1 << self.shift) - M, out=keys)
+        np.subtract(lanes, keys, out=keys)
+        np.add(keys, self.offsets[:b], out=keys)
+        bins = np.bincount(keys.ravel(), minlength=b * M * M).reshape(b, M, M)
+        hist = bins.sum(axis=1) + bins.sum(axis=2)
+        if n % 2:
+            hist += np.bincount(dists[:, -1] + np.arange(b) * M, minlength=b * M).reshape(b, M)
+        return hist
+
+    def at(self, codes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The mismatch counts of the last block's codes `codes` (indices
+        into the block) against the stored codes `rows`."""
+        return self.counts.ravel()[codes * self.counts.shape[1] + rows]
 
 
 def average_precision(curve) -> float:

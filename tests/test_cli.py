@@ -804,6 +804,25 @@ def test_corrupt_labels_file_exits_4(tmp_path, capsys, command, name):
     assert capsys.readouterr().err.startswith(f"error:format: {out / name}: not a readable .npy")
 
 
+@pytest.mark.parametrize("offset, value, message", [
+    (20, -1.0, "invalid model header: rho must be a finite number >= 0, got -1.0 at offset 20"),
+    (72, np.nan, "non-finite value at offset 72"),
+], ids=["rho", "projection"])
+def test_model_breaking_a_rule_exits_4(tmp_path, capsys, offset, value, message):
+    # both exited 4 naming the rule, not the offset
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["preprocess", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    model = sorted(out.glob("model_*.rshm"))[0]
+    blob = bytearray(model.read_bytes())
+    blob[offset:offset + 8] = np.array(value, "<f8").tobytes()
+    model.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 4
+    assert capsys.readouterr().err == f"error:format: {message}\n"
+
+
 def test_invalid_split_exits_5(tmp_path, capsys):
     csv = tmp_path / "tiny.csv"
     csv.write_text("\n".join(f"{i},{i + 1}" for i in range(10)) + "\n")

@@ -1,4 +1,7 @@
 import hashlib
+import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -373,6 +376,38 @@ def test_load_model_names_the_offset_of_a_bad_header_field(offset, value, messag
     blob = bytearray(save_model(make_model(False)))
     blob[offset:offset + len(value)] = value
     with pytest.raises(FormatError, match=f"^{message} at offset {offset}$"):
+        load_model(bytes(blob))
+
+
+@pytest.mark.parametrize("offset, value, message", [
+    (20, struct.pack("<d", -1.0), "rho must be a finite number >= 0, got -1.0"),
+    (28, struct.pack("<d", math.nan), "lam must be a finite number >= 0, got nan"),
+    (36, struct.pack("<d", 0.0), "eta must be a finite number > 0, got 0.0"),
+    (44, struct.pack("<d", math.inf), "tol must be a finite number >= 0, got inf"),
+    (52, struct.pack("<d", 0.5), "eps_min must be a finite number in (0, 0.5), got 0.5"),
+    (60, struct.pack("<I", 0), "epochs must be an integer in [1, 4294967295], got 0"),
+], ids=["rho", "lam", "eta", "tol", "eps_min", "epochs"])
+def test_load_model_names_the_offset_of_a_header_value_that_breaks_a_rule(offset, value, message):
+    # the Hyperparams rule named no offset
+    blob = bytearray(save_model(make_model(True)))
+    blob[offset:offset + len(value)] = value
+    with pytest.raises(FormatError, match=f"^{re.escape(f'invalid model header: {message}')}"
+                                          f" at offset {offset}$"):
+        load_model(bytes(blob))
+
+
+@pytest.mark.parametrize("values, offset", [
+    ({0: math.nan}, 72),
+    ({71: math.inf, 5: -math.inf}, 72 + 8 * 5),
+    ({72 + 2: -math.inf}, 72 + 8 * 74),
+    ({72 + 3: math.nan, 72 + 1: math.inf}, 72 + 8 * 73),
+], ids=["first-projection", "projections", "weight", "weights"])
+def test_load_model_names_the_offset_of_a_non_finite_payload_value(values, offset):
+    # 72 projections then 4 weights; the HashModel rule named no offset
+    blob = bytearray(save_model(make_model(True)))
+    for index, value in values.items():
+        blob[72 + 8 * index:80 + 8 * index] = struct.pack("<d", value)
+    with pytest.raises(FormatError, match=f"^non-finite value at offset {offset}$"):
         load_model(bytes(blob))
 
 

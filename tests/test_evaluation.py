@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1012,35 +1013,38 @@ def assert_same_curve(got, want):
         assert c1 == c2
 
 
-def block_rows(n, L):
-    """Distinct query codes per PR-curve block: each holds a mask, a count
-    and a key row."""
-    row_bytes = L + np.min_scalar_type(L).itemsize + np.dtype(np.intp).itemsize
-    return max(1, evaluation.BLOCK_CELLS // (n * row_bytes))
+def block_rows(n, L, paired=True):
+    """Distinct query codes per PR-curve block. Each holds a mask row and a
+    count row. Single keys are one intp per cell, which bincount reads in
+    place; paired keys are one per two cells (the count row padded to even
+    length), in the narrowest dtype that holds a lane of two counts and
+    every key below block * (L + 1)^2, and bincount copies them to intp."""
+    count = np.min_scalar_type(L).itemsize
+    if not paired:
+        return max(1, evaluation.BLOCK_CELLS // (n * (L + count + 8)))
+
+    def rows(key):
+        cost = L * n + count * (n + n % 2) + (key + 8) * (n // 2)
+        return max(1, evaluation.BLOCK_CELLS // cost)
+
+    block = rows(2 * count)
+    return rows(max(2 * count, np.min_scalar_type(block * (L + 1) ** 2 - 1).itemsize))
 
 
-@pytest.mark.parametrize("which", ["one", "block-1", "block+1", "many"])
-def test_pr_curve_matches_per_query_reference(which):
-    # `which` counts the distinct codes of the queries with a relevant set,
-    # the unit the PR curve blocks by; each code is asked at least once,
-    # some several times, and queries with an empty list come in between
-    rng = seeded_rng(21)
-    n, L, K = 2000, 8, 3
-    codes = rng.integers(0, K, size=(n, L))
-    codes[100:400] = codes[:300]  # duplicate rows
-    ids = rng.permutation(5 * n)[:n] + 17
+def assert_curve_of_distinct_codes(rng, codes, ids, K, distinct):
+    """The PR curve over a table of `codes` and `ids` equals the per-query
+    reference, for queries whose relevant sets are non-empty exactly when
+    their codes are the rows of `distinct`: each row is asked at least once,
+    some several times, with queries whose list is empty in between, and
+    some lists name ids the table lacks."""
+    Q, L = distinct.shape
     table = build_table(codes, ids, K)
-    block = block_rows(n, L)
-    Q = {"one": 1, "block-1": block - 1, "block+1": block + 1, "many": 2 * block + 5}[which]
-    pool = np.unique(np.vstack([codes[rng.integers(0, n, size=Q)],
-                                rng.integers(0, K, size=(2 * Q, L))]), axis=0)
-    distinct = pool[rng.permutation(len(pool))[:Q]]
     asked = distinct[rng.permutation(np.concatenate([np.arange(Q),
                                                      rng.integers(0, Q, size=Q // 2 + 1)]))]
     absent = np.arange(-50, 0)  # ids the table does not hold
     lists = []
     for q in range(len(asked)):
-        size = int(rng.integers(1, 60))
+        size = int(rng.integers(1, min(60, ids.size + 1)))
         members = rng.choice(ids, size=size, replace=False)
         if q % 4 == 1:
             members = np.concatenate([members, rng.choice(absent, size=3, replace=False)])
@@ -1056,6 +1060,113 @@ def test_pr_curve_matches_per_query_reference(which):
     assert len(np.unique(queries[held], axis=0)) == Q
     assert_same_curve(pr_curve_by_radius(table, queries, gt),
                       reference_pr_curve(codes, ids, queries, gt))
+
+
+@pytest.mark.parametrize("which", ["one", "block-1", "block+1", "many"])
+def test_pr_curve_matches_per_query_reference(which):
+    # `which` counts the distinct codes of the queries with a relevant set,
+    # the unit the PR curve blocks by
+    rng = seeded_rng(21)
+    n, L, K = 2000, 8, 3
+    codes = rng.integers(0, K, size=(n, L))
+    codes[100:400] = codes[:300]  # duplicate rows
+    ids = rng.permutation(5 * n)[:n] + 17
+    block = block_rows(n, L)
+    Q = {"one": 1, "block-1": block - 1, "block+1": block + 1, "many": 2 * block + 5}[which]
+    pool = np.unique(np.vstack([codes[rng.integers(0, n, size=Q)],
+                                rng.integers(0, K, size=(2 * Q, L))]), axis=0)
+    assert_curve_of_distinct_codes(rng, codes, ids, K, pool[rng.permutation(len(pool))[:Q]])
+
+
+def foreign_codes(rng, codes, K, Q):
+    """Q distinct query codes, some of the table's and some drawn at random,
+    a fifth of them holding a symbol outside [0, K): -1, K, or one that the
+    store's dtype wraps to 0."""
+    n, L = codes.shape
+    pool = np.vstack([codes[rng.integers(0, n, size=Q)], rng.integers(0, K, size=(2 * Q + 8, L))])
+    stranger = np.flatnonzero(rng.random(len(pool)) < 0.2)
+    wrap = np.iinfo(np.min_scalar_type(K - 1)).max + 1
+    pool[stranger, rng.integers(0, L, size=stranger.size)] = rng.choice([-1, K, wrap],
+                                                                         size=stranger.size)
+    pool = np.unique(pool, axis=0)
+    assert len(pool) >= Q
+    return pool[rng.permutation(len(pool))[:Q]]
+
+
+U1, U2, U4, INTP = (np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.intp))
+
+
+@pytest.mark.parametrize("n, L, K, pairs, Q, paired, count_type, key_type", [
+    # odd n: the last column has its own bincount
+    (1, 3, 3, True, 10, True, U1, U2),
+    (3, 5, 3, True, 20, True, U1, U2),
+    (2001, 8, 4, None, 30, True, U1, U2),
+    (4999, 8, 8, None, 30, True, U1, U2),
+    # the count, and so the lane, widens at L = 256; six codes of at least
+    # 2^16 bins each take uint32 keys
+    (9, 255, 3, True, 6, True, U1, U4),
+    (10, 256, 3, True, 6, True, U2, U4),
+    (9, 255, 3, None, 6, False, U1, INTP),
+    (10, 256, 3, None, 6, False, U2, INTP),
+    # 809 codes of 81 bins are keys below 2^16; 810 are not
+    (5, 8, 4, True, 809, True, U1, U2),
+    (5, 8, 4, True, 810, True, U1, U4),
+    # (L + 1)^2 = 324 bins pay against 1000 pairs, 361 do not
+    (2000, 17, 3, None, 40, True, U1, U2),
+    (2000, 18, 3, None, 40, False, U1, INTP),
+    # a uint16 store
+    (300, 4, 300, True, 40, True, U1, U2),
+    (300, 4, 300, False, 40, False, U1, INTP),
+    # block edges of single keys and of paired keys over odd n
+    (2000, 8, 3, False, block_rows(2000, 8, False) - 1, False, U1, INTP),
+    (2000, 8, 3, False, block_rows(2000, 8, False) + 1, False, U1, INTP),
+    (2001, 8, 3, None, block_rows(2001, 8) - 1, True, U1, U2),
+    (2001, 8, 3, None, block_rows(2001, 8) + 1, True, U1, U2),
+], ids=["n1", "n3", "n2001", "n4999", "L255-paired", "L256-paired", "L255", "L256",
+        "keys-u2", "keys-u4", "bins-below-rule", "bins-above-rule", "K300-paired", "K300-single",
+        "single-block-1", "single-block+1", "odd-block-1", "odd-block+1"])
+def test_pr_curve_counts_match_reference_on_every_branch(
+        monkeypatch, n, L, K, pairs, Q, paired, count_type, key_type):
+    # `pairs` forces paired or single keys; None leaves the choice to n and L
+    if pairs is not None:
+        monkeypatch.setattr(evaluation, "_pairs_pay", lambda n, L: pairs)
+    made = []
+
+    class Recording(evaluation._DistanceCounter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(evaluation, "_DistanceCounter", Recording)
+    rng = seeded_rng(35)
+    codes = rng.integers(0, K, size=(n, L))
+    codes[n // 3:] = codes[rng.integers(0, n // 3 + 1, size=n - n // 3)]  # repeated rows
+    ids = rng.permutation(3 * n + 6)[:n] + 1
+    assert_curve_of_distinct_codes(rng, codes, ids, K, foreign_codes(rng, codes, K, Q))
+    counter, = made
+    assert (counter.paired, counter.counts.dtype, counter.keys.dtype) == (
+        paired, count_type, key_type)
+    assert counter.block == min(Q, block_rows(n, L, paired))
+
+
+def test_pr_curve_holds_no_more_than_its_block_buffers():
+    # 1000 queries over 5000 codes of L = 8, as a distance_file eval scores
+    # them. Counted with one intp key per cell, the curve's peak was at
+    # least 2448698 bytes (numpy 2.4.6, lowest of five runs); the paired keys
+    # and bincount's intp copy of them must fit in the same block budget.
+    rng = seeded_rng(36)
+    n, L, K, Q = 5000, 8, 8, 1000
+    table = build_table(rng.integers(0, K, size=(n, L)), np.arange(n), K)
+    queries = rng.integers(0, K, size=(Q, L))
+    gt = groundtruth_from_lists([rng.choice(n, size=50, replace=False) for _ in range(Q)])
+    gt.rows_in(table.ids)  # resolved once per database, outside the curve
+    tracemalloc.start()
+    try:
+        pr_curve_by_radius(table, queries, gt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2448698, peak
 
 
 def test_pr_curve_nothing_retrieved_at_small_radii():
